@@ -1,13 +1,16 @@
 """File catalog, Zipf request popularity, and per-file delay tolerance.
 
-All quantities here are normalized: file sizes are dimensionless
-fractions of the size unit, delay thresholds are in slots, rates are in
-size-units per slot per frequency unit (see ``scenario.normalize`` for
-the mapping from physical units).
+A file's aggregate delay tolerance is computed exactly from the
+two-region rate model and the uniform delay-threshold distribution; no
+random draws are involved. All quantities here are normalized: file
+sizes are dimensionless fractions of the size unit, delay thresholds are
+in slots, rates are in size-units per slot per frequency unit (see
+``scenario.normalize`` for the mapping from physical units).
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +18,6 @@ import numpy as np
 from .channel import RateModel
 from .errors import InvalidParameterError, PreconditionError
 
-DEFAULT_TOLERANCE_SAMPLES = 100_000
 _PMF_TOL = 1e-12
 
 
@@ -65,50 +67,35 @@ class FileSpec:
             )
 
 
-def _check_delay_sensitivity(size, rates, thresholds, context=""):
-    """Every sampled (rate, threshold) pair must satisfy size/rate > threshold + 1.
+def aggregate_delay_tolerance(file: FileSpec, rate_model: RateModel) -> float:
+    """Exact mean of 1 / (size - rate * threshold) over the user population.
 
-    Raises naming the first offending draw; keeping this strict keeps the
-    unicast payoff well defined for every user.
+    A user's rate is ``r_high`` with probability ``prob_high`` and ``r_low``
+    otherwise; the threshold is uniform on [delay_lo, delay_hi]. For a
+    region of rate r, with d = size - r * delay_hi and
+    x = r * (delay_hi - delay_lo) / d, the mean over the threshold is
+    log1p(x) / (x * d), and 1 / d for a point mass (x = 0). The regions
+    are mixed by their probabilities.
+
+    Raises PreconditionError unless size / r > delay_hi + 1 for every rate
+    with positive probability: the worst case of the delay-sensitivity
+    condition, which keeps the unicast payoff defined for every user.
     """
-    bad = size / rates <= thresholds + 1.0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise PreconditionError(
-            f"delay-sensitivity violated{context}: size={size}, "
-            f"rate={rates[k]}, threshold={thresholds[k]} "
-            f"(need size/rate > threshold + 1)"
-        )
-
-
-def _sample_tolerance_terms(size, delay_lo, delay_hi, rate_model, samples, rng, context=""):
-    gen = np.random.default_rng(rng)
-    high = gen.random(samples) < rate_model.prob_high
-    rates = np.where(high, rate_model.r_high, rate_model.r_low)
-    thresholds = gen.uniform(delay_lo, delay_hi, size=samples)
-    _check_delay_sensitivity(size, rates, thresholds, context)
-    return 1.0 / (size - rates * thresholds)
-
-
-def aggregate_delay_tolerance(
-    file: FileSpec,
-    rate_model: RateModel,
-    samples: int = DEFAULT_TOLERANCE_SAMPLES,
-    rng=None,
-) -> float:
-    """Monte Carlo mean of 1 / (size - rate * threshold) over user draws.
-
-    Each draw places a user (fixing the rate to one of the two regions)
-    and draws their delay threshold. The delay-sensitivity condition is
-    enforced on every draw.
-    """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
-    terms = _sample_tolerance_terms(
-        file.size, file.delay_lo, file.delay_hi, rate_model, samples, rng,
-        context=f" for file {file.index}",
-    )
-    return float(terms.mean())
+    total = 0.0
+    for rate, weight in ((rate_model.r_high, rate_model.prob_high),
+                         (rate_model.r_low, 1.0 - rate_model.prob_high)):
+        if weight <= 0.0:
+            continue
+        if not file.size / rate > file.delay_hi + 1.0:
+            raise PreconditionError(
+                f"delay-sensitivity violated for file {file.index}: size={file.size}, "
+                f"rate={rate}, threshold={file.delay_hi} "
+                f"(need size/rate > threshold + 1)"
+            )
+        d = file.size - rate * file.delay_hi
+        x = rate * (file.delay_hi - file.delay_lo) / d
+        total += weight * (1.0 / d if x == 0.0 else math.log1p(x) / (x * d))
+    return total
 
 
 @dataclass(frozen=True)
@@ -187,15 +174,15 @@ def build_catalog(
     delay_lo,
     delay_hi,
     rate_model: RateModel,
-    tolerance_samples: int = DEFAULT_TOLERANCE_SAMPLES,
-    seed=None,
 ) -> FileCatalog:
-    """Construct a Zipf-popularity catalog with Monte Carlo tolerances.
+    """Construct a Zipf-popularity catalog with exact delay tolerances.
 
     ``delay_lo``/``delay_hi`` may be scalars (shared bounds) or per-file
     arrays. The delay-sensitivity condition is validated eagerly against
     the worst case (highest rate, largest threshold); offending files are
-    rejected rather than clipped.
+    rejected rather than clipped. Each tolerance is then the exact
+    :func:`aggregate_delay_tolerance` of its file, so the catalog is a
+    deterministic function of the arguments.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     M = zipf.catalog_size
@@ -219,15 +206,9 @@ def build_catalog(
                  delay_lo=float(lo[i]), delay_hi=float(hi[i]))
         for i in range(M)
     )
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(M)
-    theta = np.empty(M)
-    for i, f in enumerate(files):
-        theta[i] = aggregate_delay_tolerance(
-            f, rate_model, samples=tolerance_samples, rng=streams[i]
-        )
+    theta = np.array([aggregate_delay_tolerance(f, rate_model) for f in files])
     pop = zipf_pmf(zipf)
-    if zipf.exponent > 0 and M > 1 and not np.all(np.diff(pop) < 0):
+    if M > 1 and not np.all(np.diff(pop) < 0):
         raise InvalidParameterError("Zipf popularity must be strictly decreasing")
     return FileCatalog(files=files, popularity=pop, theta=theta, rate_model=rate_model)
 

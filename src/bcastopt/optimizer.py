@@ -174,6 +174,18 @@ def closed_form_bandwidth(catalog: FileCatalog, cell: CellConfig) -> float:
     )
 
 
+def price_pressure(catalog: FileCatalog, cell: CellConfig, demand_moment: float) -> float:
+    """Demand pressure on the broadcast price, N r_b F^2 / (4 Pu T r_u S).
+
+    Shared by the closed-form price, the revenue gain's saturation term
+    and the price-aware scheduler's weights.
+    """
+    return (
+        cell.n_users * cell.r_b * catalog.mean_size ** 2
+        / (4.0 * cell.price_unicast * cell.slots * cell.r_u * demand_moment)
+    )
+
+
 def closed_form_price(catalog: FileCatalog, cell: CellConfig, demand_moment: float) -> float:
     """One-shot price approximation min(0.5 (N r_b F^2 / (4 Pu T r_u S) + Pu), Pu).
 
@@ -181,12 +193,21 @@ def closed_form_price(catalog: FileCatalog, cell: CellConfig, demand_moment: flo
     """
     if demand_moment <= 0:
         raise InvalidParameterError(f"demand moment must be > 0, got {demand_moment}")
-    raw = 0.5 * (
-        cell.n_users * cell.r_b * catalog.mean_size ** 2
-        / (4.0 * cell.price_unicast * cell.slots * cell.r_u * demand_moment)
-        + cell.price_unicast
-    )
+    raw = 0.5 * (price_pressure(catalog, cell, demand_moment) + cell.price_unicast)
     return min(raw, cell.price_unicast)
+
+
+def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
+    """Closed-form broadcast operating point for one (catalog, cell, schedule).
+
+    The price is floored to the bound's validity region so revenue
+    numbers stay well defined; returns (bandwidth, price, demand moment).
+    """
+    moment = scheduled_demand_moment(catalog, schedule)
+    bandwidth = closed_form_bandwidth(catalog, cell)
+    floor = price_validity_floor(catalog, cell)
+    price = min(cell.price_unicast, max(closed_form_price(catalog, cell, moment), floor))
+    return bandwidth, price, moment
 
 
 def _squared_moment(catalog: FileCatalog, schedule: Schedule) -> float:
@@ -305,11 +326,7 @@ def revenue_gain(
         raise InvalidParameterError(f"demand moment must be > 0, got {demand_moment}")
     if cell.n_users == 0:
         return 1.0
-    saturation = min(
-        cell.n_users * cell.r_b * catalog.mean_size ** 2
-        / (4.0 * cell.price_unicast ** 2 * cell.slots * cell.r_u * demand_moment),
-        1.0,
-    )
+    saturation = min(price_pressure(catalog, cell, demand_moment) / cell.price_unicast, 1.0)
     g = gain_offset(catalog, schedule, demand_moment)
     lever = cell.n_users * catalog.mean_size / (2.0 * cell.bandwidth * cell.slots)
     return 1.0 + lever * (saturation + 1.0 - g / cell.price_unicast)

@@ -182,10 +182,6 @@ def simulate_revenue(
     streams = root.spawn(trials)
     for t, stream in enumerate(streams):
         gen = np.random.default_rng(stream)
-        if n_users == 0:
-            revenues[t] = uc_revenue
-            unrequested[t] = catalog.size
-            continue
         counts = gen.multinomial(n_users, catalog.popularity)
         unrequested[t] = np.count_nonzero(counts == 0)
         ufile = np.repeat(proc_order, counts[proc_order])

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
-from .demand import (
-    DEFAULT_TOLERANCE_SAMPLES,
-    FileCatalog,
-    ZipfParams,
-    build_catalog,
-)
+from .demand import FileCatalog, ZipfParams, build_catalog
 from .errors import ConfigError, PreconditionError
 from .optimizer import (
     CellConfig,
@@ -31,6 +26,7 @@ from .optimizer import (
     fixed_point_residuals,
     joint_optimize,
     lower_bound_revenue,
+    operating_point,
     price_validity_floor,
     revenue_gain,
 )
@@ -38,7 +34,6 @@ from .payoff import PricePair, simulate_revenue
 from .scheduler import (
     brute_force_best_order,
     popularity_schedule,
-    scheduled_demand_moment,
     smith_cost,
     smith_schedule,
     suboptimal_schedule,
@@ -57,7 +52,12 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Physical-unit description of one experiment."""
+    """Physical-unit description of one experiment.
+
+    ``theta_samples`` (config key ``[catalog] theta_samples``) is parsed
+    and must be positive, but its value is ignored: the delay tolerances
+    are computed exactly (see ``demand.aggregate_delay_tolerance``).
+    """
 
     name: str
     bandwidth_mhz: float
@@ -188,8 +188,7 @@ def load_spec(path: str) -> ExperimentSpec:
         size_max_mb=get("catalog", "size_max_mb", float),
         theta_min_s=get("catalog", "theta_min_s", float),
         theta_max_s=get("catalog", "theta_max_s", float),
-        theta_samples=get("catalog", "theta_samples", int,
-                          default=DEFAULT_TOLERANCE_SAMPLES),
+        theta_samples=get("catalog", "theta_samples", int, default=100_000),
         unicast_price=get("pricing", "unicast_price", float),
         sweep_users=get("sweep", "users", _parse_users),
         schedulers=schedulers,
@@ -261,8 +260,9 @@ def normalize(
 ) -> tuple[FileCatalog, CellConfig, NormalizationScheme]:
     """Build the normalized catalog and cell for a spec (or a variant of it).
 
-    Deterministic for a fixed spec seed: file sizes and tolerance
-    estimation use seed streams derived from it. The returned cell has
+    Deterministic for a fixed spec seed: the file sizes are drawn from a
+    seed stream derived from it, and the delay tolerances are exact
+    functions of the sizes and the rate model. The returned cell has
     ``n_users=0``; sweeps substitute each user count via
     ``dataclasses.replace``.
     """
@@ -291,8 +291,6 @@ def normalize(
             delay_lo=theta_lo,
             delay_hi=theta_hi,
             rate_model=rate_model,
-            tolerance_samples=spec.theta_samples,
-            seed=np.random.SeedSequence([spec.seed, 0x7E7A, m]),
         )
     except PreconditionError as exc:
         raise ConfigError(
@@ -320,19 +318,6 @@ def _variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
 
         return optimal_schedule(catalog, cell)[0]
     raise ConfigError(f"unknown scheduler variant {variant!r}")
-
-
-def operating_point(catalog: FileCatalog, cell: CellConfig, schedule):
-    """Closed-form broadcast operating point for one (catalog, cell, schedule).
-
-    The price is floored to the bound's validity region so revenue
-    numbers stay well defined; returns (bandwidth, price, demand moment).
-    """
-    moment = scheduled_demand_moment(catalog, schedule)
-    bandwidth = closed_form_bandwidth(catalog, cell)
-    floor = price_validity_floor(catalog, cell)
-    price = min(cell.price_unicast, max(closed_form_price(catalog, cell, moment), floor))
-    return bandwidth, price, moment
 
 
 @dataclass
@@ -476,8 +461,7 @@ def run_validation(spec: ExperimentSpec, permutation_files: int = 8) -> Validati
     """
     report = ValidationReport(spec_name=spec.name)
 
-    small = replace(spec, file_count=min(spec.file_count, permutation_files),
-                    theta_samples=min(spec.theta_samples, 20_000))
+    small = replace(spec, file_count=min(spec.file_count, permutation_files))
     catalog, cell0, _ = normalize(small)
     n_ref = max(spec.sweep_users) if max(spec.sweep_users) > 0 else 10
     cell = replace(cell0, n_users=n_ref)

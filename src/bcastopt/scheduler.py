@@ -160,23 +160,12 @@ def optimal_schedule(catalog: FileCatalog, cell, max_iters: int = DEFAULT_FIXED_
 
     Returns (Schedule, S) where S is the demand moment of the returned order.
     """
-    from .optimizer import closed_form_bandwidth, closed_form_price, lower_bound_revenue, price_validity_floor
+    from .optimizer import lower_bound_revenue, operating_point, price_pressure
 
     def weights_for(moment: float) -> np.ndarray:
-        pressure = cell.n_users * cell.r_b * catalog.mean_size ** 2 / (
-            4.0 * cell.price_unicast * cell.slots * cell.r_u * moment
-        )
+        pressure = price_pressure(catalog, cell, moment)
         bracket = 1.0 - (catalog.sizes / 2.0) * (cell.price_unicast - pressure)
         return catalog.theta * catalog.popularity * bracket
-
-    def bound_at(sched: Schedule, moment: float) -> float:
-        price = min(cell.price_unicast,
-                    max(closed_form_price(catalog, cell, moment),
-                        price_validity_floor(catalog, cell)))
-        bandwidth = closed_form_bandwidth(catalog, cell)
-        if cell.n_users == 0 or bandwidth == 0.0:
-            return cell.price_unicast * cell.bandwidth * cell.slots
-        return lower_bound_revenue(catalog, cell, price, bandwidth, sched)
 
     current = suboptimal_schedule(catalog, cell.price_unicast)
     seen = {tuple(current.order)}
@@ -193,10 +182,11 @@ def optimal_schedule(catalog: FileCatalog, cell, max_iters: int = DEFAULT_FIXED_
             current.iterations = it
             return current, moment
         if best_bound is None:
-            best_bound = bound_at(current, moment)
+            bandwidth, price, _ = operating_point(catalog, cell, current)
+            best_bound = lower_bound_revenue(catalog, cell, price, bandwidth, current)
         nxt = Schedule.from_order(nxt_order, catalog, weights=w)
-        nxt_moment = scheduled_demand_moment(catalog, nxt)
-        nxt_bound = bound_at(nxt, nxt_moment)
+        bandwidth, price, nxt_moment = operating_point(catalog, cell, nxt)
+        nxt_bound = lower_bound_revenue(catalog, cell, price, bandwidth, nxt)
         if nxt_bound > best_bound:
             best, best_moment, best_bound = nxt, nxt_moment, nxt_bound
         key = tuple(nxt_order)

@@ -36,14 +36,13 @@ def random_instance(rng, m_lo=3, m_hi=8, f_lo=0.05, f_hi=0.5):
     # keep size/rate > threshold + 1 with margin even at the high rate
     r_low = float(sizes.min()) / (delay_hi + 1.0) / rng.uniform(2.0, 6.0)
     rate_model = RateModel(r_high=1.4 * r_low, r_low=r_low, prob_high=0.3)
+    rng.integers(2**31)  # unused draw; keeps the stream, so every instance, fixed
     catalog = build_catalog(
         ZipfParams(exponent=gamma, catalog_size=m),
         sizes=sizes,
         delay_lo=delay_lo,
         delay_hi=delay_hi,
         rate_model=rate_model,
-        tolerance_samples=4000,
-        seed=int(rng.integers(2**31)),
     )
     cell = CellConfig(
         bandwidth=float(rng.uniform(2.0, 20.0)),

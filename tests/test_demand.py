@@ -98,18 +98,30 @@ class TestSampleRequests:
             sample_requests(catalog, -1, rng=0)
 
 
+def _midpoint_tolerance(size, lo, hi, model, points=200_000):
+    """Independent oracle: E[1/(size - r t)] by the midpoint rule over
+    t ~ U[lo, hi], mixed over the two regions."""
+    t = lo + (np.arange(points) + 0.5) * ((hi - lo) / points)
+    total = 0.0
+    for rate, weight in ((model.r_high, model.prob_high),
+                         (model.r_low, 1.0 - model.prob_high)):
+        if weight > 0:
+            total += weight * float(np.mean(1.0 / (size - rate * t)))
+    return total
+
+
 class TestAggregateDelayTolerance:
     def test_point_masses_by_hand(self):
         spec = FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0)
-        theta = aggregate_delay_tolerance(spec, point_rate(1.0), samples=100, rng=0)
+        theta = aggregate_delay_tolerance(spec, point_rate(1.0))
         assert theta == pytest.approx(1.0 / (5.0 - 1.0), abs=1e-12)
 
     def test_uniform_threshold_against_closed_form(self):
         # Oracle: for unit rate and theta ~ U(1, 2),
         # E[1/(5 - t)] = integral = ln(4/3).
         spec = FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=2.0)
-        estimate = aggregate_delay_tolerance(spec, point_rate(1.0), samples=1_000_000, rng=11)
-        assert estimate == pytest.approx(math.log(4.0 / 3.0), abs=1e-3)
+        theta = aggregate_delay_tolerance(spec, point_rate(1.0))
+        assert theta == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
     def test_mixed_regions_against_closed_form(self):
         # Weighted mix of the per-region closed forms.
@@ -120,20 +132,50 @@ class TestAggregateDelayTolerance:
             return math.log((5.0 - rate * 1.0) / (5.0 - rate * 2.0)) / rate
 
         expected = 0.3 * region_integral(1.0) + 0.7 * region_integral(0.5)
-        estimate = aggregate_delay_tolerance(spec, model, samples=1_000_000, rng=13)
-        assert estimate == pytest.approx(expected, abs=1e-3)
+        theta = aggregate_delay_tolerance(spec, model)
+        assert theta == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("size,lo,hi,model", [
+        (5.0, 1.0, 2.0, RateModel(r_high=1.0, r_low=1.0, prob_high=1.0)),
+        (3.1, 0.5, 2.0, RateModel(r_high=1.0, r_low=1.0, prob_high=1.0)),
+        (3.1, 0.5, 2.0, RateModel(r_high=1.0, r_low=0.4, prob_high=0.3)),
+        (0.7, 0.02, 0.9, RateModel(r_high=0.36, r_low=0.2, prob_high=0.1)),
+        (4.0, 0.1, 2.5, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0)),
+    ])
+    def test_against_midpoint_quadrature(self, size, lo, hi, model):
+        spec = FileSpec(index=1, size=size, delay_lo=lo, delay_hi=hi)
+        theta = aggregate_delay_tolerance(spec, model)
+        assert theta == pytest.approx(_midpoint_tolerance(size, lo, hi, model), rel=1e-9)
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-14])
+    def test_continuous_as_interval_shrinks_to_point_mass(self, width):
+        model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.3)
+        point = aggregate_delay_tolerance(
+            FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0), model)
+        narrow = aggregate_delay_tolerance(
+            FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0 + width), model)
+        # the mean threshold moves by width/2, so theta moves by about
+        # r * width / (2 (f - r)^2) relative to 1/(f - r)
+        assert narrow == pytest.approx(point, rel=width)
 
     def test_zero_denominator_rejected(self):
         spec = FileSpec(index=1, size=3.0, delay_lo=3.0, delay_hi=3.0)
         with pytest.raises(PreconditionError):
-            aggregate_delay_tolerance(spec, point_rate(1.0), samples=10, rng=0)
+            aggregate_delay_tolerance(spec, point_rate(1.0))
+
+    def test_zero_probability_region_is_not_checked(self):
+        # size / r_high = 1.5 < threshold + 1, but no user sees r_high.
+        spec = FileSpec(index=1, size=3.0, delay_lo=1.0, delay_hi=1.0)
+        theta = aggregate_delay_tolerance(spec, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0))
+        assert theta == pytest.approx(1.0 / (3.0 - 0.5), rel=1e-15)
+        with pytest.raises(PreconditionError, match="rate=2.0"):
+            aggregate_delay_tolerance(spec, RateModel(r_high=2.0, r_low=0.5, prob_high=0.01))
 
     def test_decreasing_in_file_size_for_common_draws(self):
         model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.4)
         values = [
             aggregate_delay_tolerance(
                 FileSpec(index=1, size=s, delay_lo=0.5, delay_hi=1.5), model,
-                samples=20_000, rng=77,
             )
             for s in (4.0, 5.0, 7.0, 12.0)
         ]
@@ -145,7 +187,7 @@ class TestBuildCatalog:
         with pytest.raises(PreconditionError) as err:
             build_catalog(
                 ZipfParams(1.0, 2), sizes=[5.0, 1.2], delay_lo=1.0, delay_hi=2.0,
-                rate_model=point_rate(1.0), tolerance_samples=100, seed=0,
+                rate_model=point_rate(1.0),
             )
         assert "file 2" in str(err.value)
 
@@ -153,7 +195,6 @@ class TestBuildCatalog:
         catalog = build_catalog(
             ZipfParams(0.8, 5), sizes=[6.0, 5.0, 7.0, 8.0, 5.5],
             delay_lo=0.5, delay_hi=1.5, rate_model=point_rate(1.0),
-            tolerance_samples=2000, seed=3,
         )
         assert abs(catalog.popularity.sum() - 1.0) < 1e-12
         assert np.all(catalog.theta > 0)
@@ -161,9 +202,21 @@ class TestBuildCatalog:
         # theta_i > 1/f_i always (the threshold term only shrinks the denominator)
         assert np.all(catalog.theta > 1.0 / catalog.sizes)
 
+    def test_theta_is_per_file_tolerance(self):
+        model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.4)
+        lo, hi = [0.5, 0.2, 1.0], [1.5, 0.2, 2.5]
+        catalog = build_catalog(
+            ZipfParams(1.0, 3), sizes=[6.0, 5.0, 7.0], delay_lo=lo, delay_hi=hi,
+            rate_model=model,
+        )
+        expected = [aggregate_delay_tolerance(f, model) for f in catalog.files]
+        assert catalog.theta.tolist() == expected
+        assert catalog.delay_lo.tolist() == lo
+        assert catalog.delay_hi.tolist() == hi
+
     def test_deterministic_for_fixed_seed(self):
         kw = dict(sizes=[6.0, 5.0], delay_lo=0.5, delay_hi=1.5,
-                  rate_model=point_rate(1.0), tolerance_samples=2000, seed=31)
+                  rate_model=point_rate(1.0))
         a = build_catalog(ZipfParams(1.0, 2), **kw)
         b = build_catalog(ZipfParams(1.0, 2), **kw)
         assert np.array_equal(a.theta, b.theta)
