@@ -6,7 +6,7 @@ from .channel import (
     RateModel,
     broadcast_rate,
     prob_high_from_area_ratio,
-    sample_user_rate,
+    sample_user_rates,
     unicast_rate,
 )
 from .demand import (
@@ -33,19 +33,19 @@ from .optimizer import (
     bound_argmax_price,
     closed_form_bandwidth,
     closed_form_price,
-    exact_bandwidth,
-    exact_price,
     joint_optimize,
     lower_bound_revenue,
     price_validity_floor,
     revenue_gain,
 )
 from .payoff import (
+    BROADCAST,
+    UNICAST,
+    UNSERVED,
     PricePair,
-    Service,
     SimulationReport,
+    assign_services,
     broadcast_payoff,
-    select_service,
     simulate_revenue,
     unicast_payoff,
 )

@@ -81,14 +81,8 @@ def broadcast_rate(model: RateModel, n_broadcast_users: int) -> float:
     return model.r_low + (model.r_high - model.r_low) * p_all_high
 
 
-def sample_user_rate(model: RateModel, rng) -> float:
-    """Draw one user's unicast rate from the two-region placement."""
-    gen = np.random.default_rng(rng)
-    return model.r_high if gen.random() < model.prob_high else model.r_low
-
-
 def sample_user_rates(model: RateModel, size: int, rng) -> np.ndarray:
-    """Vector version of :func:`sample_user_rate` (one draw per user)."""
+    """Draw ``size`` users' unicast rates from the two-region placement."""
     gen = np.random.default_rng(rng)
     high = gen.random(size) < model.prob_high
     return np.where(high, model.r_high, model.r_low)

@@ -179,10 +179,10 @@ def build_catalog(
 
     ``delay_lo``/``delay_hi`` may be scalars (shared bounds) or per-file
     arrays. The delay-sensitivity condition is validated eagerly against
-    the worst case (highest rate, largest threshold); offending files are
-    rejected rather than clipped. Each tolerance is then the exact
-    :func:`aggregate_delay_tolerance` of its file, so the catalog is a
-    deterministic function of the arguments.
+    the worst case (the highest rate with positive probability, the
+    largest threshold); offending files are rejected rather than clipped.
+    Each tolerance is then the exact :func:`aggregate_delay_tolerance` of
+    its file, so the catalog is a deterministic function of the arguments.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     M = zipf.catalog_size
@@ -191,7 +191,8 @@ def build_catalog(
     lo = np.broadcast_to(np.asarray(delay_lo, dtype=np.float64), (M,))
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
 
-    worst = rate_model.r_high * (hi + 1.0)
+    top_rate = rate_model.r_high if rate_model.prob_high > 0.0 else rate_model.r_low
+    worst = top_rate * (hi + 1.0)
     bad = np.flatnonzero(sizes <= worst)
     if bad.size:
         listing = ", ".join(

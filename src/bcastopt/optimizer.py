@@ -7,12 +7,9 @@ bandwidth/price optima are one-shot approximations. Along each of its
 coordinates the bound has a closed-form maximizer: the Smith order for
 the schedule, ``bound_argmax_bandwidth`` for the bandwidth and
 ``bound_argmax_price`` for the price. ``joint_optimize`` alternates these
-three, so no step lowers the bound. The quoted per-coordinate update
-equations ``exact_bandwidth`` / ``exact_price`` are not the bound's
-coordinate argmaxes; they are kept for reference and are not iterated.
-Grid-search oracles in the validation suite measure how far each
-approximation sits from the bound's true argmax; the measured gaps are
-reported rather than hidden.
+three, so no step lowers the bound. Grid-search oracles in the validation
+suite measure how far each approximation sits from the bound's true
+argmax; the measured gaps are reported rather than hidden.
 """
 from __future__ import annotations
 
@@ -210,54 +207,6 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
     return bandwidth, price, moment
 
 
-def _squared_moment(catalog: FileCatalog, schedule: Schedule) -> float:
-    """sum_i s_i theta_i f_i^2 p_i."""
-    return float(
-        schedule.s @ (catalog.theta * catalog.sizes ** 2 * catalog.popularity)
-    )
-
-
-def exact_bandwidth(
-    catalog: FileCatalog, cell: CellConfig, price: float, schedule: Schedule,
-) -> float:
-    """Quoted per-coordinate bandwidth update sqrt(Pb N r_u M2 / (Pu T r_b)),
-    projected onto [0, cap], with M2 = sum s theta f^2 p.
-
-    Not the bound's argmax along the bandwidth (that uses
-    sum s theta f p (1 - (Pu - Pb) f) in place of M2; see
-    :func:`bound_argmax_bandwidth`). Kept for reference, not iterated.
-    """
-    if price < 0:
-        raise InvalidParameterError(f"price must be >= 0, got {price}")
-    raw = math.sqrt(
-        price * cell.n_users * cell.r_u * _squared_moment(catalog, schedule)
-        / (cell.price_unicast * cell.slots * cell.r_b)
-    )
-    return min(max(raw, 0.0), cell.bc_cap)
-
-
-def exact_price(
-    catalog: FileCatalog, cell: CellConfig, bandwidth: float, schedule: Schedule,
-    floor: float = 0.0,
-) -> float:
-    """Quoted per-coordinate price update
-    Pu/2 + (4 M2)^-1 * sum_i p_i (Wb f_i / r_u - s_i theta_i),
-    projected onto [floor, Pu].
-
-    Not the bound's argmax along the price (see
-    :func:`bound_argmax_price`). Kept for reference, not iterated.
-    """
-    m2 = _squared_moment(catalog, schedule)
-    if m2 <= 0:
-        raise InvalidParameterError(f"degenerate squared moment {m2}")
-    correction = float(
-        (catalog.popularity
-         * (bandwidth * catalog.sizes / cell.r_u - schedule.s * catalog.theta)).sum()
-    ) / (4.0 * m2)
-    raw = cell.price_unicast / 2.0 + correction
-    return min(max(raw, floor), cell.price_unicast)
-
-
 def bound_argmax_bandwidth(
     catalog: FileCatalog, cell: CellConfig, price: float, schedule: Schedule,
 ) -> float:
@@ -340,8 +289,7 @@ def fixed_point_residuals(
     Re-applies :func:`bound_argmax_bandwidth` and :func:`bound_argmax_price`
     (with the same projections ``joint_optimize`` uses) at the Smith order
     for the result's price and returns the absolute changes. Both are ~0
-    at a genuine fixed point. The quoted ``exact_*`` updates are not
-    consulted.
+    at a genuine fixed point.
     """
     floor = max(cell.price_unicast / 2.0, price_validity_floor(catalog, cell))
     sched = smith_schedule(catalog, cell.price_unicast, result.bc_price)

@@ -1,4 +1,4 @@
-"""Per-user payoffs, the service-selection policy, and the Monte Carlo
+"""Per-user payoffs, the service-assignment policy, and the Monte Carlo
 revenue estimator.
 
 A user's payoff grows with file size, falls logarithmically with the
@@ -9,7 +9,6 @@ unicast default.
 """
 from __future__ import annotations
 
-import enum
 import json
 import math
 import warnings
@@ -17,13 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .demand import FileCatalog
-from .errors import InvalidParameterError, PayoffDomainError, PreconditionError
+from .channel import sample_user_rates
+from .demand import FileCatalog, sample_requests
+from .errors import InvalidParameterError, PayoffDomainError
 
-
-class Service(enum.Enum):
-    UNICAST = "unicast"
-    BROADCAST = "broadcast"
+# Per-user outcomes of :func:`assign_services`.
+UNICAST, BROADCAST, UNSERVED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -40,52 +38,67 @@ class PricePair:
             )
 
 
-def unicast_payoff(size, threshold, rate, price, require_positive: bool = False) -> float:
+def _check_delay_term(denom, expression: str):
+    """Raise PayoffDomainError naming the first non-positive entry of ``denom``."""
+    bad = np.ravel(denom <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PayoffDomainError(
+            f"delay term non-positive at element {k}: "
+            f"{expression} = {float(np.ravel(denom)[k])!r}"
+        )
+
+
+def unicast_payoff(size, threshold, rate, price):
     """log((1 + f) / (f/r - t)) - Pu * f for a unicast download.
 
-    The download time f/r must exceed the threshold t, otherwise the
-    payoff model does not apply and a domain error is raised. With
-    ``require_positive`` the willing-to-pay condition (payoff > 0) is
-    asserted as well.
+    Elementwise over numpy arrays (a float for scalar inputs). The
+    download time f/r must exceed the threshold t, otherwise the payoff
+    model does not apply and a domain error is raised.
     """
     denom = size / rate - threshold
-    if denom <= 0:
-        raise PayoffDomainError(
-            f"unicast delay term non-positive: size/rate - threshold = {denom}"
-        )
-    value = math.log((1.0 + size) / denom) - price * size
-    if require_positive and value <= 0:
-        raise PreconditionError(f"unicast payoff not positive: {value}")
-    return value
+    _check_delay_term(denom, "size/rate - threshold")
+    value = np.log((1.0 + size) / denom) - price * size
+    return value if np.ndim(value) else float(value)
 
 
-def broadcast_payoff(size, threshold, bc_rate, completed_size, bandwidth, price) -> float:
+def broadcast_payoff(size, threshold, bc_rate, completed_size, bandwidth, price):
     """log((1 + f) / (s/(Wb*rb) - t)) - Pb * f for a broadcast download.
 
+    Elementwise over numpy arrays (a float for scalar inputs).
     ``completed_size`` is the cumulative queue size through this file,
     so s/(Wb*rb) is its completion delay; it must exceed the threshold.
     """
     if bandwidth <= 0:
         raise InvalidParameterError(f"broadcast bandwidth must be > 0, got {bandwidth}")
     denom = completed_size / (bandwidth * bc_rate) - threshold
-    if denom <= 0:
-        raise PayoffDomainError(
-            f"broadcast delay term non-positive: s/(Wb*rb) - threshold = {denom}"
-        )
-    return math.log((1.0 + size) / denom) - price * size
+    _check_delay_term(denom, "s/(Wb*rb) - threshold")
+    value = np.log((1.0 + size) / denom) - price * size
+    return value if np.ndim(value) else float(value)
 
 
-def select_service(uc_payoff, bc_payoff, uc_capacity_remaining: bool) -> Service:
-    """Station-side assignment for one user.
+def assign_services(demand, eligible, pool) -> np.ndarray:
+    """Station-side assignment of users, taken in the given order.
 
-    Broadcast-eligible users (bc >= uc, ties included) still get unicast
-    while unicast capacity lasts, because unicast pays more; they fall
-    back to broadcast afterwards. Users who would lose payoff on
-    broadcast are never assigned it.
+    ``demand`` holds each user's unicast need in pool units (whole
+    numbers >= 1), ``eligible`` whether their broadcast payoff is at
+    least their unicast payoff, and ``pool`` the unicast capacity. A
+    user gets UNICAST when their demand fits in what is left of the pool,
+    because unicast pays more; otherwise BROADCAST if eligible, else
+    UNSERVED. Users who would lose payoff on broadcast are never assigned
+    it. The scan stops once the leftover is below every remaining demand.
     """
-    if bc_payoff >= uc_payoff and not uc_capacity_remaining:
-        return Service.BROADCAST
-    return Service.UNICAST
+    demand = np.asarray(demand, dtype=np.float64)
+    assigned = np.where(eligible, BROADCAST, UNSERVED).astype(np.int8)
+    smallest_left = np.minimum.accumulate(demand[::-1])[::-1].tolist()
+    remaining = pool
+    for k, need in enumerate(demand.tolist()):
+        if remaining < smallest_left[k]:
+            break
+        if need <= remaining:
+            assigned[k] = UNICAST
+            remaining -= need
+    return assigned
 
 
 @dataclass
@@ -120,16 +133,16 @@ def simulate_revenue(
     schedule,
     trials: int,
     seed=None,
-    bc_plan_rate: float | None = None,
 ) -> SimulationReport:
-    """Estimate realized revenue under the selection policy.
+    """Estimate realized revenue under the assignment policy.
 
     Each trial redraws request counts, user positions, and delay
     thresholds. Users are processed in popularity order; each unicast
     grant consumes one frequency unit for ceil(f/r) slots out of the
-    (W - Wb) * T pool. Per-user broadcast payoffs are evaluated at the
-    conservative plan rate (the low-region rate by default); the rate the
-    broadcast group actually realizes is reported separately.
+    (W - Wb) * T pool (see :func:`assign_services`). Per-user broadcast
+    payoffs are evaluated at the conservative plan rate ``cell.r_b`` (the
+    low-region rate); the rate the broadcast group actually realizes, the
+    lowest rate among its users, is reported separately.
 
     Revenue decomposes exactly as Pb * sum_i f_i * (broadcast count of i)
     plus the fixed unicast term Pu * (W - Wb) * T. Trials use independent
@@ -142,9 +155,7 @@ def simulate_revenue(
         raise InvalidParameterError(
             f"broadcast bandwidth must lie in [0, W], got {bc_bandwidth}"
         )
-    rm = catalog.rate_model
     n_users = cell.n_users
-    plan_rate = cell.r_b if bc_plan_rate is None else bc_plan_rate
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
 
@@ -182,59 +193,33 @@ def simulate_revenue(
     streams = root.spawn(trials)
     for t, stream in enumerate(streams):
         gen = np.random.default_rng(stream)
-        counts = gen.multinomial(n_users, catalog.popularity)
+        counts = sample_requests(catalog, n_users, gen)
         unrequested[t] = np.count_nonzero(counts == 0)
         ufile = np.repeat(proc_order, counts[proc_order])
-        high = gen.random(n_users) < rm.prob_high
-        rate_u = np.where(high, rm.r_high, rm.r_low)
+        rate_u = sample_user_rates(catalog.rate_model, n_users, gen)
         thr = gen.uniform(lo[ufile], hi[ufile])
         f = sizes[ufile]
 
-        uc_denom = f / rate_u - thr
-        if np.any(uc_denom <= 0):
-            k = int(np.argmax(uc_denom <= 0))
-            raise PayoffDomainError(
-                f"trial {t}: unicast delay term non-positive for file "
-                f"{ufile[k] + 1} (rate={rate_u[k]}, threshold={thr[k]})"
-            )
-        payoff_uc = np.log((1.0 + f) / uc_denom) - prices.unicast * f
-
-        if bc_bandwidth > 0.0:
-            bc_denom = s[ufile] / (bc_bandwidth * plan_rate) - thr
-            if np.any(bc_denom <= 0):
-                k = int(np.argmax(bc_denom <= 0))
-                raise PayoffDomainError(
-                    f"trial {t}: broadcast delay term non-positive for file "
-                    f"{ufile[k] + 1} (completion={s[ufile[k]]}, threshold={thr[k]})"
+        try:
+            payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
+            if bc_bandwidth > 0.0:
+                payoff_bc = broadcast_payoff(
+                    f, thr, cell.r_b, s[ufile], bc_bandwidth, prices.broadcast
                 )
-            payoff_bc = np.log((1.0 + f) / bc_denom) - prices.broadcast * f
-            eligible = payoff_bc >= payoff_uc
-        else:
-            payoff_bc = np.full(n_users, -np.inf)
-            eligible = np.zeros(n_users, dtype=bool)
+                eligible = payoff_bc >= payoff_uc
+            else:
+                payoff_bc = np.full(n_users, -np.inf)
+                eligible = np.zeros(n_users, dtype=bool)
+        except PayoffDomainError as exc:
+            raise PayoffDomainError(f"trial {t}: {exc}") from exc
 
         demand = np.ceil(f / rate_u)
         if demand.sum() < uc_pool:
             shortfall_trials += 1
+        assigned = assign_services(demand, eligible, uc_pool)
 
-        # 0 = unicast, 1 = broadcast, 2 = unserved
-        assigned = np.full(n_users, 2, dtype=np.int8)
-        remaining = uc_pool
-        cut = n_users
-        for k in range(n_users):
-            if remaining < 1.0:
-                cut = k
-                break
-            if demand[k] <= remaining:
-                assigned[k] = 0
-                remaining -= demand[k]
-            else:
-                assigned[k] = 1 if eligible[k] else 2
-        if cut < n_users:
-            assigned[cut:] = np.where(eligible[cut:], 1, 2)
-
-        bc_mask = assigned == 1
-        uc_mask = assigned == 0
+        bc_mask = assigned == BROADCAST
+        uc_mask = assigned == UNICAST
         served = bc_mask | uc_mask
         violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
 
@@ -247,7 +232,7 @@ def simulate_revenue(
             policy_payoffs.append(realized.mean())
             baseline_payoffs.append(payoff_uc[served].mean())
         if bc_mask.any():
-            realized_rates.append(rm.r_high if bool(high[bc_mask].all()) else rm.r_low)
+            realized_rates.append(float(rate_u[bc_mask].min()))
 
     if shortfall_trials:
         warnings.warn(

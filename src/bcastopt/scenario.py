@@ -18,7 +18,14 @@ import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
 from .demand import FileCatalog, ZipfParams, build_catalog
-from .errors import ConfigError, PreconditionError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    InvalidParameterError,
+    InvalidPermutationError,
+    PayoffDomainError,
+    PreconditionError,
+)
 from .optimizer import (
     CellConfig,
     closed_form_bandwidth,
@@ -33,6 +40,7 @@ from .optimizer import (
 from .payoff import PricePair, simulate_revenue
 from .scheduler import (
     brute_force_best_order,
+    optimal_schedule,
     popularity_schedule,
     smith_cost,
     smith_schedule,
@@ -42,6 +50,14 @@ from .scheduler import (
 SCHEDULER_VARIANTS = ("optimal", "suboptimal", "none")
 _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
+
+# Failures a sweep point may meet on valid code: recorded in the row's
+# error column. Anything else (a TypeError, an IndexError) is a bug and
+# propagates.
+_POINT_ERRORS = (
+    ConfigError, ConvergenceError, InvalidParameterError,
+    InvalidPermutationError, PayoffDomainError, PreconditionError,
+)
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -314,8 +330,6 @@ def _variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
     if variant == "none":
         return popularity_schedule(catalog)
     if variant == "optimal":
-        from .scheduler import optimal_schedule
-
         return optimal_schedule(catalog, cell)[0]
     raise ConfigError(f"unknown scheduler variant {variant!r}")
 
@@ -363,7 +377,9 @@ def run_sweep(spec: ExperimentSpec, trials: int | None = None) -> SweepResult:
     and gain, and a Monte Carlo estimate of realized revenue at that
     point. Simulation seeds derive from (spec seed, γ, M, N) only, so
     scheduler variants see identical draws and compare pairwise.
-    A failing point is recorded in the error column; the sweep continues.
+    A point that fails with one of the package's domain errors is
+    recorded in the error column and the sweep continues; any other
+    exception propagates.
     """
     trials = spec.trials if trials is None else trials
     gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
@@ -410,7 +426,7 @@ def run_sweep(spec: ExperimentSpec, trials: int | None = None) -> SweepResult:
                             # JSON form) so policy conformance is auditable
                             payoff_guarantee_violations=report.payoff_guarantee_violations,
                         )
-                    except Exception as exc:  # recorded, sweep continues
+                    except _POINT_ERRORS as exc:  # recorded, sweep continues
                         row["error"] = f"{type(exc).__name__}: {exc}"
                     result.rows.append(row)
     return result

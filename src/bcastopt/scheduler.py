@@ -30,18 +30,15 @@ def _validate_order(order, n) -> np.ndarray:
     return order
 
 
-def cumulative_sizes(order, sizes, inclusive: bool = True) -> np.ndarray:
+def cumulative_sizes(order, sizes) -> np.ndarray:
     """Completion size of each file under ``order``.
 
     Returned array is indexed by file: entry i is the total size
-    transmitted once file i finishes (inclusive of file i itself; the
-    exclusive variant exists only for sensitivity checks in tests).
+    transmitted once file i finishes, file i itself included.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     order = _validate_order(order, len(sizes))
     cum = np.cumsum(sizes[order])
-    if not inclusive:
-        cum = cum - sizes[order]
     s = np.empty_like(cum)
     s[order] = cum
     return s

@@ -7,7 +7,6 @@ from bcastopt.channel import (
     RateModel,
     broadcast_rate,
     prob_high_from_area_ratio,
-    sample_user_rate,
     sample_user_rates,
     unicast_rate,
 )
@@ -75,8 +74,8 @@ class TestSampleUserRate:
         always_high = RateModel(2.0, 1.0, 1.0)
         always_low = RateModel(2.0, 1.0, 0.0)
         for seed in range(20):
-            assert sample_user_rate(always_high, seed) == 2.0
-            assert sample_user_rate(always_low, seed) == 1.0
+            assert sample_user_rates(always_high, 5, seed).tolist() == [2.0] * 5
+            assert sample_user_rates(always_low, 5, seed).tolist() == [1.0] * 5
 
     def test_empirical_frequency_within_three_sigma(self):
         n = 1_000_000

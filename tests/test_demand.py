@@ -191,6 +191,19 @@ class TestBuildCatalog:
             )
         assert "file 2" in str(err.value)
 
+    def test_zero_probability_rate_is_not_checked(self):
+        # size / r_high = 1.5 < threshold + 1, but no user sees r_high.
+        catalog = build_catalog(
+            ZipfParams(1.0, 1), sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
+            rate_model=RateModel(2.0, 0.5, 0.0),
+        )
+        assert catalog.theta.tolist() == [1.0 / 2.5]
+        with pytest.raises(PreconditionError, match="file 1"):
+            build_catalog(
+                ZipfParams(1.0, 1), sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
+                rate_model=RateModel(2.0, 0.5, 0.01),
+            )
+
     def test_catalog_invariants(self):
         catalog = build_catalog(
             ZipfParams(0.8, 5), sizes=[6.0, 5.0, 7.0, 8.0, 5.5],

@@ -1,5 +1,4 @@
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +13,6 @@ from bcastopt.optimizer import (
     bound_argmax_price,
     closed_form_bandwidth,
     closed_form_price,
-    exact_bandwidth,
-    exact_price,
     fixed_point_residuals,
     gain_offset,
     joint_optimize,
@@ -131,58 +128,6 @@ class TestClosedFormPrice:
         catalog, cell, _ = _single_file_setup()
         with pytest.raises(InvalidParameterError):
             closed_form_price(catalog, cell, 0.0)
-
-
-class TestExactCoordinateMaps:
-    def test_zero_price_gives_zero_bandwidth(self):
-        catalog, cell, sched = _single_file_setup()
-        assert exact_bandwidth(catalog, cell, 0.0, sched) == 0.0
-
-    def test_square_root_of_moment(self):
-        # all factors 1 and sum s theta f^2 p = 4  =>  bandwidth 2
-        catalog = catalog_from([1.0], [1.0], [4.0])
-        cell = CellConfig(bandwidth=10.0, slots=1, n_users=1, price_unicast=1.0,
-                          rate_model=point_rate(1.0))
-        sched = popularity_schedule(catalog)
-        assert exact_bandwidth(catalog, cell, 1.0, sched) == pytest.approx(2.0, abs=1e-12)
-
-    def test_bandwidth_projection_onto_cap(self):
-        catalog = catalog_from([1.0], [1.0], [4.0])
-        cell = CellConfig(bandwidth=10.0, slots=1, n_users=10**6, price_unicast=1.0,
-                          rate_model=point_rate(1.0), bc_cap_fraction=0.5)
-        assert exact_bandwidth(catalog, cell, 1.0, popularity_schedule(catalog)) == 5.0
-
-    def test_price_is_half_unicast_when_correction_vanishes(self):
-        # Wb f / ru == s theta zeroes the correction sum.
-        catalog, cell, sched = _single_file_setup(size=0.5, theta=2.0)
-        assert exact_price(catalog, cell, bandwidth=2.0, schedule=sched) == pytest.approx(0.5)
-
-    def test_price_clamps_at_unicast(self):
-        catalog, cell, sched = _single_file_setup(size=0.5, theta=2.0)
-        assert exact_price(catalog, cell, bandwidth=1e6, schedule=sched) == cell.price_unicast
-
-    def test_price_floor_projection(self):
-        catalog, cell, sched = _single_file_setup(size=0.5, theta=2.0)
-        assert exact_price(catalog, cell, 2.0, sched, floor=0.8) == pytest.approx(0.8)
-
-    def test_matches_quoted_expressions_on_random_instances(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            catalog, cell = random_instance(rng)
-            sched = suboptimal_schedule(catalog, cell.price_unicast)
-            price = float(rng.uniform(0.2, cell.price_unicast))
-            m2 = float(sched.s @ (catalog.theta * catalog.sizes**2 * catalog.popularity))
-            expected_w = math.sqrt(
-                price * cell.n_users * cell.r_u * m2
-                / (cell.price_unicast * cell.slots * cell.r_b)
-            )
-            expected_w = min(expected_w, cell.bc_cap)
-            assert exact_bandwidth(catalog, cell, price, sched) == pytest.approx(expected_w)
-            wb = float(rng.uniform(0.1, cell.bc_cap))
-            corr = float((catalog.popularity * (wb * catalog.sizes / cell.r_u
-                                                - sched.s * catalog.theta)).sum()) / (4 * m2)
-            expected_p = min(max(cell.price_unicast / 2 + corr, 0.0), cell.price_unicast)
-            assert exact_price(catalog, cell, wb, sched) == pytest.approx(expected_p)
 
 
 def _grid_check(values_at, grid, found):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastopt.errors import InvalidParameterError, PayoffDomainError, PreconditionError
+from bcastopt.errors import InvalidParameterError, PayoffDomainError
 from bcastopt.optimizer import CellConfig
 from bcastopt.payoff import (
+    BROADCAST,
+    UNICAST,
+    UNSERVED,
     PricePair,
-    Service,
+    assign_services,
     broadcast_payoff,
-    select_service,
     simulate_revenue,
     unicast_payoff,
 )
@@ -24,6 +26,7 @@ from conftest import catalog_from, point_rate
 class TestUnicastPayoff:
     def test_hand_evaluation(self):
         value = unicast_payoff(size=3.0, threshold=1.0, rate=1.0, price=0.1)
+        assert isinstance(value, float)
         assert value == pytest.approx(math.log(2.0) - 0.3, abs=1e-12)
 
     def test_break_even_price(self):
@@ -34,9 +37,15 @@ class TestUnicastPayoff:
         with pytest.raises(PayoffDomainError):
             unicast_payoff(3.0, 3.0, 1.0, 0.1)
 
-    def test_optional_positivity_assertion(self):
-        with pytest.raises(PreconditionError):
-            unicast_payoff(3.0, 1.0, 1.0, 2.0, require_positive=True)
+    def test_hand_values_on_arrays(self):
+        values = unicast_payoff(np.array([3.0, 3.0, 6.0]), np.array([1.0, 1.0, 2.0]),
+                                np.array([1.0, 1.0, 2.0]), 0.1)
+        expected = [math.log(2.0) - 0.3, math.log(2.0) - 0.3, math.log(7.0) - 0.6]
+        assert values == pytest.approx(expected, abs=1e-12)
+
+    def test_domain_error_names_first_offending_element(self):
+        with pytest.raises(PayoffDomainError, match="element 1:.* = -1.0"):
+            unicast_payoff(np.array([3.0, 3.0, 3.0]), np.array([1.0, 4.0, 3.0]), 1.0, 0.1)
 
 
 class TestBroadcastPayoff:
@@ -52,10 +61,19 @@ class TestBroadcastPayoff:
                                  bandwidth=1.0, price=0.05)
         assert value == pytest.approx(math.log(0.8) - 0.15, abs=1e-12)
 
+    def test_hand_values_on_arrays(self):
+        values = broadcast_payoff(np.array([3.0, 3.0]), np.array([1.0, 1.0]), bc_rate=1.0,
+                                  completed_size=np.array([6.0, 3.0]), bandwidth=1.0,
+                                  price=0.05)
+        expected = [math.log(0.8) - 0.15, math.log(2.0) - 0.15]
+        assert values == pytest.approx(expected, abs=1e-12)
+
     def test_zero_denominator_is_domain_error(self):
         with pytest.raises(PayoffDomainError):
             broadcast_payoff(3.0, 1.0, bc_rate=1.0, completed_size=1.0,
                              bandwidth=1.0, price=0.05)
+        with pytest.raises(PayoffDomainError, match="element 2"):
+            broadcast_payoff(3.0, np.array([1.0, 2.0, 6.0]), 1.0, 6.0, 1.0, 0.05)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -63,30 +81,90 @@ class TestBroadcastPayoff:
 
 
 class TestSelectService:
+    """Per-user service selection, as made by :func:`assign_services`."""
+
     def test_unicast_wins_when_broadcast_pays_less(self):
-        assert select_service(1.0, 0.5, uc_capacity_remaining=True) is Service.UNICAST
+        assert assign_services([1.0], [0.5 >= 1.0], 5.0).tolist() == [UNICAST]
 
     def test_broadcast_after_capacity_exhausted(self):
-        assert select_service(1.0, 1.5, uc_capacity_remaining=False) is Service.BROADCAST
+        assert assign_services([3.0, 3.0], [True, 1.5 >= 1.0], 3.0).tolist() == [
+            UNICAST, BROADCAST]
 
     def test_tie_prefers_unicast_while_capacity_lasts(self):
-        assert select_service(1.0, 1.0, uc_capacity_remaining=True) is Service.UNICAST
+        assert assign_services([2.0], [1.0 >= 1.0], 2.0).tolist() == [UNICAST]
 
     def test_no_broadcast_without_payoff_gain_even_when_full(self):
-        assert select_service(1.0, 0.5, uc_capacity_remaining=False) is Service.UNICAST
+        assert assign_services([3.0, 3.0], [True, 0.5 >= 1.0], 3.0).tolist() == [
+            UNICAST, UNSERVED]
 
     @given(
-        uc=st.floats(-50, 50, allow_nan=False),
-        bc=st.floats(-50, 50, allow_nan=False),
-        room=st.booleans(),
+        users=st.lists(
+            st.tuples(st.floats(-50, 50, allow_nan=False),
+                      st.floats(-50, 50, allow_nan=False),
+                      st.integers(1, 6)),
+            max_size=12,
+        ),
+        pool=st.floats(0, 40, allow_nan=False),
     )
     @settings(max_examples=300, deadline=None)
-    def test_never_broadcast_when_it_loses_payoff(self, uc, bc, room):
-        choice = select_service(uc, bc, room)
-        if bc < uc:
-            assert choice is Service.UNICAST
-        if room:
-            assert choice is Service.UNICAST
+    def test_never_broadcast_when_it_loses_payoff(self, users, pool):
+        uc = np.array([u[0] for u in users])
+        bc = np.array([u[1] for u in users])
+        demand = np.array([u[2] for u in users], dtype=float)
+        choice = assign_services(demand, bc >= uc, pool)
+        assert not np.any((choice == BROADCAST) & (bc < uc))
+        assert np.all((choice == UNSERVED) == ((choice != UNICAST) & (bc < uc)))
+        # A user left off unicast had no room for it, even at the end.
+        leftover = pool - demand[choice == UNICAST].sum()
+        assert leftover >= 0
+        assert np.all(demand[choice != UNICAST] > leftover)
+
+
+def _reference_assignment(demand, eligible, pool):
+    """The simulator's former per-user loop, which stopped only when less
+    than one unit of pool was left."""
+    n = len(demand)
+    assigned = np.full(n, UNSERVED, dtype=np.int8)
+    remaining = pool
+    cut = n
+    for k in range(n):
+        if remaining < 1.0:
+            cut = k
+            break
+        if demand[k] <= remaining:
+            assigned[k] = UNICAST
+            remaining -= demand[k]
+        else:
+            assigned[k] = BROADCAST if eligible[k] else UNSERVED
+    if cut < n:
+        assigned[cut:] = np.where(eligible[cut:], BROADCAST, UNSERVED)
+    return assigned
+
+
+class TestAssignServices:
+    def test_leftover_below_every_remaining_demand(self):
+        # Two grants leave 1.5 units: at least one, but too few for a 5.
+        demand = np.array([2.0, 2.0, 5.0, 5.0, 5.0])
+        eligible = np.array([False, True, True, False, True])
+        got = assign_services(demand, eligible, 5.5)
+        assert got.tolist() == [UNICAST, UNICAST, BROADCAST, UNSERVED, BROADCAST]
+        assert np.array_equal(got, _reference_assignment(demand, eligible, 5.5))
+
+    def test_matches_reference_loop_on_random_cases(self):
+        rng = np.random.default_rng(11)
+        stuck = 0  # cases whose leftover is >= 1 but fits no remaining demand
+        for _ in range(3000):
+            n = int(rng.integers(0, 60))
+            demand = np.ceil(rng.uniform(0.01, rng.uniform(0.5, 34.0), n))
+            eligible = rng.random(n) < rng.random()
+            pool = float(rng.uniform(0.0, 1.2) * demand.sum()) if n else 2.0
+            if rng.random() < 0.3:
+                pool = float(np.floor(pool)) + float(rng.choice([0.0, 0.5]))
+            got = assign_services(demand, eligible, pool)
+            assert np.array_equal(got, _reference_assignment(demand, eligible, pool))
+            leftover = pool - demand[got == UNICAST].sum()
+            stuck += bool(leftover >= 1.0 and np.any(got != UNICAST))
+        assert stuck > 100
 
 
 def _oracle_cell(n_users):
@@ -206,6 +284,24 @@ class TestSimulateRevenue:
                     "payoff_guarantee_violations", "trials", "seed"):
             assert key in payload
         assert payload["payoff_guarantee_violations"] == 0
+
+    def test_broadcast_before_threshold_is_domain_error(self):
+        # Wb * rb = 12.5, so file 1 (s = 5) completes at 0.4 slots, before
+        # every user's threshold of 1 slot.
+        catalog = _oracle_catalog()
+        cell = CellConfig(bandwidth=30.0, slots=4, n_users=5, price_unicast=0.4,
+                          rate_model=point_rate(0.5))
+        with pytest.raises(PayoffDomainError, match=r"trial 0: .*s/\(Wb\*rb\) - threshold"):
+            simulate_revenue(catalog, cell, PricePair(0.4, 0.1), 25.0,
+                             popularity_schedule(catalog), trials=3, seed=0)
+
+    def test_download_before_threshold_is_domain_error(self):
+        # f / r = 10 slots, below the 20-slot threshold.
+        catalog = catalog_from([5.0], [1.0], [0.25], rate_model=point_rate(0.5),
+                               delay_lo=[20.0], delay_hi=[20.0])
+        with pytest.raises(PayoffDomainError, match=r"trial 0: .*size/rate - threshold"):
+            simulate_revenue(catalog, _oracle_cell(3), PricePair(0.4, 0.1), 1.0,
+                             popularity_schedule(catalog), trials=3, seed=0)
 
     def test_invalid_arguments_rejected(self):
         catalog = _oracle_catalog()

@@ -6,7 +6,7 @@ import pytest
 
 import bcastopt.scenario as scenario
 from bcastopt.cli import main
-from bcastopt.errors import ConfigError
+from bcastopt.errors import ConfigError, ConvergenceError
 from bcastopt.scenario import (
     load_spec,
     normalize,
@@ -180,7 +180,7 @@ class TestRunSweep:
 
         def flaky(catalog, cell, *args, **kwargs):
             if cell.n_users == 5:
-                raise RuntimeError("injected failure")
+                raise ConvergenceError("injected failure")
             return real(catalog, cell, *args, **kwargs)
 
         monkeypatch.setattr(scenario, "simulate_revenue", flaky)
@@ -188,6 +188,14 @@ class TestRunSweep:
         by_n = {r["N"]: r for r in result.rows}
         assert "injected failure" in by_n[5]["error"]
         assert by_n[0]["error"] == "" and by_n[10]["error"] == ""
+
+    def test_programming_error_propagates(self, small_spec, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(scenario, "lower_bound_revenue", broken)
+        with pytest.raises(TypeError, match="injected bug"):
+            run_sweep(small_spec)
 
     def test_variant_axes_expand_rows(self, small_config):
         text = pathlib.Path(small_config).read_text()

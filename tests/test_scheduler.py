@@ -34,10 +34,6 @@ class TestCumulativeSizes:
     def test_unit_sizes(self):
         assert cumulative_sizes([0, 1, 2], [1.0, 1.0, 1.0]).tolist() == [1.0, 2.0, 3.0]
 
-    def test_exclusive_variant_for_sensitivity_checks(self):
-        s = cumulative_sizes([1, 0], [3.0, 5.0], inclusive=False)
-        assert s.tolist() == [5.0, 0.0]
-
     @pytest.mark.parametrize("order", [[0, 0], [0, 2], [0], [1, 2, 0, 1]])
     def test_invalid_permutations_rejected(self, order):
         with pytest.raises(InvalidPermutationError):
