@@ -130,33 +130,43 @@ def price_validity_floor(catalog: FileCatalog, cell: CellConfig) -> float:
 
 
 def lower_bound_revenue(
-    catalog: FileCatalog, cell: CellConfig, price: float, bandwidth: float,
-    schedule: Schedule,
-) -> float:
+    catalog: FileCatalog, cell: CellConfig, price, bandwidth, schedule: Schedule,
+) -> float | np.ndarray:
     """Analytic lower bound on average cell revenue.
 
     Pb * N * sum_i f_i p_i [1 - s_i theta_i r_u / (Wb r_b) * (1 - (Pu - Pb) f_i)]
     plus the fixed unicast term Pu (W - Wb) T. Requires (Pu - Pb) f_i < 1
     for all files and positive broadcast bandwidth (unless there are no
     users, in which case only the unicast term remains).
+
+    Elementwise over arrays of ``price`` and ``bandwidth``, which
+    broadcast against each other (a float for scalar inputs); each grid
+    point's file sum runs in the order of the scalar call, so the values
+    agree bit for bit. Any grid point outside the hypothesis raises.
     """
+    price = np.asarray(price, dtype=np.float64)
+    bandwidth = np.asarray(bandwidth, dtype=np.float64)
     uc_term = cell.price_unicast * (cell.bandwidth - bandwidth) * cell.slots
     if cell.n_users == 0:
-        return uc_term
-    if bandwidth <= 0:
+        value = np.broadcast_to(uc_term, np.broadcast_shapes(price.shape, bandwidth.shape))
+        return value.copy() if value.ndim else float(value)
+    if np.any(bandwidth <= 0):
         raise PreconditionError("broadcast bandwidth must be positive when users exist")
-    gap = cell.price_unicast - price
-    bad = np.flatnonzero(gap * catalog.sizes >= 1.0)
-    if bad.size:
+    gap = (cell.price_unicast - price)[..., None]
+    bad = gap * catalog.sizes >= 1.0
+    if bad.any():
+        point = np.unravel_index(np.argmax(bad.any(axis=-1)), price.shape)
         raise PreconditionError(
-            f"(Pu - Pb) * f_i < 1 violated for files {list(bad + 1)} at price {price}"
+            f"(Pu - Pb) * f_i < 1 violated for files "
+            f"{(np.flatnonzero(bad[point]) + 1).tolist()} at price {price[point]}"
         )
-    load = schedule.s * catalog.theta * cell.r_u / (bandwidth * cell.r_b)
+    load = schedule.s * catalog.theta * cell.r_u / (bandwidth[..., None] * cell.r_b)
     bracket = 1.0 - load * (1.0 - gap * catalog.sizes)
-    bc_term = price * cell.n_users * float(
-        (catalog.sizes * catalog.popularity * bracket).sum()
-    )
-    return bc_term + uc_term
+    bc_term = price * cell.n_users * (
+        catalog.sizes * catalog.popularity * bracket
+    ).sum(axis=-1)
+    value = bc_term + uc_term
+    return value if value.ndim else float(value)
 
 
 def closed_form_bandwidth(catalog: FileCatalog, cell: CellConfig) -> float:

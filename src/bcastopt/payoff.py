@@ -23,6 +23,10 @@ from .errors import InvalidParameterError, PayoffDomainError
 # Per-user outcomes of :func:`assign_services`.
 UNICAST, BROADCAST, UNSERVED = 0, 1, 2
 
+# User-trials :func:`simulate_revenue` evaluates in one vectorized block;
+# keeps the block's (k, N) temporaries near one megabyte.
+_BLOCK_USER_TRIALS = 2 ** 13
+
 
 @dataclass(frozen=True)
 class PricePair:
@@ -86,18 +90,26 @@ def assign_services(demand, eligible, pool) -> np.ndarray:
     user gets UNICAST when their demand fits in what is left of the pool,
     because unicast pays more; otherwise BROADCAST if eligible, else
     UNSERVED. Users who would lose payoff on broadcast are never assigned
-    it. The scan stops once the leftover is below every remaining demand.
+    it.
+
+    Works on one trial, shape (N,), or on a block of trials, shape
+    (k, N), every row starting from the same ``pool``. The greedy scan
+    runs in phases: each grants the prefix of the still-active users
+    whose cumulative demand fits, then drops the active users whose
+    demand exceeds the new leftover. Demands are whole numbers, so the
+    leftover is ``floor(pool)`` minus exact integer sums, which is what
+    subtracting the grants one by one from ``pool`` decides.
     """
     demand = np.asarray(demand, dtype=np.float64)
     assigned = np.where(eligible, BROADCAST, UNSERVED).astype(np.int8)
-    smallest_left = np.minimum.accumulate(demand[::-1])[::-1].tolist()
-    remaining = pool
-    for k, need in enumerate(demand.tolist()):
-        if remaining < smallest_left[k]:
-            break
-        if need <= remaining:
-            assigned[k] = UNICAST
-            remaining -= need
+    left = np.full(demand.shape[:-1] + (1,), np.floor(pool))
+    active = demand <= left
+    while active.any():
+        reach = np.cumsum(np.where(active, demand, 0.0), axis=-1)
+        grant = active & (reach <= left)
+        assigned[grant] = UNICAST
+        left -= np.where(grant, demand, 0.0).sum(axis=-1, keepdims=True)
+        active &= ~grant & (demand <= left)
     return assigned
 
 
@@ -148,6 +160,14 @@ def simulate_revenue(
     plus the fixed unicast term Pu * (W - Wb) * T. Trials use independent
     child streams of ``seed``, so results do not depend on execution
     order.
+
+    Trials run in consecutive blocks of k = max(1, 2**13 // N). Each
+    trial of a block draws from its own stream, in trial order; the
+    payoffs, assignment and statistics of the whole block are then one
+    pass over (k, N) arrays. Per-trial sums are still taken row by row,
+    so the report equals that of a trial-by-trial loop bit for bit, and
+    a payoff domain error names the trial and element that loop meets
+    first (its unicast term before its broadcast term).
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -178,10 +198,18 @@ def simulate_revenue(
     hi = catalog.delay_hi
     s = schedule.s
 
+    def payoffs(f, ufile, thr, rate_u):
+        payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
+        if bc_bandwidth > 0.0:
+            payoff_bc = broadcast_payoff(
+                f, thr, cell.r_b, s[ufile], bc_bandwidth, prices.broadcast
+            )
+            return payoff_uc, payoff_bc, payoff_bc >= payoff_uc
+        return payoff_uc, np.full(f.shape, -np.inf), np.zeros(f.shape, dtype=bool)
+
     revenues = np.empty(trials)
     bc_frac = np.zeros(trials)
     uc_frac = np.zeros(trials)
-    unserved_frac = np.zeros(trials)
     policy_payoffs = []
     baseline_payoffs = []
     violations = 0
@@ -191,31 +219,37 @@ def simulate_revenue(
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(trials)
-    for t, stream in enumerate(streams):
-        gen = np.random.default_rng(stream)
-        counts = sample_requests(catalog, n_users, gen)
-        unrequested[t] = np.count_nonzero(counts == 0)
-        ufile = np.repeat(proc_order, counts[proc_order])
-        rate_u = sample_user_rates(catalog.rate_model, n_users, gen)
-        thr = gen.uniform(lo[ufile], hi[ufile])
+    k = max(1, _BLOCK_USER_TRIALS // n_users)
+    ufile_buf = np.empty((k, n_users), dtype=np.intp)
+    rate_buf = np.empty((k, n_users))
+    thr_buf = np.empty((k, n_users))
+    for start in range(0, trials, k):
+        block = slice(start, min(start + k, trials))
+        rows = block.stop - start
+        for j, stream in enumerate(streams[block]):
+            gen = np.random.default_rng(stream)
+            counts = sample_requests(catalog, n_users, gen)
+            unrequested[start + j] = np.count_nonzero(counts == 0)
+            ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
+            rate_buf[j] = sample_user_rates(catalog.rate_model, n_users, gen)
+            thr_buf[j] = gen.uniform(lo[ufile_buf[j]], hi[ufile_buf[j]])
+        ufile, rate_u, thr = ufile_buf[:rows], rate_buf[:rows], thr_buf[:rows]
         f = sizes[ufile]
 
         try:
-            payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
-            if bc_bandwidth > 0.0:
-                payoff_bc = broadcast_payoff(
-                    f, thr, cell.r_b, s[ufile], bc_bandwidth, prices.broadcast
-                )
-                eligible = payoff_bc >= payoff_uc
-            else:
-                payoff_bc = np.full(n_users, -np.inf)
-                eligible = np.zeros(n_users, dtype=bool)
-        except PayoffDomainError as exc:
-            raise PayoffDomainError(f"trial {t}: {exc}") from exc
+            payoff_uc, payoff_bc, eligible = payoffs(f, ufile, thr, rate_u)
+        except PayoffDomainError:
+            # Name the failure a trial-by-trial loop meets first: each trial's
+            # unicast term, then its broadcast term.
+            for j in range(rows):
+                try:
+                    payoffs(f[j], ufile[j], thr[j], rate_u[j])
+                except PayoffDomainError as exc:
+                    raise PayoffDomainError(f"trial {start + j}: {exc}") from exc
+            raise
 
         demand = np.ceil(f / rate_u)
-        if demand.sum() < uc_pool:
-            shortfall_trials += 1
+        shortfall_trials += int(np.count_nonzero(demand.sum(axis=1) < uc_pool))
         assigned = assign_services(demand, eligible, uc_pool)
 
         bc_mask = assigned == BROADCAST
@@ -223,16 +257,18 @@ def simulate_revenue(
         served = bc_mask | uc_mask
         violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
 
-        revenues[t] = uc_revenue + prices.broadcast * float(f[bc_mask].sum())
-        bc_frac[t] = bc_mask.sum() / n_users
-        uc_frac[t] = uc_mask.sum() / n_users
-        unserved_frac[t] = 1.0 - bc_frac[t] - uc_frac[t]
-        if served.any():
-            realized = np.where(bc_mask, payoff_bc, payoff_uc)[served]
-            policy_payoffs.append(realized.mean())
-            baseline_payoffs.append(payoff_uc[served].mean())
-        if bc_mask.any():
-            realized_rates.append(float(rate_u[bc_mask].min()))
+        n_bc = np.count_nonzero(bc_mask, axis=1)
+        bc_frac[block] = n_bc / n_users
+        uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
+        # Per-trial sums go row by row: a 1-D sum keeps the pairwise order of
+        # the trial loop, so the report matches it bit for bit.
+        bc_size = np.array([f[j][bc_mask[j]].sum() for j in range(rows)])
+        revenues[block] = uc_revenue + prices.broadcast * bc_size
+        realized = np.where(bc_mask, payoff_bc, payoff_uc)
+        for j in np.flatnonzero(served.any(axis=1)):
+            policy_payoffs.append(realized[j][served[j]].mean())
+            baseline_payoffs.append(payoff_uc[j][served[j]].mean())
+        realized_rates.extend(np.where(bc_mask, rate_u, np.inf).min(axis=1)[n_bc > 0])
 
     if shortfall_trials:
         warnings.warn(
@@ -251,7 +287,7 @@ def simulate_revenue(
         n_users=n_users,
         uc_revenue=uc_revenue,
         uc_user_fraction=float(uc_frac.mean()),
-        unserved_user_fraction=float(unserved_frac.mean()),
+        unserved_user_fraction=float((1.0 - bc_frac - uc_frac).mean()),
         mean_payoff_policy=float(np.mean(policy_payoffs)) if policy_payoffs else float("nan"),
         mean_payoff_uc_baseline=(
             float(np.mean(baseline_payoffs)) if baseline_payoffs else float("nan")

@@ -459,13 +459,13 @@ class ValidationReport:
 
 def _grid_argmax_bandwidth(catalog, cell, price, schedule, points=10_000):
     grid = np.linspace(cell.bc_cap / points, cell.bc_cap, points)
-    values = [lower_bound_revenue(catalog, cell, price, w, schedule) for w in grid]
+    values = lower_bound_revenue(catalog, cell, price, grid, schedule)
     return float(grid[int(np.argmax(values))]), cell.bc_cap / points
 
 
 def _grid_argmax_price(catalog, cell, bandwidth, schedule, points=10_000, lo=0.0):
     grid = np.linspace(lo, cell.price_unicast, points)
-    values = [lower_bound_revenue(catalog, cell, p, bandwidth, schedule) for p in grid]
+    values = lower_bound_revenue(catalog, cell, grid, bandwidth, schedule)
     return float(grid[int(np.argmax(values))]), (cell.price_unicast - lo) / (points - 1)
 
 

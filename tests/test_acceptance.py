@@ -103,13 +103,13 @@ def _grid_errors(catalog, cell, points=10_000):
     wb_hat = closed_form_bandwidth(catalog, cell)
     pb_hat = closed_form_price(catalog, cell, moment)
     wgrid = np.linspace(cell.bc_cap / points, cell.bc_cap, points)
-    lw = [lower_bound_revenue(catalog, cell, pb_hat, w, sched) for w in wgrid]
+    lw = lower_bound_revenue(catalog, cell, pb_hat, wgrid, sched)
     wb_grid = float(wgrid[int(np.argmax(lw))])
     wstep = float(wgrid[1] - wgrid[0])
     # the closed-form price lives in [Pu/2, Pu]; search that admissible range
     plo = cell.price_unicast / 2.0
     pgrid = np.linspace(plo, cell.price_unicast, points)
-    lp = [lower_bound_revenue(catalog, cell, p, wb_hat, sched) for p in pgrid]
+    lp = lower_bound_revenue(catalog, cell, pgrid, wb_hat, sched)
     pb_grid = float(pgrid[int(np.argmax(lp))])
     pstep = float(pgrid[1] - pgrid[0])
     w_err, w_tol = abs(wb_hat - wb_grid), 2 * wstep + 0.05 * abs(wb_grid)

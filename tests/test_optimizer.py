@@ -66,6 +66,63 @@ class TestLowerBoundRevenue:
             lower_bound_revenue(catalog, cell, 0.5, 0.0, sched)
 
 
+class TestLowerBoundOnGrids:
+    """The bound evaluated over arrays equals scalar calls point by point."""
+
+    @pytest.mark.parametrize("m_lo, m_hi", [(3, 8), (130, 300)])
+    def test_grids_equal_scalar_calls(self, m_lo, m_hi):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            catalog, cell = random_instance(rng, m_lo=m_lo, m_hi=m_hi)
+            sched = suboptimal_schedule(catalog, cell.price_unicast)
+            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            w_grid = np.linspace(cell.bc_cap / 400, cell.bc_cap, 400)
+            p_grid = np.linspace(floor, cell.price_unicast, 400)
+            price = float(rng.uniform(floor, cell.price_unicast))
+            bandwidth = float(rng.uniform(cell.bc_cap / 400, cell.bc_cap))
+
+            def bound(p, w):
+                return lower_bound_revenue(catalog, cell, p, w, sched)
+
+            assert np.array_equal(bound(price, w_grid), [bound(price, w) for w in w_grid])
+            assert np.array_equal(bound(p_grid, bandwidth),
+                                  [bound(p, bandwidth) for p in p_grid])
+            both = bound(p_grid[::20, None], w_grid[::20])
+            assert both.shape == (20, 20)
+            assert np.array_equal(
+                both, [[bound(p, w) for w in w_grid[::20]] for p in p_grid[::20]])
+
+    def test_scalars_give_float(self):
+        catalog, cell, sched = _single_file_setup()
+        for price, bandwidth in ((0.5, 2.0), (np.float64(0.5), np.array(2.0))):
+            value = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
+            assert type(value) is float
+            assert value == pytest.approx(7.5625, abs=1e-12)
+
+    def test_one_invalid_grid_point_names_its_files(self):
+        catalog = catalog_from([0.2, 0.6, 0.5], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.5,
+                          rate_model=point_rate(1.0))
+        sched = popularity_schedule(catalog)
+        # (Pu - Pb) f_i >= 1 at Pb = 0.5 for files 2 and 3 only.
+        grid = np.array([2.0, 1.5, 0.5, 2.5])
+        with pytest.raises(PreconditionError, match=r"files \[2, 3\] at price 0.5$"):
+            lower_bound_revenue(catalog, cell, grid, 2.0, sched)
+        assert np.all(np.isfinite(lower_bound_revenue(catalog, cell, grid[:2], 2.0, sched)))
+
+    def test_nonpositive_bandwidth_on_grid_rejected(self):
+        catalog, cell, sched = _single_file_setup()
+        with pytest.raises(PreconditionError):
+            lower_bound_revenue(catalog, cell, 0.5, np.array([2.0, 1.0, 0.0]), sched)
+
+    def test_no_users_gives_unicast_term_per_point(self):
+        catalog, cell, sched = _single_file_setup(n_users=0)
+        values = lower_bound_revenue(catalog, cell, np.array([0.1, 0.5, 0.9]), 1.0, sched)
+        assert values.tolist() == [1.0 * (4.0 - 1.0) * 3] * 3
+        values = lower_bound_revenue(catalog, cell, 0.5, np.array([0.0, 1.0, 2.0]), sched)
+        assert values.tolist() == [12.0, 9.0, 6.0]
+
+
 class TestClosedFormBandwidth:
     def test_zero_users(self):
         catalog, cell, _ = _single_file_setup(n_users=0)

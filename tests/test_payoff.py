@@ -1,24 +1,30 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcastopt import payoff
+from bcastopt.channel import sample_user_rates
+from bcastopt.demand import sample_requests
 from bcastopt.errors import InvalidParameterError, PayoffDomainError
-from bcastopt.optimizer import CellConfig
+from bcastopt.optimizer import CellConfig, operating_point
 from bcastopt.payoff import (
     BROADCAST,
     UNICAST,
     UNSERVED,
     PricePair,
+    SimulationReport,
     assign_services,
     broadcast_payoff,
     simulate_revenue,
     unicast_payoff,
 )
-from bcastopt.scheduler import popularity_schedule
+from bcastopt.scheduler import popularity_schedule, suboptimal_schedule
 
 from conftest import catalog_from, point_rate
 
@@ -111,13 +117,42 @@ class TestSelectService:
         uc = np.array([u[0] for u in users])
         bc = np.array([u[1] for u in users])
         demand = np.array([u[2] for u in users], dtype=float)
+        _check_policy(assign_services(demand, bc >= uc, pool), uc, bc, demand, pool)
+
+    @given(
+        block=st.integers(0, 12).flatmap(lambda n: st.lists(
+            st.lists(
+                st.tuples(st.floats(-50, 50, allow_nan=False),
+                          st.floats(-50, 50, allow_nan=False),
+                          st.integers(1, 6)),
+                min_size=n, max_size=n,
+            ),
+            min_size=1, max_size=4,
+        )),
+        pool=st.floats(0, 40, allow_nan=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_broadcast_when_it_loses_payoff_in_blocks(self, block, pool):
+        uc, bc, demand = (
+            np.array([[u[i] for u in row] for row in block], dtype=float) for i in range(3)
+        )
         choice = assign_services(demand, bc >= uc, pool)
-        assert not np.any((choice == BROADCAST) & (bc < uc))
-        assert np.all((choice == UNSERVED) == ((choice != UNICAST) & (bc < uc)))
-        # A user left off unicast had no room for it, even at the end.
-        leftover = pool - demand[choice == UNICAST].sum()
-        assert leftover >= 0
-        assert np.all(demand[choice != UNICAST] > leftover)
+        assert choice.shape == demand.shape
+        for row_choice, row_uc, row_bc, row_demand in zip(choice, uc, bc, demand):
+            _check_policy(row_choice, row_uc, row_bc, row_demand, pool)
+            assert np.array_equal(
+                row_choice, _reference_assignment(row_demand, row_bc >= row_uc, pool))
+
+
+def _check_policy(choice, uc, bc, demand, pool):
+    """One trial's assignment keeps the payoff guarantee and leaves nobody
+    off unicast who would still fit."""
+    assert not np.any((choice == BROADCAST) & (bc < uc))
+    assert np.all((choice == UNSERVED) == ((choice != UNICAST) & (bc < uc)))
+    # A user left off unicast had no room for it, even at the end.
+    leftover = pool - demand[choice == UNICAST].sum()
+    assert leftover >= 0
+    assert np.all(demand[choice != UNICAST] > leftover)
 
 
 def _reference_assignment(demand, eligible, pool):
@@ -151,20 +186,45 @@ class TestAssignServices:
         assert np.array_equal(got, _reference_assignment(demand, eligible, 5.5))
 
     def test_matches_reference_loop_on_random_cases(self):
-        rng = np.random.default_rng(11)
         stuck = 0  # cases whose leftover is >= 1 but fits no remaining demand
-        for _ in range(3000):
-            n = int(rng.integers(0, 60))
-            demand = np.ceil(rng.uniform(0.01, rng.uniform(0.5, 34.0), n))
-            eligible = rng.random(n) < rng.random()
-            pool = float(rng.uniform(0.0, 1.2) * demand.sum()) if n else 2.0
-            if rng.random() < 0.3:
-                pool = float(np.floor(pool)) + float(rng.choice([0.0, 0.5]))
+        for demand, eligible, pool in _random_cases(rows=None):
             got = assign_services(demand, eligible, pool)
-            assert np.array_equal(got, _reference_assignment(demand, eligible, pool))
-            leftover = pool - demand[got == UNICAST].sum()
-            stuck += bool(leftover >= 1.0 and np.any(got != UNICAST))
+            stuck += _check_against_reference(got, demand, eligible, pool)
         assert stuck > 100
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_block_rows_match_reference_loop(self, rows):
+        stuck = 0
+        for demand, eligible, pool in _random_cases(rows):
+            got = assign_services(demand, eligible, pool)
+            assert got.shape == demand.shape
+            for row in zip(got, demand, eligible):
+                stuck += _check_against_reference(*row, pool)
+        assert stuck > 100 * rows
+
+
+def _random_cases(rows):
+    """Random (demand, eligible, pool) cases of ``rows`` trials sharing one
+    pool (one trial of shape (n,) when ``rows`` is None). Some pools are
+    whole numbers or end in .5."""
+    rng = np.random.default_rng(11)
+    shape = () if rows is None else (rows,)
+    for _ in range(3000):
+        n = int(rng.integers(0, 60))
+        demand = np.ceil(rng.uniform(0.01, rng.uniform(0.5, 34.0), shape + (n,)))
+        eligible = rng.random(shape + (n,)) < rng.random()
+        pool = float(rng.uniform(0.0, 1.2) * demand.sum(axis=-1).mean()) if n else 2.0
+        if rng.random() < 0.3:
+            pool = float(np.floor(pool)) + float(rng.choice([0.0, 0.5]))
+        yield demand, eligible, pool
+
+
+def _check_against_reference(got, demand, eligible, pool):
+    """Assert one trial's assignment equals the reference loop; return
+    whether its leftover is >= 1 yet fits no remaining demand."""
+    assert np.array_equal(got, _reference_assignment(demand, eligible, pool))
+    leftover = pool - demand[got == UNICAST].sum()
+    return bool(leftover >= 1.0 and np.any(got != UNICAST))
 
 
 def _oracle_cell(n_users):
@@ -314,3 +374,173 @@ class TestSimulateRevenue:
                              sched, trials=5, seed=0)
         with pytest.raises(InvalidParameterError):
             PricePair(1.0, 1.5)
+
+
+def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials, seed):
+    """The simulator as one loop iteration per trial, the way it ran before
+    trials were evaluated in blocks, with the per-user allocation loop."""
+    n_users = cell.n_users
+    uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
+    uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
+    nan = float("nan")
+    if n_users == 0:
+        return SimulationReport(
+            uc_revenue, 0.0, 0.0, 0, trials, seed, 0, uc_revenue, 0.0, 0.0, nan, nan,
+            0, float(catalog.size), nan,
+        )
+    proc_order = np.argsort(-catalog.popularity, kind="stable")
+    lo, hi = catalog.delay_lo, catalog.delay_hi
+    revenues, bc_frac, uc_frac, unserved_frac, unrequested = (
+        np.zeros(trials) for _ in range(5)
+    )
+    policy, baseline, rates = [], [], []
+    violations = shortfall = 0
+    for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        gen = np.random.default_rng(stream)
+        counts = sample_requests(catalog, n_users, gen)
+        unrequested[t] = np.count_nonzero(counts == 0)
+        ufile = np.repeat(proc_order, counts[proc_order])
+        rate_u = sample_user_rates(catalog.rate_model, n_users, gen)
+        thr = gen.uniform(lo[ufile], hi[ufile])
+        f = catalog.sizes[ufile]
+        try:
+            payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
+            if bc_bandwidth > 0.0:
+                payoff_bc = broadcast_payoff(f, thr, cell.r_b, schedule.s[ufile],
+                                             bc_bandwidth, prices.broadcast)
+                eligible = payoff_bc >= payoff_uc
+            else:
+                payoff_bc = np.full(n_users, -np.inf)
+                eligible = np.zeros(n_users, dtype=bool)
+        except PayoffDomainError as exc:
+            raise PayoffDomainError(f"trial {t}: {exc}") from exc
+        demand = np.ceil(f / rate_u)
+        if demand.sum() < uc_pool:
+            shortfall += 1
+        assigned = _reference_assignment(demand, eligible, uc_pool)
+        bc_mask = assigned == BROADCAST
+        uc_mask = assigned == UNICAST
+        served = bc_mask | uc_mask
+        violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
+        revenues[t] = uc_revenue + prices.broadcast * float(f[bc_mask].sum())
+        bc_frac[t] = bc_mask.sum() / n_users
+        uc_frac[t] = uc_mask.sum() / n_users
+        unserved_frac[t] = 1.0 - bc_frac[t] - uc_frac[t]
+        if served.any():
+            policy.append(np.where(bc_mask, payoff_bc, payoff_uc)[served].mean())
+            baseline.append(payoff_uc[served].mean())
+        if bc_mask.any():
+            rates.append(float(rate_u[bc_mask].min()))
+    if shortfall:
+        warnings.warn(f"unicast demand fell below capacity in {shortfall}/{trials} trials")
+    return SimulationReport(
+        revenue_mean=float(revenues.mean()),
+        revenue_stderr=(
+            float(revenues.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        ),
+        bc_user_fraction=float(bc_frac.mean()),
+        payoff_guarantee_violations=violations,
+        trials=trials,
+        seed=seed,
+        n_users=n_users,
+        uc_revenue=uc_revenue,
+        uc_user_fraction=float(uc_frac.mean()),
+        unserved_user_fraction=float(unserved_frac.mean()),
+        mean_payoff_policy=float(np.mean(policy)) if policy else nan,
+        mean_payoff_uc_baseline=float(np.mean(baseline)) if baseline else nan,
+        uc_demand_shortfall_trials=shortfall,
+        unrequested_scheduled_mean=float(unrequested.mean()),
+        bc_rate_realized_mean=float(np.mean(rates)) if rates else nan,
+    )
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(SimulationReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), (field.name, a, b)
+
+
+def _recorded(run):
+    """Call ``run`` and return its result with the messages it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [str(w.message) for w in caught]
+
+
+class TestSimulateBlocks:
+    """Block evaluation reproduces the trial-by-trial loop bit for bit."""
+
+    @pytest.mark.parametrize("n_users, trials, bc_bandwidth, cell_bandwidth", [
+        # 2**13 // 300 = 27 trials a block: 27 + 27 + 6; a 100-unit cell
+        # serves users on unicast, on broadcast and not at all
+        (300, 60, None, 100.0),
+        (9000, 3, None, None),  # N > 2**13: one trial a block
+        (200, 1, None, None),   # a single trial
+        (150, 40, 0.0, None),   # no broadcast slice
+        (0, 5, None, None),     # no users
+    ])
+    def test_matches_trial_loop(self, single_cell_setup, n_users, trials, bc_bandwidth,
+                                cell_bandwidth):
+        catalog, cell, _ = single_cell_setup
+        cell = dataclasses.replace(cell, n_users=n_users)
+        if cell_bandwidth is not None:
+            cell = dataclasses.replace(cell, bandwidth=cell_bandwidth)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, cell, schedule)
+        if bc_bandwidth is not None:
+            bandwidth = bc_bandwidth
+        args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+        got = simulate_revenue(*args, trials=trials, seed=71)
+        _assert_same_report(got, _reference_simulation(*args, trials=trials, seed=71))
+        if cell_bandwidth is not None:
+            assert min(got.bc_user_fraction, got.uc_user_fraction,
+                       got.unserved_user_fraction) > 0
+
+    def test_shortfall_trials_and_warning_match_trial_loop(self, single_cell_setup):
+        # A 40-unit cell with 5 users: about half the trials leave pool unsold.
+        catalog, cell0, _ = single_cell_setup
+        cell = dataclasses.replace(cell0, bandwidth=40.0, n_users=5)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, cell, schedule)
+        args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+        got, got_warned = _recorded(lambda: simulate_revenue(*args, trials=2000, seed=8))
+        want, want_warned = _recorded(
+            lambda: _reference_simulation(*args, trials=2000, seed=8))
+        _assert_same_report(got, want)
+        assert 0 < got.uc_demand_shortfall_trials < 2000
+        assert len(got_warned) == len(want_warned) == 1
+        assert f"{got.uc_demand_shortfall_trials}/2000 trials" in got_warned[0]
+        assert want_warned[0] in got_warned[0]
+
+    def test_domain_error_names_the_trial_loops_first_failure(self):
+        # File 3 completes on broadcast before its 2-slot threshold; file 2
+        # downloads in 6 slots, before its 7-slot threshold. Both are rare.
+        # With this seed, trial 6 (second block of four) is the first to
+        # request either, only file 3, and trial 7 requests file 2: evaluating
+        # the block's unicast terms first would name trial 7 instead.
+        n_users, trials, seed = 2048, 24, 28
+        catalog = catalog_from(
+            sizes=[5.0, 3.0, 4.0], popularity=[1 - 0.45 / 2048, 0.3 / 2048, 0.15 / 2048],
+            theta=[0.3, 0.3, 0.3], rate_model=point_rate(0.5),
+            delay_lo=[0.1, 7.0, 2.0], delay_hi=[0.1, 7.0, 2.0],
+        )
+        cell = CellConfig(bandwidth=30.0, slots=4, n_users=n_users, price_unicast=0.4,
+                          rate_model=point_rate(0.5))
+        k = payoff._BLOCK_USER_TRIALS // n_users
+        counts = np.array([
+            sample_requests(catalog, n_users, np.random.default_rng(stream))
+            for stream in np.random.SeedSequence(seed).spawn(trials)
+        ])
+        first = int(np.flatnonzero(counts[:, 1:].any(axis=1))[0])
+        assert (k, first) == (4, 6)
+        assert counts[6, 1] == 0 < counts[6, 2] and counts[7, 1] > 0
+
+        args = (catalog, cell, PricePair(0.4, 0.1), 20.0, popularity_schedule(catalog))
+        with pytest.raises(PayoffDomainError) as want:
+            _reference_simulation(*args, trials=trials, seed=seed)
+        with pytest.raises(PayoffDomainError) as got:
+            simulate_revenue(*args, trials=trials, seed=seed)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("trial 6: ")
+        assert "s/(Wb*rb) - threshold" in str(got.value)
