@@ -11,7 +11,6 @@ from .channel import (
 )
 from .demand import (
     FileCatalog,
-    FileSpec,
     ZipfParams,
     aggregate_delay_tolerance,
     build_catalog,
@@ -35,6 +34,7 @@ from .optimizer import (
     closed_form_price,
     joint_optimize,
     lower_bound_revenue,
+    optimal_schedule,
     price_validity_floor,
     revenue_gain,
 )
@@ -62,7 +62,6 @@ from .scheduler import (
     Schedule,
     brute_force_best_order,
     cumulative_sizes,
-    optimal_schedule,
     popularity_schedule,
     scheduled_demand_moment,
     smith_cost,

@@ -44,30 +44,8 @@ def zipf_pmf(params: ZipfParams) -> np.ndarray:
     return weights / weights.sum()
 
 
-@dataclass(frozen=True)
-class FileSpec:
-    """One catalog entry.
-
-    ``delay_lo``/``delay_hi`` bound the per-user delay threshold
-    distribution (uniform; a point mass when the bounds coincide).
-    """
-
-    index: int  # 1-based popularity rank
-    size: float
-    delay_lo: float
-    delay_hi: float
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise InvalidParameterError(f"file {self.index}: size must be > 0")
-        if not (0 < self.delay_lo <= self.delay_hi):
-            raise InvalidParameterError(
-                f"file {self.index}: need 0 < delay_lo <= delay_hi, "
-                f"got ({self.delay_lo}, {self.delay_hi})"
-            )
-
-
-def aggregate_delay_tolerance(file: FileSpec, rate_model: RateModel) -> float:
+def aggregate_delay_tolerance(size: float, delay_lo: float, delay_hi: float,
+                              rate_model: RateModel) -> float:
     """Exact mean of 1 / (size - rate * threshold) over the user population.
 
     A user's rate is ``r_high`` with probability ``prob_high`` and ``r_low``
@@ -75,7 +53,8 @@ def aggregate_delay_tolerance(file: FileSpec, rate_model: RateModel) -> float:
     region of rate r, with d = size - r * delay_hi and
     x = r * (delay_hi - delay_lo) / d, the mean over the threshold is
     log1p(x) / (x * d), and 1 / d for a point mass (x = 0). The regions
-    are mixed by their probabilities.
+    are mixed by their probabilities. Scalar on purpose: ``math.log1p``
+    and ``np.log1p`` can differ in the last bit.
 
     Raises PreconditionError unless size / r > delay_hi + 1 for every rate
     with positive probability: the worst case of the delay-sensitivity
@@ -86,61 +65,71 @@ def aggregate_delay_tolerance(file: FileSpec, rate_model: RateModel) -> float:
                          (rate_model.r_low, 1.0 - rate_model.prob_high)):
         if weight <= 0.0:
             continue
-        if not file.size / rate > file.delay_hi + 1.0:
+        if not size / rate > delay_hi + 1.0:
             raise PreconditionError(
-                f"delay-sensitivity violated for file {file.index}: size={file.size}, "
-                f"rate={rate}, threshold={file.delay_hi} "
-                f"(need size/rate > threshold + 1)"
+                f"delay-sensitivity violated: size={size}, rate={rate}, "
+                f"threshold={delay_hi} (need size/rate > threshold + 1)"
             )
-        d = file.size - rate * file.delay_hi
-        x = rate * (file.delay_hi - file.delay_lo) / d
+        d = size - rate * delay_hi
+        x = rate * (delay_hi - delay_lo) / d
         total += weight * (1.0 / d if x == 0.0 else math.log1p(x) / (x * d))
     return total
 
 
+def _check_files(sizes: np.ndarray, delay_lo: np.ndarray, delay_hi: np.ndarray):
+    """Per-file checks, naming the first offending file (1-based)."""
+    bad = np.flatnonzero(~(sizes > 0))
+    if bad.size:
+        raise InvalidParameterError(f"file {bad[0] + 1}: size must be > 0")
+    bad = np.flatnonzero(~((0 < delay_lo) & (delay_lo <= delay_hi)))
+    if bad.size:
+        i = bad[0]
+        raise InvalidParameterError(
+            f"file {i + 1}: need 0 < delay_lo <= delay_hi, "
+            f"got ({delay_lo[i]}, {delay_hi[i]})"
+        )
+
+
 @dataclass(frozen=True)
 class FileCatalog:
-    """Immutable catalog: sizes, popularity, aggregate delay tolerances.
+    """Immutable catalog, one array entry per file in popularity-rank order.
 
-    Invariants (checked on construction): popularity sums to one, all
-    tolerances positive, mean_size = sum(size * popularity).
+    ``delay_lo``/``delay_hi`` bound the per-user delay threshold
+    distribution (uniform; a point mass when the bounds coincide), and
+    ``theta`` holds the aggregate delay tolerances. Invariants (checked
+    on construction): arrays non-empty and of one length, sizes positive,
+    0 < delay_lo <= delay_hi, popularity sums to one, all tolerances
+    positive; mean_size = sum(size * popularity).
     """
 
-    files: tuple[FileSpec, ...]
+    sizes: np.ndarray
     popularity: np.ndarray
     theta: np.ndarray
+    delay_lo: np.ndarray
+    delay_hi: np.ndarray
     rate_model: RateModel
-    sizes: np.ndarray = field(init=False)
     mean_size: float = field(init=False)
 
     def __post_init__(self):
-        sizes = np.asarray([f.size for f in self.files], dtype=np.float64)
-        pop = np.asarray(self.popularity, dtype=np.float64)
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if not (len(sizes) == len(pop) == len(theta)) or len(sizes) == 0:
+        names = ("sizes", "popularity", "theta", "delay_lo", "delay_hi")
+        arrays = [np.array(getattr(self, name), dtype=np.float64) for name in names]
+        sizes, pop, theta, lo, hi = arrays
+        if len(sizes) == 0 or any(a.shape != (len(sizes),) for a in arrays):
             raise InvalidParameterError("catalog arrays must be non-empty and same length")
+        _check_files(sizes, lo, hi)
         if np.any(pop < 0) or abs(pop.sum() - 1.0) > _PMF_TOL:
             raise InvalidParameterError(
                 f"popularity must be a pmf (sum={pop.sum()!r})"
             )
         if np.any(theta <= 0):
             raise InvalidParameterError("aggregate delay tolerances must be positive")
-        object.__setattr__(self, "popularity", pop)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sizes", sizes)
+        for name, value in zip(names, arrays):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "mean_size", float(sizes @ pop))
 
     @property
     def size(self) -> int:
-        return len(self.files)
-
-    @property
-    def delay_lo(self) -> np.ndarray:
-        return np.asarray([f.delay_lo for f in self.files])
-
-    @property
-    def delay_hi(self) -> np.ndarray:
-        return np.asarray([f.delay_hi for f in self.files])
+        return len(self.sizes)
 
     @classmethod
     def from_arrays(cls, sizes, popularity, theta, rate_model,
@@ -151,21 +140,15 @@ class FileCatalog:
         to keep them consistent with the threshold bounds, which default
         to a point mass recovering ``theta`` only loosely.
         """
-        sizes = np.asarray(sizes, dtype=np.float64)
         if delay_lo is None or delay_hi is None:
             # Point mass consistent with theta under a single-rate model:
             # theta = 1/(f - r*t)  =>  t = (f - 1/theta)/r.
             r = rate_model.r_high
-            t = (sizes - 1.0 / np.asarray(theta, dtype=np.float64)) / r
-            t = np.maximum(t, 1e-12)
-            delay_lo = delay_hi = t
-        files = tuple(
-            FileSpec(index=i + 1, size=float(sizes[i]),
-                     delay_lo=float(np.asarray(delay_lo)[i]),
-                     delay_hi=float(np.asarray(delay_hi)[i]))
-            for i in range(len(sizes))
-        )
-        return cls(files=files, popularity=popularity, theta=theta, rate_model=rate_model)
+            t = (np.asarray(sizes, dtype=np.float64)
+                 - 1.0 / np.asarray(theta, dtype=np.float64)) / r
+            delay_lo = delay_hi = np.maximum(t, 1e-12)
+        return cls(sizes=sizes, popularity=popularity, theta=theta,
+                   delay_lo=delay_lo, delay_hi=delay_hi, rate_model=rate_model)
 
 
 def build_catalog(
@@ -201,17 +184,17 @@ def build_catalog(
         raise PreconditionError(
             f"delay-sensitivity condition fails for {bad.size} file(s): {listing}"
         )
+    _check_files(sizes, lo, hi)  # before the tolerances, which need lo <= hi
 
-    files = tuple(
-        FileSpec(index=i + 1, size=float(sizes[i]),
-                 delay_lo=float(lo[i]), delay_hi=float(hi[i]))
-        for i in range(M)
-    )
-    theta = np.array([aggregate_delay_tolerance(f, rate_model) for f in files])
+    theta = np.array([
+        aggregate_delay_tolerance(f, a, b, rate_model)
+        for f, a, b in zip(sizes.tolist(), lo.tolist(), hi.tolist())
+    ])
     pop = zipf_pmf(zipf)
     if M > 1 and not np.all(np.diff(pop) < 0):
         raise InvalidParameterError("Zipf popularity must be strictly decreasing")
-    return FileCatalog(files=files, popularity=pop, theta=theta, rate_model=rate_model)
+    return FileCatalog(sizes=sizes, popularity=pop, theta=theta,
+                       delay_lo=lo, delay_hi=hi, rate_model=rate_model)
 
 
 def sample_requests(catalog: FileCatalog, n_users: int, rng) -> np.ndarray:
@@ -231,8 +214,9 @@ def catalog_to_csv(catalog: FileCatalog) -> str:
     """Catalog export with columns (i, f_i, p_i, theta_i)."""
     buf = io.StringIO()
     buf.write("i,f_i,p_i,theta_i\n")
-    for i, f in enumerate(catalog.files):
+    for i in range(catalog.size):
         buf.write(
-            f"{f.index},{f.size:.12g},{catalog.popularity[i]:.12g},{catalog.theta[i]:.12g}\n"
+            f"{i + 1},{catalog.sizes[i]:.12g},{catalog.popularity[i]:.12g},"
+            f"{catalog.theta[i]:.12g}\n"
         )
     return buf.getvalue()

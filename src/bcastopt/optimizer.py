@@ -1,5 +1,5 @@
-"""Revenue lower bound, closed-form optima, coordinate maps, and the
-joint block-coordinate ascent.
+"""Revenue lower bound, closed-form optima, the price-aware scheduler,
+coordinate maps, and the joint block-coordinate ascent.
 
 The analytic objective is a lower bound on realized revenue, valid while
 the price discount times any file size stays below one. The closed-form
@@ -7,15 +7,17 @@ bandwidth/price optima are one-shot approximations. Along each of its
 coordinates the bound has a closed-form maximizer: the Smith order for
 the schedule, ``bound_argmax_bandwidth`` for the bandwidth and
 ``bound_argmax_price`` for the price. ``joint_optimize`` alternates these
-three, so no step lowers the bound. Grid-search oracles in the validation
-suite measure how far each approximation sits from the bound's true
-argmax; the measured gaps are reported rather than hidden.
+three, so no step lowers the bound. ``optimal_schedule`` is the fixed
+point of the schedule weights at the closed-form price. Grid-search
+oracles in the validation suite measure how far each approximation sits
+from the bound's true argmax; the measured gaps are reported rather than
+hidden.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .demand import FileCatalog
 from .errors import ConvergenceError, InvalidParameterError, PreconditionError
 from .scheduler import (
     Schedule,
+    _sort_descending,
     scheduled_demand_moment,
     smith_cost,
     smith_schedule,
@@ -32,6 +35,7 @@ from .scheduler import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
+DEFAULT_FIXED_POINT_CAP = 1000
 _VALIDITY_MARGIN = 1e-6
 # A bound drop larger than this share of the revenue scale is not rounding.
 _ASCENT_RTOL = 1e-12
@@ -215,6 +219,53 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
     floor = price_validity_floor(catalog, cell)
     price = min(cell.price_unicast, max(closed_form_price(catalog, cell, moment), floor))
     return bandwidth, price, moment
+
+
+def optimal_schedule(
+    catalog: FileCatalog, cell: CellConfig, max_iters: int = DEFAULT_FIXED_POINT_CAP,
+) -> tuple[Schedule, float, bool, int]:
+    """Price-aware scheduler: fixed point of the self-referential weights.
+
+    Weights w_i = theta_i p_i {1 - (f_i/2)(Pu - N r_b F^2 / (4 Pu T r_u S))}
+    depend on the demand moment S of the order they generate. Iterate
+    from the closed-form order, re-sorting until stable. On oscillation
+    the best order seen (by the revenue lower bound at its own
+    closed-form operating point) is returned, flagged not converged.
+
+    Returns (schedule, S, converged, iterations), where S is the demand
+    moment of the returned order.
+    """
+
+    def weights_for(moment: float) -> np.ndarray:
+        pressure = price_pressure(catalog, cell, moment)
+        bracket = 1.0 - (catalog.sizes / 2.0) * (cell.price_unicast - pressure)
+        return catalog.theta * catalog.popularity * bracket
+
+    current = suboptimal_schedule(catalog, cell.price_unicast)
+    seen = {tuple(current.order)}
+    best = current
+    best_moment = scheduled_demand_moment(catalog, current)
+    best_bound = None
+    for it in range(1, max_iters + 1):
+        moment = scheduled_demand_moment(catalog, current)
+        w = weights_for(moment)
+        nxt_order = _sort_descending(w)
+        if np.array_equal(nxt_order, current.order):
+            return replace(current, weights=w), moment, True, it
+        if best_bound is None:
+            bandwidth, price, _ = operating_point(catalog, cell, current)
+            best_bound = lower_bound_revenue(catalog, cell, price, bandwidth, current)
+        nxt = Schedule.from_order(nxt_order, catalog, weights=w)
+        bandwidth, price, nxt_moment = operating_point(catalog, cell, nxt)
+        nxt_bound = lower_bound_revenue(catalog, cell, price, bandwidth, nxt)
+        if nxt_bound > best_bound:
+            best, best_moment, best_bound = nxt, nxt_moment, nxt_bound
+        key = tuple(nxt_order)
+        if key in seen:
+            return best, best_moment, False, it
+        seen.add(key)
+        current = nxt
+    return best, best_moment, False, max_iters
 
 
 def bound_argmax_bandwidth(

@@ -34,13 +34,13 @@ from .optimizer import (
     joint_optimize,
     lower_bound_revenue,
     operating_point,
+    optimal_schedule,
     price_validity_floor,
     revenue_gain,
 )
 from .payoff import PricePair, simulate_revenue
 from .scheduler import (
     brute_force_best_order,
-    optimal_schedule,
     popularity_schedule,
     smith_cost,
     smith_schedule,

@@ -2,23 +2,20 @@
 
 The queue cost is a weighted-completion-size objective, so a Smith-rule
 sort (weight over processing size, descending) is exactly optimal for a
-fixed price. The price-aware "optimal" scheduler re-derives its weights
-from the schedule they induce, which makes it a small fixed-point
-iteration; the closed-form "suboptimal" scheduler freezes the price at
-its lower boundary and needs no iteration.
+fixed price. The closed-form "suboptimal" scheduler freezes the price at
+its lower boundary and needs no iteration; the price-aware "optimal"
+scheduler needs the revenue bound and lives in ``optimizer``.
 """
 from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .demand import FileCatalog
 from .errors import InvalidParameterError, InvalidPermutationError, PreconditionError
-
-DEFAULT_FIXED_POINT_CAP = 1000
 
 
 def _validate_order(order, n) -> np.ndarray:
@@ -44,9 +41,10 @@ def cumulative_sizes(order, sizes) -> np.ndarray:
     return s
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
-    """A broadcast order plus the completion sizes it induces.
+    """A broadcast order, the completion sizes it induces, and the
+    weights it was sorted by (if any).
 
     ``order[k]`` is the (0-based) file transmitted in slot position k;
     ``s[i]`` is file i's completion size.
@@ -55,21 +53,13 @@ class Schedule:
     order: np.ndarray
     s: np.ndarray
     weights: np.ndarray | None = None
-    converged: bool = True
-    iterations: int = 1
 
     def __post_init__(self):
-        self.order = _validate_order(self.order, len(self.s))
+        object.__setattr__(self, "order", _validate_order(self.order, len(self.s)))
 
     @classmethod
-    def from_order(cls, order, catalog: FileCatalog, weights=None, **kw) -> "Schedule":
-        return cls(order=np.asarray(order, dtype=np.int64),
-                   s=cumulative_sizes(order, catalog.sizes),
-                   weights=weights, **kw)
-
-    @property
-    def one_based_order(self) -> np.ndarray:
-        return self.order + 1
+    def from_order(cls, order, catalog: FileCatalog, weights=None) -> "Schedule":
+        return cls(order=order, s=cumulative_sizes(order, catalog.sizes), weights=weights)
 
 
 def _sort_descending(weights) -> np.ndarray:
@@ -144,58 +134,6 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
 def scheduled_demand_moment(catalog: FileCatalog, schedule: Schedule) -> float:
     """Schedule-weighted demand moment sum_i s_i * theta_i * f_i * p_i."""
     return float(schedule.s @ (catalog.theta * catalog.sizes * catalog.popularity))
-
-
-def optimal_schedule(catalog: FileCatalog, cell, max_iters: int = DEFAULT_FIXED_POINT_CAP):
-    """Price-aware scheduler: fixed point of the self-referential weights.
-
-    Weights w_i = theta_i p_i {1 - (f_i/2)(Pu - N r_b F^2 / (4 Pu T r_u S))}
-    depend on the demand moment S of the order they generate. Iterate
-    from the closed-form order, re-sorting until stable. On oscillation
-    the best order seen (by the revenue lower bound at its own
-    closed-form operating point) is returned, flagged not converged.
-
-    Returns (Schedule, S) where S is the demand moment of the returned order.
-    """
-    from .optimizer import lower_bound_revenue, operating_point, price_pressure
-
-    def weights_for(moment: float) -> np.ndarray:
-        pressure = price_pressure(catalog, cell, moment)
-        bracket = 1.0 - (catalog.sizes / 2.0) * (cell.price_unicast - pressure)
-        return catalog.theta * catalog.popularity * bracket
-
-    current = suboptimal_schedule(catalog, cell.price_unicast)
-    seen = {tuple(current.order)}
-    best = current
-    best_moment = scheduled_demand_moment(catalog, current)
-    best_bound = None
-    for it in range(1, max_iters + 1):
-        moment = scheduled_demand_moment(catalog, current)
-        w = weights_for(moment)
-        nxt_order = _sort_descending(w)
-        if np.array_equal(nxt_order, current.order):
-            current.weights = w
-            current.converged = True
-            current.iterations = it
-            return current, moment
-        if best_bound is None:
-            bandwidth, price, _ = operating_point(catalog, cell, current)
-            best_bound = lower_bound_revenue(catalog, cell, price, bandwidth, current)
-        nxt = Schedule.from_order(nxt_order, catalog, weights=w)
-        bandwidth, price, nxt_moment = operating_point(catalog, cell, nxt)
-        nxt_bound = lower_bound_revenue(catalog, cell, price, bandwidth, nxt)
-        if nxt_bound > best_bound:
-            best, best_moment, best_bound = nxt, nxt_moment, nxt_bound
-        key = tuple(nxt_order)
-        if key in seen:
-            best.converged = False
-            best.iterations = it
-            return best, best_moment
-        seen.add(key)
-        current = nxt
-    best.converged = False
-    best.iterations = max_iters
-    return best, best_moment
 
 
 def schedule_to_csv(schedule: Schedule, catalog: FileCatalog) -> str:

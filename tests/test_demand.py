@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bcastopt.channel import RateModel
 from bcastopt.demand import (
     FileCatalog,
-    FileSpec,
     ZipfParams,
     aggregate_delay_tolerance,
     build_catalog,
@@ -112,27 +111,24 @@ def _midpoint_tolerance(size, lo, hi, model, points=200_000):
 
 class TestAggregateDelayTolerance:
     def test_point_masses_by_hand(self):
-        spec = FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0)
-        theta = aggregate_delay_tolerance(spec, point_rate(1.0))
+        theta = aggregate_delay_tolerance(5.0, 1.0, 1.0, point_rate(1.0))
         assert theta == pytest.approx(1.0 / (5.0 - 1.0), abs=1e-12)
 
     def test_uniform_threshold_against_closed_form(self):
         # Oracle: for unit rate and theta ~ U(1, 2),
         # E[1/(5 - t)] = integral = ln(4/3).
-        spec = FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=2.0)
-        theta = aggregate_delay_tolerance(spec, point_rate(1.0))
+        theta = aggregate_delay_tolerance(5.0, 1.0, 2.0, point_rate(1.0))
         assert theta == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
     def test_mixed_regions_against_closed_form(self):
         # Weighted mix of the per-region closed forms.
         model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.3)
-        spec = FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=2.0)
 
         def region_integral(rate):
             return math.log((5.0 - rate * 1.0) / (5.0 - rate * 2.0)) / rate
 
         expected = 0.3 * region_integral(1.0) + 0.7 * region_integral(0.5)
-        theta = aggregate_delay_tolerance(spec, model)
+        theta = aggregate_delay_tolerance(5.0, 1.0, 2.0, model)
         assert theta == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("size,lo,hi,model", [
@@ -143,41 +139,35 @@ class TestAggregateDelayTolerance:
         (4.0, 0.1, 2.5, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0)),
     ])
     def test_against_midpoint_quadrature(self, size, lo, hi, model):
-        spec = FileSpec(index=1, size=size, delay_lo=lo, delay_hi=hi)
-        theta = aggregate_delay_tolerance(spec, model)
+        theta = aggregate_delay_tolerance(size, lo, hi, model)
         assert theta == pytest.approx(_midpoint_tolerance(size, lo, hi, model), rel=1e-9)
 
     @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-14])
     def test_continuous_as_interval_shrinks_to_point_mass(self, width):
         model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.3)
-        point = aggregate_delay_tolerance(
-            FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0), model)
-        narrow = aggregate_delay_tolerance(
-            FileSpec(index=1, size=5.0, delay_lo=1.0, delay_hi=1.0 + width), model)
+        point = aggregate_delay_tolerance(5.0, 1.0, 1.0, model)
+        narrow = aggregate_delay_tolerance(5.0, 1.0, 1.0 + width, model)
         # the mean threshold moves by width/2, so theta moves by about
         # r * width / (2 (f - r)^2) relative to 1/(f - r)
         assert narrow == pytest.approx(point, rel=width)
 
     def test_zero_denominator_rejected(self):
-        spec = FileSpec(index=1, size=3.0, delay_lo=3.0, delay_hi=3.0)
         with pytest.raises(PreconditionError):
-            aggregate_delay_tolerance(spec, point_rate(1.0))
+            aggregate_delay_tolerance(3.0, 3.0, 3.0, point_rate(1.0))
 
     def test_zero_probability_region_is_not_checked(self):
         # size / r_high = 1.5 < threshold + 1, but no user sees r_high.
-        spec = FileSpec(index=1, size=3.0, delay_lo=1.0, delay_hi=1.0)
-        theta = aggregate_delay_tolerance(spec, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0))
+        theta = aggregate_delay_tolerance(
+            3.0, 1.0, 1.0, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0))
         assert theta == pytest.approx(1.0 / (3.0 - 0.5), rel=1e-15)
         with pytest.raises(PreconditionError, match="rate=2.0"):
-            aggregate_delay_tolerance(spec, RateModel(r_high=2.0, r_low=0.5, prob_high=0.01))
+            aggregate_delay_tolerance(
+                3.0, 1.0, 1.0, RateModel(r_high=2.0, r_low=0.5, prob_high=0.01))
 
     def test_decreasing_in_file_size_for_common_draws(self):
         model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.4)
         values = [
-            aggregate_delay_tolerance(
-                FileSpec(index=1, size=s, delay_lo=0.5, delay_hi=1.5), model,
-            )
-            for s in (4.0, 5.0, 7.0, 12.0)
+            aggregate_delay_tolerance(s, 0.5, 1.5, model) for s in (4.0, 5.0, 7.0, 12.0)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -222,7 +212,8 @@ class TestBuildCatalog:
             ZipfParams(1.0, 3), sizes=[6.0, 5.0, 7.0], delay_lo=lo, delay_hi=hi,
             rate_model=model,
         )
-        expected = [aggregate_delay_tolerance(f, model) for f in catalog.files]
+        expected = [aggregate_delay_tolerance(f, a, b, model)
+                    for f, a, b in zip([6.0, 5.0, 7.0], lo, hi)]
         assert catalog.theta.tolist() == expected
         assert catalog.delay_lo.tolist() == lo
         assert catalog.delay_hi.tolist() == hi
@@ -237,6 +228,25 @@ class TestBuildCatalog:
     def test_bad_popularity_rejected(self):
         with pytest.raises(InvalidParameterError):
             catalog_from([1.0, 1.0], [0.7, 0.7], [1.0, 1.0])
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("sizes", [0.5, 0.0, 0.2], "file 2: size must be > 0"),
+        ("delay_lo", [0.1, 0.1, 0.0], "file 3: need 0 < delay_lo <= delay_hi"),
+        ("delay_lo", [0.5, 0.1, 0.1], "file 1: need 0 < delay_lo <= delay_hi"),
+        ("theta", [3.0, 4.0], "catalog arrays must be non-empty and same length"),
+    ])
+    def test_invalid_files_rejected(self, field, values, message):
+        kw = dict(sizes=[0.5, 0.3, 0.2], popularity=[0.5, 0.3, 0.2], theta=[3.0, 4.0, 6.0],
+                  delay_lo=[0.1, 0.1, 0.1], delay_hi=[0.4, 0.4, 0.4],
+                  rate_model=point_rate(1.0))
+        kw[field] = values
+        with pytest.raises(InvalidParameterError, match=message):
+            FileCatalog(**kw)
+
+    def test_invalid_delay_bounds_rejected_before_tolerances(self):
+        with pytest.raises(InvalidParameterError, match="file 2: need 0 < delay_lo"):
+            build_catalog(ZipfParams(1.0, 2), sizes=[5.0, 5.0], delay_lo=[1.0, 2.5],
+                          delay_hi=2.0, rate_model=point_rate(1.0))
 
     def test_csv_export(self):
         catalog = catalog_from([0.5, 0.25], [0.6, 0.4], [2.5, 5.0])

@@ -399,10 +399,8 @@ class TestBoundShape:
             floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
             w_grid = np.linspace(cell.bc_cap / 50, cell.bc_cap, 50)
             p_grid = np.linspace(floor, cell.price_unicast, 50)
-            values = np.array([
-                [lower_bound_revenue(catalog, cell, p, w, sched) for p in p_grid]
-                for w in w_grid
-            ])
+            # one grid call; TestLowerBoundOnGrids pins it to the scalar calls
+            values = lower_bound_revenue(catalog, cell, p_grid[None, :], w_grid[:, None], sched)
             for line in list(values) + list(values.T):
                 interior_maxima = sum(
                     1 for k in range(1, len(line) - 1)

@@ -1,15 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt.errors import InvalidPermutationError, PreconditionError
-from bcastopt.optimizer import CellConfig, closed_form_price
+from bcastopt.optimizer import CellConfig, closed_form_price, optimal_schedule
 from bcastopt.scheduler import (
     Schedule,
     brute_force_best_order,
     cumulative_sizes,
-    optimal_schedule,
     popularity_schedule,
     scheduled_demand_moment,
     schedule_to_csv,
@@ -159,9 +160,9 @@ class TestOptimalSchedule:
         catalog = catalog_from([0.3] * 5, [0.35, 0.25, 0.2, 0.15, 0.05],
                                [2.0, 5.0, 1.0, 7.0, 3.0])
         cell = self._cell(catalog)
-        sched, moment = optimal_schedule(catalog, cell)
-        assert sched.converged
-        assert sched.iterations == 1
+        sched, moment, converged, iterations = optimal_schedule(catalog, cell)
+        assert converged
+        assert iterations == 1
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
         assert moment == pytest.approx(scheduled_demand_moment(catalog, sched))
 
@@ -169,8 +170,8 @@ class TestOptimalSchedule:
         rng = np.random.default_rng(21)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment = optimal_schedule(catalog, cell)
-            if not sched.converged:
+            sched, moment, converged, _ = optimal_schedule(catalog, cell)
+            if not converged:
                 continue
             # re-sorting by the weights computed from the returned moment
             # reproduces the returned order
@@ -181,7 +182,7 @@ class TestOptimalSchedule:
         rng = np.random.default_rng(22)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment = optimal_schedule(catalog, cell)
+            sched, moment, _, _ = optimal_schedule(catalog, cell)
             pressure = cell.n_users * cell.r_b * catalog.mean_size ** 2 / (
                 4.0 * cell.price_unicast * cell.slots * cell.r_u * moment
             )
@@ -196,7 +197,7 @@ class TestOptimalSchedule:
     def test_zero_users_reduces_to_suboptimal(self):
         catalog = catalog_from([0.3, 0.2], [0.7, 0.3], [2.0, 3.0])
         cell = self._cell(catalog, n_users=0)
-        sched, _ = optimal_schedule(catalog, cell)
+        sched = optimal_schedule(catalog, cell)[0]
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
 
 
@@ -214,3 +215,9 @@ class TestScheduleExport:
     def test_schedule_requires_valid_permutation(self):
         with pytest.raises(InvalidPermutationError):
             Schedule(order=np.array([0, 0]), s=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("field", ["order", "s", "weights"])
+    def test_schedule_is_frozen(self, field):
+        sched = popularity_schedule(catalog_from([0.3, 0.2], [0.4, 0.6], [2.0, 3.0]))
+        with pytest.raises(FrozenInstanceError):
+            setattr(sched, field, None)
