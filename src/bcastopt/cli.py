@@ -51,8 +51,10 @@ def _apply_overrides(spec, args):
 
 
 def _resolved_cell(spec, args):
-    catalog, cell, scheme = normalize(spec)
     n = args.n if getattr(args, "n", None) is not None else max(spec.sweep_users)
+    if n < 0:
+        raise ConfigError(f"user count must be >= 0, got --n {n}")
+    catalog, cell, scheme = normalize(spec)
     return catalog, replace(cell, n_users=n), scheme
 
 

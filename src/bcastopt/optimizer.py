@@ -2,13 +2,18 @@
 coordinate maps, and the joint block-coordinate ascent.
 
 The analytic objective is a lower bound on realized revenue, valid while
-the price discount times any file size stays below one. The closed-form
-bandwidth/price optima are one-shot approximations. Along each of its
-coordinates the bound has a closed-form maximizer: the Smith order for
-the schedule, ``bound_argmax_bandwidth`` for the bandwidth and
-``bound_argmax_price`` for the price. ``joint_optimize`` alternates these
-three, so no step lowers the bound. ``optimal_schedule`` is the fixed
-point of the schedule weights at the closed-form price. Grid-search
+the price discount times any file size stays below one; prices never go
+below ``price_validity_floor`` (at least Pu/2). A schedule enters the
+bound only through the moments D = sum s theta f p and E = sum s theta
+f^2 p (``bound_moments``): with k = r_u / (Wb r_b) the bound is
+Pb N (F - k C(Pb)) + Pu (W - Wb) T, where C(Pb) = D - (Pu - Pb) E is the
+Smith cost. The closed-form bandwidth/price optima are one-shot
+approximations. Along each of its coordinates the bound has a
+closed-form maximizer: the Smith order for the schedule,
+``bound_argmax_bandwidth`` for the bandwidth and ``bound_argmax_price``
+for the price. ``joint_optimize`` alternates these three, so no step
+lowers the bound. ``optimal_schedule`` is the fixed point of the
+schedule weights at the closed-form price. Grid-search
 oracles in the validation suite measure how far each approximation sits
 from the bound's true argmax; the measured gaps are reported rather than
 hidden.
@@ -27,9 +32,11 @@ from .errors import ConvergenceError, InvalidParameterError, PreconditionError
 from .scheduler import (
     Schedule,
     _sort_descending,
+    bound_moments,
+    check_bound_hypothesis,
     scheduled_demand_moment,
-    smith_cost,
     smith_schedule,
+    smith_weight_ratios,
     suboptimal_schedule,
 )
 
@@ -123,14 +130,13 @@ class OptimizationResult:
 
 
 def price_validity_floor(catalog: FileCatalog, cell: CellConfig) -> float:
-    """Smallest broadcast price keeping the bound hypothesis strict.
+    """Smallest admissible broadcast price, max(Pu/2, Pu - (1 - margin)/max f).
 
-    The lower bound requires (Pu - Pb) * f_i < 1 for every file; prices
-    below Pu - 1/max(f) leave the bound undefined, so optimization and
-    sweeps never operate there.
+    The lower bound requires (Pu - Pb) * f_i < 1 for every file, and the
+    closed-form price is never below Pu/2.
     """
     f_max = float(catalog.sizes.max())
-    return max(0.0, cell.price_unicast - (1.0 - _VALIDITY_MARGIN) / f_max)
+    return max(0.5 * cell.price_unicast, cell.price_unicast - (1.0 - _VALIDITY_MARGIN) / f_max)
 
 
 def lower_bound_revenue(
@@ -139,14 +145,16 @@ def lower_bound_revenue(
     """Analytic lower bound on average cell revenue.
 
     Pb * N * sum_i f_i p_i [1 - s_i theta_i r_u / (Wb r_b) * (1 - (Pu - Pb) f_i)]
-    plus the fixed unicast term Pu (W - Wb) T. Requires (Pu - Pb) f_i < 1
-    for all files and positive broadcast bandwidth (unless there are no
-    users, in which case only the unicast term remains).
+    plus the fixed unicast term Pu (W - Wb) T, evaluated on the
+    schedule's :func:`bound_moments` as Pb N (F - r_u/(Wb r_b) (D - (Pu - Pb) E)).
+    Requires (Pu - Pb) f_i < 1 for all files and positive broadcast
+    bandwidth (unless there are no users, in which case only the unicast
+    term remains).
 
     Elementwise over arrays of ``price`` and ``bandwidth``, which
-    broadcast against each other (a float for scalar inputs); each grid
-    point's file sum runs in the order of the scalar call, so the values
-    agree bit for bit. Any grid point outside the hypothesis raises.
+    broadcast against each other (a float for scalar inputs); a grid of
+    G points costs O(M + G), and each point equals the scalar call bit
+    for bit. Any grid point outside the hypothesis raises.
     """
     price = np.asarray(price, dtype=np.float64)
     bandwidth = np.asarray(bandwidth, dtype=np.float64)
@@ -156,20 +164,11 @@ def lower_bound_revenue(
         return value.copy() if value.ndim else float(value)
     if np.any(bandwidth <= 0):
         raise PreconditionError("broadcast bandwidth must be positive when users exist")
-    gap = (cell.price_unicast - price)[..., None]
-    bad = gap * catalog.sizes >= 1.0
-    if bad.any():
-        point = np.unravel_index(np.argmax(bad.any(axis=-1)), price.shape)
-        raise PreconditionError(
-            f"(Pu - Pb) * f_i < 1 violated for files "
-            f"{(np.flatnonzero(bad[point]) + 1).tolist()} at price {price[point]}"
-        )
-    load = schedule.s * catalog.theta * cell.r_u / (bandwidth[..., None] * cell.r_b)
-    bracket = 1.0 - load * (1.0 - gap * catalog.sizes)
-    bc_term = price * cell.n_users * (
-        catalog.sizes * catalog.popularity * bracket
-    ).sum(axis=-1)
-    value = bc_term + uc_term
+    check_bound_hypothesis(catalog, cell.price_unicast, price)
+    d, e = bound_moments(catalog, schedule.s)
+    cost = d - (cell.price_unicast - price) * e
+    load = cell.r_u / (bandwidth * cell.r_b)
+    value = price * cell.n_users * (catalog.mean_size - load * cost) + uc_term
     return value if value.ndim else float(value)
 
 
@@ -222,31 +221,32 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
 
 
 def optimal_schedule(
-    catalog: FileCatalog, cell: CellConfig, max_iters: int = DEFAULT_FIXED_POINT_CAP,
+    catalog: FileCatalog, cell: CellConfig,
 ) -> tuple[Schedule, float, bool, int]:
     """Price-aware scheduler: fixed point of the self-referential weights.
 
-    Weights w_i = theta_i p_i {1 - (f_i/2)(Pu - N r_b F^2 / (4 Pu T r_u S))}
-    depend on the demand moment S of the order they generate. Iterate
-    from the closed-form order, re-sorting until stable. On oscillation
-    the best order seen (by the revenue lower bound at its own
-    closed-form operating point) is returned, flagged not converged.
+    Weights w_i = theta_i p_i {1 - (f_i/2)(Pu - N r_b F^2 / (4 Pu T r_u S))},
+    the Smith ratios at the implied price (Pu + pressure) / 2, depend on
+    the demand moment S of the order they generate. Iterate from the
+    closed-form order, re-sorting until stable. On oscillation (or after
+    ``DEFAULT_FIXED_POINT_CAP`` passes) the best order seen (by the
+    revenue lower bound at its own closed-form operating point) is
+    returned, flagged not converged.
 
     Returns (schedule, S, converged, iterations), where S is the demand
     moment of the returned order.
     """
 
     def weights_for(moment: float) -> np.ndarray:
-        pressure = price_pressure(catalog, cell, moment)
-        bracket = 1.0 - (catalog.sizes / 2.0) * (cell.price_unicast - pressure)
-        return catalog.theta * catalog.popularity * bracket
+        implied_price = (cell.price_unicast + price_pressure(catalog, cell, moment)) / 2.0
+        return smith_weight_ratios(catalog, cell.price_unicast, implied_price)
 
     current = suboptimal_schedule(catalog, cell.price_unicast)
     seen = {tuple(current.order)}
     best = current
     best_moment = scheduled_demand_moment(catalog, current)
     best_bound = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_FIXED_POINT_CAP + 1):
         moment = scheduled_demand_moment(catalog, current)
         w = weights_for(moment)
         nxt_order = _sort_descending(w)
@@ -265,7 +265,7 @@ def optimal_schedule(
             return best, best_moment, False, it
         seen.add(key)
         current = nxt
-    return best, best_moment, False, max_iters
+    return best, best_moment, False, DEFAULT_FIXED_POINT_CAP
 
 
 def bound_argmax_bandwidth(
@@ -275,14 +275,15 @@ def bound_argmax_bandwidth(
     and schedule.
 
     Along the bandwidth the bound is A - B / Wb - Pu T Wb with
-    B = Pb N (r_u / r_b) sum_i s_i theta_i f_i p_i (1 - (Pu - Pb) f_i),
-    so the argmax is sqrt(B / (Pu T)), projected onto the cap. The sum
-    is the Smith cost of the schedule, which also checks the bound's
-    hypothesis (Pu - Pb) f_i < 1.
+    B = Pb N (r_u / r_b) (D - (Pu - Pb) E), the schedule's Smith cost in
+    its :func:`bound_moments`, so the argmax is sqrt(B / (Pu T)),
+    projected onto the cap. Requires (Pu - Pb) f_i < 1 for every file.
     """
     if price <= 0:
         raise InvalidParameterError(f"price must be > 0, got {price}")
-    cost = smith_cost(schedule.order, catalog, cell.price_unicast, price)
+    check_bound_hypothesis(catalog, cell.price_unicast, price)
+    d, e = bound_moments(catalog, schedule.s)
+    cost = d - (cell.price_unicast - price) * e
     raw = math.sqrt(
         price * cell.n_users * cell.r_u * cost
         / (cell.r_b * cell.price_unicast * cell.slots)
@@ -298,30 +299,23 @@ def bound_argmax_price(
     and schedule.
 
     Along the price the bound is a concave quadratic; with
-    a_i = s_i theta_i r_u / (Wb r_b) its vertex is
-    sum_i f_i p_i (1 - a_i (1 - Pu f_i)) / (2 sum_i a_i f_i^2 p_i),
+    F = sum_i f_i p_i, k = r_u / (Wb r_b) and the schedule's
+    :func:`bound_moments` D and E its vertex is (F - k (D - Pu E)) / (2 k E),
     projected onto [floor, Pu].
     """
     if bandwidth <= 0:
         raise InvalidParameterError(f"bandwidth must be > 0, got {bandwidth}")
-    a = schedule.s * catalog.theta * cell.r_u / (bandwidth * cell.r_b)
-    fp = catalog.sizes * catalog.popularity
-    raw = float((fp * (1.0 - a * (1.0 - cell.price_unicast * catalog.sizes))).sum()) / (
-        2.0 * float((a * catalog.sizes * fp).sum())
-    )
+    d, e = bound_moments(catalog, schedule.s)
+    k = cell.r_u / (bandwidth * cell.r_b)
+    raw = (catalog.mean_size - k * (d - cell.price_unicast * e)) / (2.0 * k * e)
     return min(max(raw, floor), cell.price_unicast)
-
-
-def scheduled_tolerance_moment(catalog: FileCatalog, schedule: Schedule) -> float:
-    """sum_i s_i theta_i p_i (enters the gain offset)."""
-    return float(schedule.s @ (catalog.theta * catalog.popularity))
 
 
 def gain_offset(catalog: FileCatalog, schedule: Schedule, demand_moment: float) -> float:
     """Offset G = 0.5 + sum(s theta p) / S in the revenue-gain formula."""
     if demand_moment <= 0:
         raise InvalidParameterError(f"demand moment must be > 0, got {demand_moment}")
-    return 0.5 + scheduled_tolerance_moment(catalog, schedule) / demand_moment
+    return 0.5 + float(schedule.s @ (catalog.theta * catalog.popularity)) / demand_moment
 
 
 def revenue_gain(
@@ -352,7 +346,7 @@ def fixed_point_residuals(
     for the result's price and returns the absolute changes. Both are ~0
     at a genuine fixed point.
     """
-    floor = max(cell.price_unicast / 2.0, price_validity_floor(catalog, cell))
+    floor = price_validity_floor(catalog, cell)
     sched = smith_schedule(catalog, cell.price_unicast, result.bc_price)
     w = bound_argmax_bandwidth(catalog, cell, result.bc_price, sched)
     p = bound_argmax_price(catalog, cell, result.bc_bandwidth, sched, floor=floor)
@@ -368,11 +362,10 @@ def joint_optimize(
     Each iteration takes the bound's exact maximizer along one coordinate
     at a time: the Smith order at the current price, then
     :func:`bound_argmax_bandwidth`, then :func:`bound_argmax_price`. The
-    price box is [max(Pu/2, validity floor), Pu] so the bound stays
+    price box is [:func:`price_validity_floor`, Pu] so the bound stays
     defined and the price never leaves its admissible range. The ascent
-    starts from the one-shot closed-form point (closed-form bandwidth,
-    floored closed-form price, suboptimal schedule), so the result's bound
-    is never below that point's.
+    starts from the :func:`operating_point` of the suboptimal schedule,
+    so the result's bound is never below that point's.
 
     The bound is evaluated after every iteration; a drop beyond rounding
     (relative ``_ASCENT_RTOL`` of the larger of the bound and the
@@ -381,13 +374,12 @@ def joint_optimize(
     raises ConvergenceError otherwise. Both errors carry the iterate trace
     of (bandwidth, price, bound) triples.
     """
-    floor = max(cell.price_unicast / 2.0, price_validity_floor(catalog, cell))
+    sched = suboptimal_schedule(catalog, cell.price_unicast)
+    bandwidth, price, moment = operating_point(catalog, cell, sched)
     if cell.n_users == 0:
-        sched = suboptimal_schedule(catalog, cell.price_unicast)
-        moment = scheduled_demand_moment(catalog, sched)
         return OptimizationResult(
-            bc_bandwidth=0.0,
-            bc_price=floor,
+            bc_bandwidth=bandwidth,
+            bc_price=price,
             schedule=sched,
             demand_moment=moment,
             gain_offset=gain_offset(catalog, sched, moment),
@@ -397,15 +389,8 @@ def joint_optimize(
             iterations=0,
         )
 
-    sched = suboptimal_schedule(catalog, cell.price_unicast)
-    price = min(
-        max(closed_form_price(catalog, cell, scheduled_demand_moment(catalog, sched)),
-            floor),
-        cell.price_unicast,
-    )
-    bound = lower_bound_revenue(
-        catalog, cell, price, closed_form_bandwidth(catalog, cell), sched
-    )
+    floor = price_validity_floor(catalog, cell)
+    bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
     bandwidth = None
     trace = []
     for it in range(1, max_iters + 1):

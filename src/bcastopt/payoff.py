@@ -115,7 +115,8 @@ def assign_services(demand, eligible, pool) -> np.ndarray:
 
 @dataclass
 class SimulationReport:
-    """Monte Carlo estimate of realized cell revenue and policy statistics."""
+    """Monte Carlo estimate of realized cell revenue and policy statistics.
+    ``payoff_guarantee_violations`` is 0: the simulator asserts the guarantee."""
 
     revenue_mean: float
     revenue_stderr: float
@@ -167,7 +168,8 @@ def simulate_revenue(
     pass over (k, N) arrays. Per-trial sums are still taken row by row,
     so the report equals that of a trial-by-trial loop bit for bit, and
     a payoff domain error names the trial and element that loop meets
-    first (its unicast term before its broadcast term).
+    first (its unicast term before its broadcast term). A user assigned
+    broadcast below their unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -212,7 +214,6 @@ def simulate_revenue(
     uc_frac = np.zeros(trials)
     policy_payoffs = []
     baseline_payoffs = []
-    violations = 0
     shortfall_trials = 0
     unrequested = np.zeros(trials)
     realized_rates = []
@@ -255,7 +256,10 @@ def simulate_revenue(
         bc_mask = assigned == BROADCAST
         uc_mask = assigned == UNICAST
         served = bc_mask | uc_mask
-        violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
+        losers = bc_mask & (payoff_bc < payoff_uc)
+        if losers.any():
+            j, user = np.argwhere(losers)[0]
+            raise AssertionError(f"payoff guarantee broken in trial {start + j}: user {user}")
 
         n_bc = np.count_nonzero(bc_mask, axis=1)
         bc_frac[block] = n_bc / n_users
@@ -281,7 +285,7 @@ def simulate_revenue(
         revenue_mean=float(revenues.mean()),
         revenue_stderr=stderr,
         bc_user_fraction=float(bc_frac.mean()),
-        payoff_guarantee_violations=violations,
+        payoff_guarantee_violations=0,
         trials=trials,
         seed=seed if isinstance(seed, int) or seed is None else None,
         n_users=n_users,

@@ -50,6 +50,8 @@ from .scheduler import (
 SCHEDULER_VARIANTS = ("optimal", "suboptimal", "none")
 _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
+_PERMUTATION_FILES = 8  # catalog size of the validation battery
+_GRID_POINTS = 10_000  # points of the validation grid searches
 
 # Failures a sweep point may meet on valid code: recorded in the row's
 # error column. Anything else (a TypeError, an IndexError) is a bug and
@@ -126,6 +128,12 @@ class ExperimentSpec:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
         if self.r_low_bps_hz > self.r_high_bps_hz:
             raise ConfigError("r_low_bps_hz must not exceed r_high_bps_hz")
+        if self.area_ratio_low_to_high < 0:
+            raise ConfigError(
+                f"area_ratio_low_to_high must be >= 0, got {self.area_ratio_low_to_high}"
+            )
+        if not (0.0 < self.bc_cap_fraction <= 1.0):
+            raise ConfigError(f"bc_cap_fraction must be in (0, 1], got {self.bc_cap_fraction}")
         if not self.sweep_users:
             raise ConfigError("sweep user range must be non-empty")
         if any(n < 0 for n in self.sweep_users):
@@ -370,7 +378,7 @@ class SweepResult:
         return [r[name] for r in sorted(rows, key=lambda r: r["N"])]
 
 
-def run_sweep(spec: ExperimentSpec, trials: int | None = None) -> SweepResult:
+def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Sweep user counts (and any γ / catalog-size variants) and emit rows.
 
     Every row carries the closed-form operating point, the analytic bound
@@ -381,7 +389,6 @@ def run_sweep(spec: ExperimentSpec, trials: int | None = None) -> SweepResult:
     recorded in the error column and the sweep continues; any other
     exception propagates.
     """
-    trials = spec.trials if trials is None else trials
     gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
     counts = tuple(dict.fromkeys((spec.file_count,) + spec.file_count_variants))
     result = SweepResult(spec_name=spec.name, scheme=_scheme_for(spec))
@@ -412,7 +419,7 @@ def run_sweep(spec: ExperimentSpec, trials: int | None = None) -> SweepResult:
                         )
                         report = simulate_revenue(
                             catalog, cell, PricePair(cell.price_unicast, price),
-                            bandwidth, schedule, trials=trials, seed=seed,
+                            bandwidth, schedule, trials=spec.trials, seed=seed,
                         )
                         row.update(
                             W_b_star=bandwidth,
@@ -457,27 +464,22 @@ class ValidationReport:
                           indent=indent)
 
 
-def _grid_argmax_bandwidth(catalog, cell, price, schedule, points=10_000):
-    grid = np.linspace(cell.bc_cap / points, cell.bc_cap, points)
-    values = lower_bound_revenue(catalog, cell, price, grid, schedule)
-    return float(grid[int(np.argmax(values))]), cell.bc_cap / points
+def _grid_argmax(bound_on, lo: float, hi: float) -> tuple[float, float]:
+    """Argmax of ``bound_on`` over an even grid on [lo, hi], and its step."""
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    return float(grid[int(np.argmax(bound_on(grid)))]), (hi - lo) / (_GRID_POINTS - 1)
 
 
-def _grid_argmax_price(catalog, cell, bandwidth, schedule, points=10_000, lo=0.0):
-    grid = np.linspace(lo, cell.price_unicast, points)
-    values = lower_bound_revenue(catalog, cell, grid, bandwidth, schedule)
-    return float(grid[int(np.argmax(values))]), (cell.price_unicast - lo) / (points - 1)
-
-
-def run_validation(spec: ExperimentSpec, permutation_files: int = 8) -> ValidationReport:
+def run_validation(spec: ExperimentSpec) -> ValidationReport:
     """Oracle battery: brute-force scheduling, grid-search optima,
     fixed-point residuals, and the Monte Carlo bound check.
 
-    Failures become FAIL entries with the measured deltas; nothing raises.
+    Failures become FAIL entries with the measured deltas; only a broken
+    invariant (the simulator's payoff guarantee) raises.
     """
     report = ValidationReport(spec_name=spec.name)
 
-    small = replace(spec, file_count=min(spec.file_count, permutation_files))
+    small = replace(spec, file_count=min(spec.file_count, _PERMUTATION_FILES))
     catalog, cell0, _ = normalize(small)
     n_ref = max(spec.sweep_users) if max(spec.sweep_users) > 0 else 10
     cell = replace(cell0, n_users=n_ref)
@@ -500,7 +502,9 @@ def run_validation(spec: ExperimentSpec, permutation_files: int = 8) -> Validati
     sched = suboptimal_schedule(catalog, cell.price_unicast)
     bandwidth, price, moment = operating_point(catalog, cell, sched)
     wb_hat = closed_form_bandwidth(catalog, cell)
-    grid_wb, wb_step = _grid_argmax_bandwidth(catalog, cell, price, sched)
+    grid_wb, wb_step = _grid_argmax(
+        lambda w: lower_bound_revenue(catalog, cell, price, w, sched),
+        cell.bc_cap / _GRID_POINTS, cell.bc_cap)
     tol_wb = 2 * wb_step + 0.05 * abs(grid_wb)
     delta_wb = abs(wb_hat - grid_wb)
     report.add(
@@ -511,9 +515,10 @@ def run_validation(spec: ExperimentSpec, permutation_files: int = 8) -> Validati
     )
     pb_hat = closed_form_price(catalog, cell, moment)
     # the closed form is structurally confined to [Pu/2, Pu]; compare it
-    # against the bound's argmax over that same admissible range
-    grid_lo = max(cell.price_unicast / 2.0, price_validity_floor(catalog, cell))
-    grid_pb, pb_step = _grid_argmax_price(catalog, cell, wb_hat, sched, lo=grid_lo)
+    # against the bound's argmax over the admissible range [floor, Pu]
+    grid_pb, pb_step = _grid_argmax(
+        lambda p: lower_bound_revenue(catalog, cell, p, wb_hat, sched),
+        floor, cell.price_unicast)
     tol_pb = 2 * pb_step + 0.05 * abs(grid_pb)
     delta_pb = abs(pb_hat - grid_pb)
     report.add(
@@ -534,26 +539,27 @@ def run_validation(spec: ExperimentSpec, permutation_files: int = 8) -> Validati
                    f"residuals ({res_w:.2e}, {res_p:.2e}) exceed 1e-9")
 
     # 4. Monte Carlo revenue vs the analytic bound, at the raw closed-form
-    #    price (skipped when the bound hypothesis fails there).
+    #    price (skipped when the bound hypothesis fails there; the
+    #    simulation then runs at the floored price for check 5).
     raw_price = min(closed_form_price(catalog, cell, moment), cell.price_unicast)
-    gap = cell.price_unicast - raw_price
-    if gap * catalog.sizes.max() >= 1.0:
+    try:
+        bound = lower_bound_revenue(catalog, cell, raw_price, bandwidth, sched)
+        mc_price = raw_price
+    except PreconditionError:
+        bound, mc_price = None, price
+        excess = (cell.price_unicast - raw_price) * catalog.sizes.max()
         report.add(
             "lower_bound_mc", "SKIPPED",
-            f"(Pu - Pb) * max f = {gap * catalog.sizes.max():.4g} >= 1 at the "
+            f"(Pu - Pb) * max f = {excess:.4g} >= 1 at the "
             f"closed-form price {raw_price:.4g}; bound undefined there",
         )
-        mc_price = price  # floored price for the guarantee check below
-    else:
-        mc_price = raw_price
-    bound = lower_bound_revenue(catalog, cell, mc_price, bandwidth, sched)
     mc = simulate_revenue(
         catalog, cell, PricePair(cell.price_unicast, mc_price), bandwidth, sched,
         trials=max(400, min(spec.trials, 2000)),
         seed=np.random.SeedSequence([spec.seed, 0xA11D]),
     )
-    slack = mc.revenue_mean + 3.0 * mc.revenue_stderr - bound
-    if gap * catalog.sizes.max() < 1.0:
+    if bound is not None:
+        slack = mc.revenue_mean + 3.0 * mc.revenue_stderr - bound
         report.add(
             "lower_bound_mc",
             "PASS" if slack >= 0 else "FAIL",

@@ -94,21 +94,35 @@ def popularity_schedule(catalog: FileCatalog) -> Schedule:
     return Schedule.from_order(_sort_descending(w), catalog, weights=w)
 
 
-def smith_cost(order, catalog: FileCatalog, price_unicast, price_broadcast) -> float:
-    """Weighted-completion objective sum_i s_i * theta_i * f_i * p_i * (1 - (Pu-Pb) f_i).
-
-    Requires (Pu - Pb) * f_i < 1 for every file.
-    """
-    gap = price_unicast - price_broadcast
-    bad = np.flatnonzero(gap * catalog.sizes >= 1.0)
-    if bad.size:
+def check_bound_hypothesis(catalog: FileCatalog, price_unicast, price) -> None:
+    """Raise PreconditionError unless (Pu - Pb) * f_i < 1 for every file,
+    at every price of an array; names the files (1-based) and the first
+    violating price. Rounding is monotone, so the largest file decides."""
+    price = np.asarray(price, dtype=np.float64)
+    gap = price_unicast - price
+    bad = gap * catalog.sizes.max() >= 1.0
+    if bad.any():
+        point = np.unravel_index(np.argmax(bad), price.shape)
+        files = np.flatnonzero(gap[point] * catalog.sizes >= 1.0) + 1
         raise PreconditionError(
-            f"(Pu - Pb) * f_i < 1 violated for files {list(bad + 1)} "
-            f"(gap={gap}, sizes={catalog.sizes[bad]})"
+            f"(Pu - Pb) * f_i < 1 violated for files {files.tolist()} "
+            f"at price {price[point]}"
         )
-    s = cumulative_sizes(order, catalog.sizes)
-    c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - gap * catalog.sizes)
-    return float(s @ c)
+
+
+def bound_moments(catalog: FileCatalog, s) -> tuple[float, float]:
+    """Moments D = sum_i s_i theta_i f_i p_i and E = sum_i s_i theta_i f_i^2 p_i
+    of completion sizes ``s``; the Smith cost at price Pb is D - (Pu - Pb) E."""
+    tfp = catalog.theta * catalog.sizes * catalog.popularity
+    return float(s @ tfp), float(s @ (tfp * catalog.sizes))
+
+
+def smith_cost(order, catalog: FileCatalog, price_unicast, price_broadcast) -> float:
+    """Weighted-completion objective sum_i s_i * theta_i * f_i * p_i * (1 - (Pu-Pb) f_i),
+    as D - (Pu - Pb) E (:func:`bound_moments`). Requires (Pu - Pb) * f_i < 1."""
+    check_bound_hypothesis(catalog, price_unicast, price_broadcast)
+    d, e = bound_moments(catalog, cumulative_sizes(order, catalog.sizes))
+    return d - (price_unicast - price_broadcast) * e
 
 
 def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast):
@@ -120,9 +134,8 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
     n = catalog.size
     if n > 9:
         raise InvalidParameterError(f"brute force limited to 9 files, got {n}")
+    check_bound_hypothesis(catalog, price_unicast, price_broadcast)
     gap = price_unicast - price_broadcast
-    if np.any(gap * catalog.sizes >= 1.0):
-        raise PreconditionError("(Pu - Pb) * f_i < 1 violated")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - gap * catalog.sizes)
     completion = np.cumsum(catalog.sizes[perms], axis=1)
@@ -132,8 +145,8 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
 
 
 def scheduled_demand_moment(catalog: FileCatalog, schedule: Schedule) -> float:
-    """Schedule-weighted demand moment sum_i s_i * theta_i * f_i * p_i."""
-    return float(schedule.s @ (catalog.theta * catalog.sizes * catalog.popularity))
+    """Schedule-weighted demand moment D = sum_i s_i * theta_i * f_i * p_i."""
+    return bound_moments(catalog, schedule.s)[0]
 
 
 def schedule_to_csv(schedule: Schedule, catalog: FileCatalog) -> str:

@@ -21,8 +21,10 @@ from bcastopt.optimizer import (
     revenue_gain,
 )
 from bcastopt.scheduler import (
+    cumulative_sizes,
     popularity_schedule,
     scheduled_demand_moment,
+    smith_cost,
     smith_schedule,
     suboptimal_schedule,
 )
@@ -121,6 +123,91 @@ class TestLowerBoundOnGrids:
         assert values.tolist() == [1.0 * (4.0 - 1.0) * 3] * 3
         values = lower_bound_revenue(catalog, cell, 0.5, np.array([0.0, 1.0, 2.0]), sched)
         assert values.tolist() == [12.0, 9.0, 6.0]
+
+
+def _per_file_bound(catalog, cell, price, bandwidth, schedule):
+    """The bound as a per-file sum: the reference for the moments form."""
+    price = np.asarray(price, dtype=np.float64)
+    bandwidth = np.asarray(bandwidth, dtype=np.float64)
+    gap = (cell.price_unicast - price)[..., None]
+    load = schedule.s * catalog.theta * cell.r_u / (bandwidth[..., None] * cell.r_b)
+    bracket = 1.0 - load * (1.0 - gap * catalog.sizes)
+    bc_term = price * cell.n_users * (catalog.sizes * catalog.popularity * bracket).sum(axis=-1)
+    return bc_term + cell.price_unicast * (cell.bandwidth - bandwidth) * cell.slots
+
+
+def _per_file_smith_cost(order, catalog, pu, pb):
+    s = cumulative_sizes(order, catalog.sizes)
+    c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - (pu - pb) * catalog.sizes)
+    return float(s @ c)
+
+
+def _per_file_price_vertex(catalog, cell, bandwidth, schedule):
+    a = schedule.s * catalog.theta * cell.r_u / (bandwidth * cell.r_b)
+    fp = catalog.sizes * catalog.popularity
+    return float((fp * (1.0 - a * (1.0 - cell.price_unicast * catalog.sizes))).sum()) / (
+        2.0 * float((a * catalog.sizes * fp).sum())
+    )
+
+
+class TestMomentsForm:
+    """The bound and its maps, written on the moments D and E, agree with
+    the per-file expressions they replaced."""
+
+    @staticmethod
+    def _draws():
+        rng = np.random.default_rng(808)
+        for m_lo, m_hi in ((3, 8), (3, 8), (20, 60)):
+            for _ in range(15):
+                catalog, cell = random_instance(rng, m_lo=m_lo, m_hi=m_hi)
+                floor = price_validity_floor(catalog, cell)
+                prices = np.concatenate(
+                    [[floor, cell.price_unicast],
+                     rng.uniform(floor, cell.price_unicast, 6)])
+                bandwidths = np.linspace(cell.bc_cap / 7, cell.bc_cap, 7)
+                yield catalog, cell, prices, bandwidths
+
+    def test_bound_on_scalars_and_grids(self):
+        for catalog, cell, prices, bandwidths in self._draws():
+            for sched in (suboptimal_schedule(catalog, cell.price_unicast),
+                          smith_schedule(catalog, cell.price_unicast, prices[0])):
+                for price in prices:
+                    for w in bandwidths:
+                        assert lower_bound_revenue(catalog, cell, price, w, sched) == \
+                            pytest.approx(float(_per_file_bound(catalog, cell, price, w, sched)),
+                                          rel=1e-12)
+                grid = lower_bound_revenue(catalog, cell, prices[:, None], bandwidths, sched)
+                assert grid.shape == (len(prices), len(bandwidths))
+                assert grid == pytest.approx(
+                    _per_file_bound(catalog, cell, prices[:, None], bandwidths, sched),
+                    rel=1e-12)
+
+    def test_smith_cost(self):
+        for catalog, cell, prices, _ in self._draws():
+            pu = cell.price_unicast
+            orders = (suboptimal_schedule(catalog, pu).order,
+                      popularity_schedule(catalog).order)
+            for pb in prices:
+                for order in orders:
+                    assert smith_cost(order, catalog, pu, pb) == pytest.approx(
+                        _per_file_smith_cost(order, catalog, pu, pb), rel=1e-12)
+
+    def test_price_vertex(self):
+        for catalog, cell, prices, bandwidths in self._draws():
+            sched = smith_schedule(catalog, cell.price_unicast, prices[0])
+            for w in bandwidths:
+                raw = _per_file_price_vertex(catalog, cell, w, sched)
+                # a floor of -1e9 leaves only the projection onto Pu
+                got = bound_argmax_price(catalog, cell, w, sched, floor=-1e9)
+                want = min(raw, cell.price_unicast)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_floor_is_half_unicast_price_for_small_files(self):
+        catalog = catalog_from([0.1, 0.3, 0.2], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.6,
+                          rate_model=point_rate(1.0))
+        # Pu - 1/max f = 2.6 - 3.33 < 0, so only the Pu/2 floor is left
+        assert price_validity_floor(catalog, cell) == 1.3
 
 
 class TestClosedFormBandwidth:

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import main
 from bcastopt.errors import ConfigError, ConvergenceError
@@ -197,6 +198,17 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="injected bug"):
             run_sweep(small_spec)
 
+    def test_broken_payoff_guarantee_propagates(self, small_spec, monkeypatch):
+        # An assignment that broadcasts every user also broadcasts those
+        # whose broadcast payoff is below their unicast payoff.
+        def broadcast_everyone(demand, eligible, pool):
+            assert not np.all(eligible)
+            return np.full(np.shape(demand), payoff.BROADCAST, dtype=np.int8)
+
+        monkeypatch.setattr(payoff, "assign_services", broadcast_everyone)
+        with pytest.raises(AssertionError, match="payoff guarantee broken in trial 0"):
+            run_sweep(small_spec)
+
     def test_variant_axes_expand_rows(self, small_config):
         text = pathlib.Path(small_config).read_text()
         text = text.replace("[simulation]", "zipf_exponents = 0.5\n\n[simulation]")
@@ -282,6 +294,28 @@ class TestCli:
         assert main(["sweep", small_config, "-o", str(a)]) == 0
         assert main(["sweep", small_config, "-o", str(b), "--seed", "123"]) == 0
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("edit, argv", [
+        (None, ["optimize", "--beta", "1.5"]),
+        (None, ["sweep", "--beta", "0"]),
+        (("bc_cap_fraction = 0.6", "bc_cap_fraction = 1.5"), ["sweep"]),
+        (("area_ratio_low_to_high = 9", "area_ratio_low_to_high = -1"), ["simulate"]),
+        (None, ["optimize", "--n", "-1"]),
+        (None, ["simulate", "--n", "-5"]),
+    ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
+            "negative-area-ratio", "negative-n-optimize", "negative-n-simulate"])
+    def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
+                                                 edit, argv):
+        path = small_config
+        if edit is not None:
+            text = pathlib.Path(small_config).read_text()
+            assert edit[0] in text
+            path = tmp_path / "bad.cfg"
+            path.write_text(text.replace(edit[0], edit[1]))
+        command, *options = argv
+        assert main([command, str(path), *options]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

@@ -102,6 +102,14 @@ class TestSmithCost:
         with pytest.raises(PreconditionError):
             smith_cost([0], catalog, 2.6, 1.0)
 
+    def test_hypothesis_message_names_files_and_price(self):
+        catalog = catalog_from([0.2, 0.6, 0.5], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
+        expected = r"files \[2, 3\] at price 0.5$"
+        with pytest.raises(PreconditionError, match=expected):
+            smith_cost([0, 1, 2], catalog, 2.5, 0.5)
+        with pytest.raises(PreconditionError, match=expected):
+            brute_force_best_order(catalog, 2.5, 0.5)
+
     def test_equal_prices_reduce_weights_to_theta_p(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
