@@ -81,8 +81,12 @@ def broadcast_rate(model: RateModel, n_broadcast_users: int) -> float:
     return model.r_low + (model.r_high - model.r_low) * p_all_high
 
 
+def rates_from_uniforms(model: RateModel, u) -> np.ndarray:
+    """Unicast rates of users placed by standard uniforms ``u``: a user is
+    in the good region when their uniform is below ``prob_high``."""
+    return np.where(u < model.prob_high, model.r_high, model.r_low)
+
+
 def sample_user_rates(model: RateModel, size: int, rng) -> np.ndarray:
     """Draw ``size`` users' unicast rates from the two-region placement."""
-    gen = np.random.default_rng(rng)
-    high = gen.random(size) < model.prob_high
-    return np.where(high, model.r_high, model.r_low)
+    return rates_from_uniforms(model, np.random.default_rng(rng).random(size))

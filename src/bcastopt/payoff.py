@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import sample_user_rates
-from .demand import FileCatalog, sample_requests
+from .channel import rates_from_uniforms
+from .demand import FileCatalog
 from .errors import InvalidParameterError, PayoffDomainError
 
 # Per-user outcomes of :func:`assign_services`.
@@ -113,6 +113,16 @@ def assign_services(demand, eligible, pool) -> np.ndarray:
     return assigned
 
 
+def _row_sums(x, mask, counts) -> np.ndarray:
+    """Sum of each row's masked entries of ``x``, where row j has
+    ``counts[j]`` of them. Each row is summed as its own 1-D slice of
+    ``x[mask]``, numpy's pairwise order for that row alone; reduceat and
+    masked 2-D row sums round differently."""
+    flat = x[mask]
+    stops = np.cumsum(counts).tolist()
+    return np.array([flat[a:b].sum() for a, b in zip([0] + stops[:-1], stops)])
+
+
 @dataclass
 class SimulationReport:
     """Monte Carlo estimate of realized cell revenue and policy statistics.
@@ -163,13 +173,16 @@ def simulate_revenue(
     order.
 
     Trials run in consecutive blocks of k = max(1, 2**13 // N). Each
-    trial of a block draws from its own stream, in trial order; the
-    payoffs, assignment and statistics of the whole block are then one
-    pass over (k, N) arrays. Per-trial sums are still taken row by row,
-    so the report equals that of a trial-by-trial loop bit for bit, and
-    a payoff domain error names the trial and element that loop meets
-    first (its unicast term before its broadcast term). A user assigned
-    broadcast below their unicast payoff raises AssertionError.
+    trial of a block draws from its own stream, in trial order: its
+    request counts, then N rate uniforms and N threshold uniforms in one
+    call. Rates, thresholds, payoffs, assignment and statistics of the
+    whole block are then one pass over (k, N) arrays. Per-trial sums are
+    1-D sums of each row's slice of the block's masked entries (see
+    :func:`_row_sums`), so the report equals that of a trial-by-trial
+    loop bit for bit, and a payoff domain error names the trial and
+    element that loop meets first (its unicast term before its broadcast
+    term). A user assigned broadcast below their unicast payoff raises
+    AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -222,19 +235,25 @@ def simulate_revenue(
     streams = root.spawn(trials)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
-    rate_buf = np.empty((k, n_users))
-    thr_buf = np.empty((k, n_users))
+    # Each trial's rate uniforms, then its threshold uniforms: the draws
+    # sample_user_rates and gen.uniform(lo, hi) would make, in that order.
+    u_buf = np.empty((k, 2, n_users))
+    span = hi - lo
     for start in range(0, trials, k):
         block = slice(start, min(start + k, trials))
         rows = block.stop - start
         for j, stream in enumerate(streams[block]):
             gen = np.random.default_rng(stream)
-            counts = sample_requests(catalog, n_users, gen)
-            unrequested[start + j] = np.count_nonzero(counts == 0)
+            counts = gen.multinomial(n_users, catalog.popularity)
             ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
-            rate_buf[j] = sample_user_rates(catalog.rate_model, n_users, gen)
-            thr_buf[j] = gen.uniform(lo[ufile_buf[j]], hi[ufile_buf[j]])
-        ufile, rate_u, thr = ufile_buf[:rows], rate_buf[:rows], thr_buf[:rows]
+            gen.random(out=u_buf[j])
+        ufile, u = ufile_buf[:rows], u_buf[:rows]
+        # Rows are grouped by file, so each file change starts a new requested file.
+        requested = 1 + np.count_nonzero(ufile[:, 1:] != ufile[:, :-1], axis=1)
+        unrequested[block] = catalog.size - requested
+        rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
+        # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
+        thr = lo[ufile] + span[ufile] * u[:, 1]
         f = sizes[ufile]
 
         try:
@@ -264,14 +283,12 @@ def simulate_revenue(
         n_bc = np.count_nonzero(bc_mask, axis=1)
         bc_frac[block] = n_bc / n_users
         uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
-        # Per-trial sums go row by row: a 1-D sum keeps the pairwise order of
-        # the trial loop, so the report matches it bit for bit.
-        bc_size = np.array([f[j][bc_mask[j]].sum() for j in range(rows)])
-        revenues[block] = uc_revenue + prices.broadcast * bc_size
+        revenues[block] = uc_revenue + prices.broadcast * _row_sums(f, bc_mask, n_bc)
         realized = np.where(bc_mask, payoff_bc, payoff_uc)
-        for j in np.flatnonzero(served.any(axis=1)):
-            policy_payoffs.append(realized[j][served[j]].mean())
-            baseline_payoffs.append(payoff_uc[j][served[j]].mean())
+        n_served = np.count_nonzero(served, axis=1)
+        some = n_served > 0
+        policy_payoffs.extend(_row_sums(realized, served, n_served)[some] / n_served[some])
+        baseline_payoffs.extend(_row_sums(payoff_uc, served, n_served)[some] / n_served[some])
         realized_rates.extend(np.where(bc_mask, rate_u, np.inf).min(axis=1)[n_bc > 0])
 
     if shortfall_trials:

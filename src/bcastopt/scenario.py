@@ -122,6 +122,8 @@ class ExperimentSpec:
         for key, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.size_min_mb > self.size_max_mb:
             raise ConfigError("size_min_mb must not exceed size_max_mb")
         if self.theta_min_s > self.theta_max_s:

@@ -9,7 +9,6 @@ scheduler needs the revenue bound and lives in ``optimizer``.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +124,22 @@ def smith_cost(order, catalog: FileCatalog, price_unicast, price_broadcast) -> f
     return d - (price_unicast - price_broadcast) * e
 
 
+def _permutations(n: int) -> np.ndarray:
+    """All n! orders of range(n) as rows, in itertools.permutations order.
+
+    Lexicographic: the orders starting with file i are i followed by the
+    orders of the other files, which are the orders of range(n - 1) with
+    every index >= i shifted up by one.
+    """
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, n + 1):
+        first = np.arange(m)[:, None, None]
+        rest = perms + (perms >= first)
+        head = np.broadcast_to(first, (m, len(perms), 1))
+        perms = np.concatenate([head, rest], axis=2).reshape(-1, m)
+    return perms
+
+
 def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast):
     """Exhaustive minimizer of :func:`smith_cost` over all orders.
 
@@ -136,7 +151,7 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
         raise InvalidParameterError(f"brute force limited to 9 files, got {n}")
     check_bound_hypothesis(catalog, price_unicast, price_broadcast)
     gap = price_unicast - price_broadcast
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = _permutations(n)
     c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - gap * catalog.sizes)
     completion = np.cumsum(catalog.sizes[perms], axis=1)
     costs = (completion * c[perms]).sum(axis=1)

@@ -454,6 +454,18 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
     )
 
 
+def _matches_trial_loop_at_operating_point(catalog, cell, n_users=150, trials=100, seed=13):
+    """Simulate at the suboptimal operating point and compare with the
+    trial loop field by field; returns the report."""
+    cell = dataclasses.replace(cell, n_users=n_users)
+    schedule = suboptimal_schedule(catalog, cell.price_unicast)
+    bandwidth, price, _ = operating_point(catalog, cell, schedule)
+    args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+    got = simulate_revenue(*args, trials=trials, seed=seed)
+    _assert_same_report(got, _reference_simulation(*args, trials=trials, seed=seed))
+    return got
+
+
 def _assert_same_report(got, want):
     for field in dataclasses.fields(SimulationReport):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -479,6 +491,7 @@ class TestSimulateBlocks:
         (200, 1, None, None),   # a single trial
         (150, 40, 0.0, None),   # no broadcast slice
         (0, 5, None, None),     # no users
+        (50, 333, None, None),  # 2**13 // 50 = 163: 163 + 163 + 7
     ])
     def test_matches_trial_loop(self, single_cell_setup, n_users, trials, bc_bandwidth,
                                 cell_bandwidth):
@@ -496,6 +509,47 @@ class TestSimulateBlocks:
         if cell_bandwidth is not None:
             assert min(got.bc_user_fraction, got.uc_user_fraction,
                        got.unserved_user_fraction) > 0
+
+    def test_rows_without_broadcast_or_served_users(self, single_cell_setup, monkeypatch):
+        # 3 users in an 8-unit cell with half of it on broadcast: in the one
+        # block of 300 trials, some rows serve nobody and some broadcast to
+        # nobody, so their per-row slices are empty next to non-empty ones.
+        catalog, cell0, _ = single_cell_setup
+        cell = dataclasses.replace(cell0, bandwidth=8.0, n_users=3)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        _, price, _ = operating_point(catalog, cell, schedule)
+        args = (catalog, cell, PricePair(cell.price_unicast, price), 4.0, schedule)
+        row_sums, counts = payoff._row_sums, []
+
+        def spy(x, mask, row_counts):
+            counts.append(np.array(row_counts))
+            return row_sums(x, mask, row_counts)
+
+        monkeypatch.setattr(payoff, "_row_sums", spy)
+        got = simulate_revenue(*args, trials=300, seed=5)
+        _assert_same_report(got, _reference_simulation(*args, trials=300, seed=5))
+        # calls: broadcast sizes, then the served users' two payoffs
+        assert len(counts) == 3 and len(counts[0]) == 300
+        n_bc, n_served = counts[0], counts[1]
+        assert 0 < np.count_nonzero(n_bc == 0) < 300
+        assert 0 < np.count_nonzero(n_served == 0) < 300
+
+    def test_point_mass_thresholds_match_trial_loop(self, single_cell_setup):
+        catalog, cell, _ = single_cell_setup
+        hi = catalog.delay_hi.copy()
+        hi[::2] = catalog.delay_lo[::2]
+        catalog = dataclasses.replace(catalog, delay_hi=hi)
+        assert np.any(catalog.delay_lo == hi) and np.any(catalog.delay_lo < hi)
+        _matches_trial_loop_at_operating_point(catalog, cell)
+
+    @pytest.mark.parametrize("prob_high", [0.0, 1.0])
+    def test_single_region_rates_match_trial_loop(self, single_cell_setup, prob_high):
+        catalog, cell, _ = single_cell_setup
+        rates = dataclasses.replace(catalog.rate_model, prob_high=prob_high)
+        catalog = dataclasses.replace(catalog, rate_model=rates)
+        got = _matches_trial_loop_at_operating_point(catalog, cell)
+        rate = rates.r_high if prob_high == 1.0 else rates.r_low
+        assert got.bc_rate_realized_mean == pytest.approx(rate, rel=1e-12)
 
     def test_shortfall_trials_and_warning_match_trial_loop(self, single_cell_setup):
         # A 40-unit cell with 5 users: about half the trials leave pool unsold.

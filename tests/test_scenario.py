@@ -302,8 +302,14 @@ class TestCli:
         (("area_ratio_low_to_high = 9", "area_ratio_low_to_high = -1"), ["simulate"]),
         (None, ["optimize", "--n", "-1"]),
         (None, ["simulate", "--n", "-5"]),
+        (("seed = 7", "seed = -3"), ["sweep"]),
+        (None, ["validate", "--seed", "-1"]),
+        (None, ["sweep", "--seed", "-1"]),
+        (None, ["simulate", "--seed", "-1"]),
     ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
-            "negative-area-ratio", "negative-n-optimize", "negative-n-simulate"])
+            "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
+            "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
+            "negative-seed-simulate"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
         path = small_config

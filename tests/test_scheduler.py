@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -9,6 +10,7 @@ from bcastopt.errors import InvalidPermutationError, PreconditionError
 from bcastopt.optimizer import CellConfig, closed_form_price, optimal_schedule
 from bcastopt.scheduler import (
     Schedule,
+    _permutations,
     brute_force_best_order,
     cumulative_sizes,
     popularity_schedule,
@@ -131,6 +133,45 @@ class TestSmithCost:
             sched = smith_schedule(catalog, pu, pb)
             _, best = brute_force_best_order(catalog, pu, pb)
             assert smith_cost(sched.order, catalog, pu, pb) == pytest.approx(best, abs=1e-12)
+
+
+def _itertools_best_order(catalog, pu, pb):
+    """Smith-cost minimizer by a plain loop over itertools.permutations."""
+    sizes = catalog.sizes.tolist()
+    c = (catalog.theta * catalog.sizes * catalog.popularity
+         * (1.0 - (pu - pb) * catalog.sizes)).tolist()
+    best_order, best_cost = None, float("inf")
+    for order in itertools.permutations(range(catalog.size)):
+        done = cost = 0.0
+        for i in order:
+            done += sizes[i]
+            cost += done * c[i]
+        if cost < best_cost:
+            best_order, best_cost = order, cost
+    return list(best_order), best_cost
+
+
+class TestBruteForce:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_permutations_in_itertools_order(self, n):
+        want = np.array(list(itertools.permutations(range(n))))
+        got = _permutations(n)
+        assert got.shape == want.shape and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_matches_itertools_search(self):
+        rng = np.random.default_rng(41)
+        sizes_seen = set()
+        for _ in range(12):
+            catalog, cell = random_instance(rng, m_lo=1, m_hi=8)
+            pu = cell.price_unicast
+            pb = float(rng.uniform(pu / 2.0, pu))
+            order, cost = brute_force_best_order(catalog, pu, pb)
+            want_order, want_cost = _itertools_best_order(catalog, pu, pb)
+            assert order.tolist() == want_order
+            assert cost == pytest.approx(want_cost, rel=1e-12, abs=1e-15)
+            sizes_seen.add(catalog.size)
+        assert 8 in sizes_seen
 
 
 @given(data=st.data())
