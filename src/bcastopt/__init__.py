@@ -6,7 +6,6 @@ from .channel import (
     RateModel,
     broadcast_rate,
     prob_high_from_area_ratio,
-    sample_user_rates,
     unicast_rate,
 )
 from .demand import (
@@ -14,7 +13,6 @@ from .demand import (
     ZipfParams,
     aggregate_delay_tolerance,
     build_catalog,
-    sample_requests,
     zipf_pmf,
 )
 from .errors import (

@@ -86,7 +86,3 @@ def rates_from_uniforms(model: RateModel, u) -> np.ndarray:
     in the good region when their uniform is below ``prob_high``."""
     return np.where(u < model.prob_high, model.r_high, model.r_low)
 
-
-def sample_user_rates(model: RateModel, size: int, rng) -> np.ndarray:
-    """Draw ``size`` users' unicast rates from the two-region placement."""
-    return rates_from_uniforms(model, np.random.default_rng(rng).random(size))

@@ -197,19 +197,6 @@ def build_catalog(
                        delay_lo=lo, delay_hi=hi, rate_model=rate_model)
 
 
-def sample_requests(catalog: FileCatalog, n_users: int, rng) -> np.ndarray:
-    """Per-file request counts for ``n_users`` i.i.d. popularity draws.
-
-    Deterministic for a fixed seed; counts sum to ``n_users``.
-    """
-    if n_users < 0:
-        raise InvalidParameterError(f"user count must be >= 0, got {n_users}")
-    gen = np.random.default_rng(rng)
-    if n_users == 0:
-        return np.zeros(catalog.size, dtype=np.int64)
-    return gen.multinomial(n_users, catalog.popularity)
-
-
 def catalog_to_csv(catalog: FileCatalog) -> str:
     """Catalog export with columns (i, f_i, p_i, theta_i)."""
     buf = io.StringIO()

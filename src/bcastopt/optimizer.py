@@ -12,17 +12,17 @@ approximations. Along each of its coordinates the bound has a
 closed-form maximizer: the Smith order for the schedule,
 ``bound_argmax_bandwidth`` for the bandwidth and ``bound_argmax_price``
 for the price. ``joint_optimize`` alternates these three, so no step
-lowers the bound. ``optimal_schedule`` is the fixed point of the
-schedule weights at the closed-form price. Grid-search
-oracles in the validation suite measure how far each approximation sits
-from the bound's true argmax; the measured gaps are reported rather than
-hidden.
+lowers the bound. ``optimal_schedule`` is the Smith order at the
+closed-form price of its own demand moment, a fixed point the iteration
+always reaches because that price is capped at Pu. Grid-search oracles
+in the validation suite measure how far each approximation sits from the
+bound's true argmax; the measured gaps are reported rather than hidden.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,10 @@ from .demand import FileCatalog
 from .errors import ConvergenceError, InvalidParameterError, PreconditionError
 from .scheduler import (
     Schedule,
-    _sort_descending,
     bound_moments,
     check_bound_hypothesis,
     scheduled_demand_moment,
     smith_schedule,
-    smith_weight_ratios,
     suboptimal_schedule,
 )
 
@@ -187,8 +185,8 @@ def closed_form_bandwidth(catalog: FileCatalog, cell: CellConfig) -> float:
 def price_pressure(catalog: FileCatalog, cell: CellConfig, demand_moment: float) -> float:
     """Demand pressure on the broadcast price, N r_b F^2 / (4 Pu T r_u S).
 
-    Shared by the closed-form price, the revenue gain's saturation term
-    and the price-aware scheduler's weights.
+    Shared by the closed-form price (and through it the price-aware
+    scheduler) and the revenue gain's saturation term.
     """
     return (
         cell.n_users * cell.r_b * catalog.mean_size ** 2
@@ -222,50 +220,41 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
 
 def optimal_schedule(
     catalog: FileCatalog, cell: CellConfig,
-) -> tuple[Schedule, float, bool, int]:
-    """Price-aware scheduler: fixed point of the self-referential weights.
+) -> tuple[Schedule, float, int]:
+    """Price-aware scheduler: the Smith order at its own closed-form price.
 
-    Weights w_i = theta_i p_i {1 - (f_i/2)(Pu - N r_b F^2 / (4 Pu T r_u S))},
-    the Smith ratios at the implied price (Pu + pressure) / 2, depend on
-    the demand moment S of the order they generate. Iterate from the
-    closed-form order, re-sorting until stable. On oscillation (or after
-    ``DEFAULT_FIXED_POINT_CAP`` passes) the best order seen (by the
-    revenue lower bound at its own closed-form operating point) is
-    returned, flagged not converged.
+    The weights w_i = theta_i p_i (1 - (Pu - Pb) f_i) are the Smith
+    ratios at Pb = :func:`closed_form_price` of the demand moment S of
+    the order they generate. Starting from the suboptimal order, re-sort
+    until the order repeats.
 
-    Returns (schedule, S, converged, iterations), where S is the demand
-    moment of the returned order.
+    The loop ends. With g = Pu - Pb the Smith order minimizes D - g E
+    (:func:`bound_moments`), so a larger g >= 0 gives an order with no
+    smaller E and hence no smaller D = S. The price's cap at Pu keeps
+    g >= 0 and non-decreasing in S, so the moments of successive orders
+    move one way; an unchanged moment repeats the price and hence the
+    order. ``DEFAULT_FIXED_POINT_CAP`` only guards against near-ties at
+    rounding level: reaching it raises ConvergenceError with the trace
+    of moments.
+
+    Returns (schedule, S, iterations), where S is the demand moment of
+    the returned order.
     """
-
-    def weights_for(moment: float) -> np.ndarray:
-        implied_price = (cell.price_unicast + price_pressure(catalog, cell, moment)) / 2.0
-        return smith_weight_ratios(catalog, cell.price_unicast, implied_price)
-
     current = suboptimal_schedule(catalog, cell.price_unicast)
-    seen = {tuple(current.order)}
-    best = current
-    best_moment = scheduled_demand_moment(catalog, current)
-    best_bound = None
+    trace = []
     for it in range(1, DEFAULT_FIXED_POINT_CAP + 1):
         moment = scheduled_demand_moment(catalog, current)
-        w = weights_for(moment)
-        nxt_order = _sort_descending(w)
-        if np.array_equal(nxt_order, current.order):
-            return replace(current, weights=w), moment, True, it
-        if best_bound is None:
-            bandwidth, price, _ = operating_point(catalog, cell, current)
-            best_bound = lower_bound_revenue(catalog, cell, price, bandwidth, current)
-        nxt = Schedule.from_order(nxt_order, catalog, weights=w)
-        bandwidth, price, nxt_moment = operating_point(catalog, cell, nxt)
-        nxt_bound = lower_bound_revenue(catalog, cell, price, bandwidth, nxt)
-        if nxt_bound > best_bound:
-            best, best_moment, best_bound = nxt, nxt_moment, nxt_bound
-        key = tuple(nxt_order)
-        if key in seen:
-            return best, best_moment, False, it
-        seen.add(key)
+        trace.append(moment)
+        nxt = smith_schedule(
+            catalog, cell.price_unicast, closed_form_price(catalog, cell, moment),
+        )
+        if np.array_equal(nxt.order, current.order):
+            return nxt, moment, it
         current = nxt
-    return best, best_moment, False, DEFAULT_FIXED_POINT_CAP
+    raise ConvergenceError(
+        f"price-aware scheduler found no fixed point in {DEFAULT_FIXED_POINT_CAP} iterations",
+        trace=trace,
+    )
 
 
 def bound_argmax_bandwidth(

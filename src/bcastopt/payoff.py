@@ -235,8 +235,7 @@ def simulate_revenue(
     streams = root.spawn(trials)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
-    # Each trial's rate uniforms, then its threshold uniforms: the draws
-    # sample_user_rates and gen.uniform(lo, hi) would make, in that order.
+    # Each trial draws its N rate uniforms, then its N threshold uniforms.
     u_buf = np.empty((k, 2, n_users))
     span = hi - lo
     for start in range(0, trials, k):

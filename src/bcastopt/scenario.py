@@ -162,6 +162,14 @@ def _parse_users(text: str) -> tuple[int, ...]:
 
 def load_spec(path: str) -> ExperimentSpec:
     """Parse an experiment config file; raises ConfigError on problems."""
+    try:
+        return _read_spec(path)
+    except configparser.Error as exc:
+        detail = " ".join(str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
+
+
+def _read_spec(path: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -7,7 +7,7 @@ from bcastopt.channel import (
     RateModel,
     broadcast_rate,
     prob_high_from_area_ratio,
-    sample_user_rates,
+    rates_from_uniforms,
     unicast_rate,
 )
 from bcastopt.errors import InvalidParameterError
@@ -69,24 +69,28 @@ class TestBroadcastRate:
             broadcast_rate(REFERENCE, -1)
 
 
+def rates_for_seed(model, n, seed):
+    return rates_from_uniforms(model, np.random.default_rng(seed).random(n))
+
+
 class TestSampleUserRate:
     def test_degenerate_probabilities(self):
         always_high = RateModel(2.0, 1.0, 1.0)
         always_low = RateModel(2.0, 1.0, 0.0)
         for seed in range(20):
-            assert sample_user_rates(always_high, 5, seed).tolist() == [2.0] * 5
-            assert sample_user_rates(always_low, 5, seed).tolist() == [1.0] * 5
+            assert rates_for_seed(always_high, 5, seed).tolist() == [2.0] * 5
+            assert rates_for_seed(always_low, 5, seed).tolist() == [1.0] * 5
 
     def test_empirical_frequency_within_three_sigma(self):
         n = 1_000_000
-        rates = sample_user_rates(REFERENCE, n, rng=7)
+        rates = rates_for_seed(REFERENCE, n, 7)
         freq = np.mean(rates == REFERENCE.r_high)
         sigma = math.sqrt(0.1 * 0.9 / n)
         assert abs(freq - 0.1) < 3 * sigma
 
     def test_deterministic_per_seed(self):
-        a = sample_user_rates(REFERENCE, 1000, rng=5)
-        b = sample_user_rates(REFERENCE, 1000, rng=5)
+        a = rates_for_seed(REFERENCE, 1000, 5)
+        b = rates_for_seed(REFERENCE, 1000, 5)
         assert np.array_equal(a, b)
 
 

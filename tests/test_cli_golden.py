@@ -8,8 +8,10 @@ catalog and the schedule became plain values; the ``simulate`` and
 ``validate-text`` digests were recorded before the revenue bound was
 rewritten on the schedule's two moments. The ``optimize`` digests were
 re-recorded with that rewrite: it moved ``lower_bound`` in the last
-digit (at most 1.8e-16 relative) and nothing else. A change that alters
-the output on purpose updates them and says why in CHANGES.md.
+digit (at most 1.8e-16 relative) and nothing else. The ``sweep-optimal``
+digests were recorded before the price-aware scheduler took the capped
+closed-form price. A change that alters the output on purpose updates
+them and says why in CHANGES.md.
 """
 import hashlib
 import warnings
@@ -51,9 +53,14 @@ GOLDEN = {
         0, "dd73eb9d205e6cf7c6caf459cf8778ce9fc53d837783932a7e6a3138b2708969"),
     ("single_cell", "schedule-catalog"): (
         0, "2716ded3001e9370f9b2a2a77cf840b1c81ef5a912df2de58d8d5f5c0b037233"),
+    ("single_cell", "sweep-optimal"): (
+        0, "877398e5d00540682d2c01561447f7a40c974e96d0cc14f88d11109c8838549e"),
+    ("seven_cell", "sweep-optimal"): (
+        0, "3fbe7d7d03258ede101c5069d212806623aeee0a33c6dc6093715e2209df07ad"),
 }
 ARGS = {
     "sweep": ["sweep", "--trials", "40"],
+    "sweep-optimal": ["sweep", "--scheduler", "optimal", "--trials", "20"],
     "validate": ["validate", "--format", "json"],
     "validate-text": ["validate"],
     "simulate": ["simulate", "--n", "100", "--trials", "200"],

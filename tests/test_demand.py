@@ -12,7 +12,6 @@ from bcastopt.demand import (
     aggregate_delay_tolerance,
     build_catalog,
     catalog_to_csv,
-    sample_requests,
     zipf_pmf,
 )
 from bcastopt.errors import InvalidParameterError, PreconditionError
@@ -55,46 +54,6 @@ class TestZipfPmf:
     def test_invalid_parameters(self, gamma, m):
         with pytest.raises(InvalidParameterError):
             ZipfParams(exponent=gamma, catalog_size=m)
-
-
-class TestSampleRequests:
-    @pytest.fixture()
-    def catalog(self):
-        return catalog_from([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [3.0, 4.0, 6.0])
-
-    def test_no_users_all_zero(self, catalog):
-        counts = sample_requests(catalog, 0, rng=1)
-        assert counts.tolist() == [0, 0, 0]
-
-    def test_single_file_catalog(self):
-        catalog = catalog_from([0.5], [1.0], [3.0])
-        assert sample_requests(catalog, 7, rng=3).tolist() == [7]
-
-    def test_counts_sum_to_users(self, catalog):
-        counts = sample_requests(catalog, 123, rng=9)
-        assert counts.sum() == 123
-        assert np.all(counts >= 0)
-
-    def test_reproducible_for_fixed_seed(self, catalog):
-        a = sample_requests(catalog, 500, rng=42)
-        b = sample_requests(catalog, 500, rng=42)
-        assert np.array_equal(a, b)
-
-    def test_large_sample_matches_binomial_bounds(self):
-        # Oracle: n_i ~ Binomial(N, p_i), check 3-sigma bands for a few ranks.
-        m, n = 2000, 1_000_000
-        p = zipf_pmf(ZipfParams(1.0, m))
-        sizes = np.full(m, 0.5)
-        catalog = catalog_from(sizes, p, np.full(m, 3.0))
-        counts = sample_requests(catalog, n, rng=2718)
-        for rank in (1, 10, 100):
-            pi = p[rank - 1]
-            sigma = math.sqrt(n * pi * (1 - pi))
-            assert abs(counts[rank - 1] - n * pi) < 3 * sigma
-
-    def test_negative_users_rejected(self, catalog):
-        with pytest.raises(InvalidParameterError):
-            sample_requests(catalog, -1, rng=0)
 
 
 def _midpoint_tolerance(size, lo, hi, model, points=200_000):

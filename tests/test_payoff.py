@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt import payoff
-from bcastopt.channel import sample_user_rates
-from bcastopt.demand import sample_requests
 from bcastopt.errors import InvalidParameterError, PayoffDomainError
 from bcastopt.optimizer import CellConfig, operating_point
 from bcastopt.payoff import (
@@ -390,6 +388,7 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         )
     proc_order = np.argsort(-catalog.popularity, kind="stable")
     lo, hi = catalog.delay_lo, catalog.delay_hi
+    model = catalog.rate_model
     revenues, bc_frac, uc_frac, unserved_frac, unrequested = (
         np.zeros(trials) for _ in range(5)
     )
@@ -397,10 +396,10 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
     violations = shortfall = 0
     for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         gen = np.random.default_rng(stream)
-        counts = sample_requests(catalog, n_users, gen)
+        counts = gen.multinomial(n_users, catalog.popularity)
         unrequested[t] = np.count_nonzero(counts == 0)
         ufile = np.repeat(proc_order, counts[proc_order])
-        rate_u = sample_user_rates(catalog.rate_model, n_users, gen)
+        rate_u = np.where(gen.random(n_users) < model.prob_high, model.r_high, model.r_low)
         thr = gen.uniform(lo[ufile], hi[ufile])
         f = catalog.sizes[ufile]
         try:
@@ -583,7 +582,7 @@ class TestSimulateBlocks:
                           rate_model=point_rate(0.5))
         k = payoff._BLOCK_USER_TRIALS // n_users
         counts = np.array([
-            sample_requests(catalog, n_users, np.random.default_rng(stream))
+            np.random.default_rng(stream).multinomial(n_users, catalog.popularity)
             for stream in np.random.SeedSequence(seed).spawn(trials)
         ])
         first = int(np.flatnonzero(counts[:, 1:].any(axis=1))[0])

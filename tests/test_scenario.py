@@ -306,10 +306,14 @@ class TestCli:
         (None, ["validate", "--seed", "-1"]),
         (None, ["sweep", "--seed", "-1"]),
         (None, ["simulate", "--seed", "-1"]),
+        (("[experiment]\n", ""), ["optimize"]),
+        (("[simulation]", "[sweep]"), ["optimize"]),
+        (("name = small", "name = 100% small"), ["optimize"]),
     ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
             "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
-            "negative-seed-simulate"])
+            "negative-seed-simulate", "no-section-header", "duplicate-section",
+            "bare-percent"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
         path = small_config

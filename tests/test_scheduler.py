@@ -1,12 +1,13 @@
 import itertools
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcastopt.errors import InvalidPermutationError, PreconditionError
+from bcastopt import optimizer
+from bcastopt.errors import ConvergenceError, InvalidPermutationError, PreconditionError
 from bcastopt.optimizer import CellConfig, closed_form_price, optimal_schedule
 from bcastopt.scheduler import (
     Schedule,
@@ -198,6 +199,22 @@ def test_adjacent_exchange_never_improves_smith_order(data):
         assert smith_cost(swapped, catalog, pu, pb) >= base - 1e-12
 
 
+def high_pressure_instances(seed, count):
+    """Random catalogs of 3-40 files at 10-10^5 users and 1-29 slots,
+    where the implied broadcast price often exceeds Pu."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        catalog, cell = random_instance(rng, m_lo=3, m_hi=40)
+        n_users = int(10 ** rng.uniform(1, 5))
+        slots = int(rng.integers(1, 30))
+        yield catalog, replace(cell, n_users=n_users, slots=slots)
+
+
+def smith_order_at_own_price(catalog, cell, moment):
+    price = closed_form_price(catalog, cell, moment)
+    return smith_schedule(catalog, cell.price_unicast, price).order
+
+
 class TestOptimalSchedule:
     def _cell(self, catalog, n_users=50, slots=20, bandwidth=6.0, price=2.6):
         return CellConfig(
@@ -209,8 +226,7 @@ class TestOptimalSchedule:
         catalog = catalog_from([0.3] * 5, [0.35, 0.25, 0.2, 0.15, 0.05],
                                [2.0, 5.0, 1.0, 7.0, 3.0])
         cell = self._cell(catalog)
-        sched, moment, converged, iterations = optimal_schedule(catalog, cell)
-        assert converged
+        sched, moment, iterations = optimal_schedule(catalog, cell)
         assert iterations == 1
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
         assert moment == pytest.approx(scheduled_demand_moment(catalog, sched))
@@ -219,28 +235,52 @@ class TestOptimalSchedule:
         rng = np.random.default_rng(21)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment, converged, _ = optimal_schedule(catalog, cell)
-            if not converged:
-                continue
+            sched, moment, _ = optimal_schedule(catalog, cell)
             # re-sorting by the weights computed from the returned moment
             # reproduces the returned order
             resorted = np.argsort(-sched.weights, kind="stable")
             assert np.array_equal(resorted, sched.order)
 
+    def test_fixed_point_above_the_unicast_price(self, single_cell_setup):
+        # The implied price (Pu + pressure) / 2 exceeds Pu in both cases
+        # (pressure 3.9 Pu and 10.9 Pu); the order is the Smith order at
+        # the capped closed-form price of its own moment.
+        catalog, cell = list(high_pressure_instances(1000, 409))[-1]
+        assert (catalog.size, cell.n_users, cell.slots) == (26, 22599, 19)
+        shipped, shipped_cell, _ = single_cell_setup
+        for catalog, cell in ((catalog, cell),
+                              (shipped, replace(shipped_cell, n_users=100_000, slots=1))):
+            sched, moment, _ = optimal_schedule(catalog, cell)
+            assert closed_form_price(catalog, cell, moment) == cell.price_unicast
+            assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
+
+    def test_fixed_point_on_high_pressure_draws(self):
+        for catalog, cell in high_pressure_instances(2024, 200):
+            sched, moment, _ = optimal_schedule(catalog, cell)
+            assert moment == scheduled_demand_moment(catalog, sched)
+            assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
+
+    def test_iteration_cap_raises_with_moment_trace(self, single_cell_setup, monkeypatch):
+        catalog, cell, _ = single_cell_setup
+        cell = replace(cell, n_users=200)
+        assert optimal_schedule(catalog, cell)[2] == 3
+        monkeypatch.setattr(optimizer, "DEFAULT_FIXED_POINT_CAP", 1)
+        with pytest.raises(ConvergenceError, match="no fixed point in 1 iterations") as err:
+            optimal_schedule(catalog, cell)
+        sub = suboptimal_schedule(catalog, cell.price_unicast)
+        assert err.value.trace == [scheduled_demand_moment(catalog, sub)]
+
     def test_no_worse_than_suboptimal_at_its_own_price(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment, _, _ = optimal_schedule(catalog, cell)
-            pressure = cell.n_users * cell.r_b * catalog.mean_size ** 2 / (
-                4.0 * cell.price_unicast * cell.slots * cell.r_u * moment
-            )
-            implied_price = (cell.price_unicast + pressure) / 2.0
-            if (cell.price_unicast - implied_price) * catalog.sizes.max() >= 1.0:
+            sched, moment, _ = optimal_schedule(catalog, cell)
+            price = closed_form_price(catalog, cell, moment)
+            if (cell.price_unicast - price) * catalog.sizes.max() >= 1.0:
                 continue
             sub = suboptimal_schedule(catalog, cell.price_unicast)
-            cost_opt = smith_cost(sched.order, catalog, cell.price_unicast, implied_price)
-            cost_sub = smith_cost(sub.order, catalog, cell.price_unicast, implied_price)
+            cost_opt = smith_cost(sched.order, catalog, cell.price_unicast, price)
+            cost_sub = smith_cost(sub.order, catalog, cell.price_unicast, price)
             assert cost_opt <= cost_sub + 1e-12
 
     def test_zero_users_reduces_to_suboptimal(self):
