@@ -51,7 +51,7 @@ def _apply_overrides(spec, args):
 
 
 def _resolved_cell(spec, args):
-    n = args.n if getattr(args, "n", None) is not None else max(spec.sweep_users)
+    n = args.n if args.n is not None else max(spec.sweep_users)
     if n < 0:
         raise ConfigError(f"user count must be >= 0, got --n {n}")
     catalog, cell, scheme = normalize(spec)
@@ -109,49 +109,46 @@ def cmd_validate(args) -> int:
     return 0 if report.all_passed else 2
 
 
+# Every option a subcommand accepts is one its cmd_* function reads.
+_OPTIONS = {
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--beta": dict(type=float, default=None,
+                   help="override the broadcast bandwidth cap fraction"),
+    "--scheduler": dict(choices=SCHEDULER_VARIANTS, default=None,
+                        help="override the scheduler variant"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--n": dict(type=int, default=None, help="user count (default: largest sweep point)"),
+    "--trials": dict(type=int, default=None, help="override the trial count"),
+    "--catalog": dict(action="store_true",
+                      help="emit the catalog CSV instead of the schedule"),
+}
+_COMMANDS = (
+    ("optimize", cmd_optimize, "joint optimum at one user count",
+     ("--seed", "--beta", "--n")),
+    ("sweep", cmd_sweep, "run the user-count sweep",
+     ("--seed", "--beta", "--scheduler", "--format", "--trials")),
+    ("simulate", cmd_simulate, "Monte Carlo revenue at one user count",
+     ("--seed", "--beta", "--scheduler", "--n", "--trials")),
+    ("schedule", cmd_schedule, "emit the broadcast schedule as CSV",
+     ("--seed", "--scheduler", "--n", "--catalog")),
+    ("validate", cmd_validate, "run the oracle battery",
+     ("--seed", "--beta", "--format")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcastopt",
         description="Broadcast bandwidth / pricing / scheduling optimizer and simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_n=True):
+    for name, func, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="experiment config file")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--beta", type=float, default=None,
-                       help="override the broadcast bandwidth cap fraction")
-        p.add_argument("--scheduler", choices=SCHEDULER_VARIANTS, default=None,
-                       help="override the scheduler variant")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if with_n:
-            p.add_argument("--n", type=int, default=None,
-                           help="user count (default: largest sweep point)")
-
-    p = sub.add_parser("optimize", help="joint optimum at one user count")
-    common(p)
-    p.set_defaults(func=cmd_optimize, format="json")
-
-    p = sub.add_parser("sweep", help="run the user-count sweep")
-    common(p, with_n=False)
-    p.add_argument("--trials", type=int, default=None, help="override trials per point")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="Monte Carlo revenue at one user count")
-    common(p)
-    p.add_argument("--trials", type=int, default=None, help="override the trial count")
-    p.set_defaults(func=cmd_simulate, format="json")
-
-    p = sub.add_parser("schedule", help="emit the broadcast schedule as CSV")
-    common(p)
-    p.add_argument("--catalog", action="store_true",
-                   help="emit the catalog CSV instead of the schedule")
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("validate", help="run the oracle battery")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

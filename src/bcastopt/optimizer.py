@@ -342,10 +342,7 @@ def fixed_point_residuals(
     return abs(w - result.bc_bandwidth), abs(p - result.bc_price)
 
 
-def joint_optimize(
-    catalog: FileCatalog, cell: CellConfig,
-    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-) -> OptimizationResult:
+def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult:
     """Block-coordinate ascent of the bound over {schedule, bandwidth, price}.
 
     Each iteration takes the bound's exact maximizer along one coordinate
@@ -359,8 +356,9 @@ def joint_optimize(
     The bound is evaluated after every iteration; a drop beyond rounding
     (relative ``_ASCENT_RTOL`` of the larger of the bound and the
     unicast-only revenue) raises ConvergenceError naming the iteration.
-    Stops when consecutive (bandwidth, price) moves fall below ``tol``;
-    raises ConvergenceError otherwise. Both errors carry the iterate trace
+    Stops when consecutive (bandwidth, price) moves fall below
+    ``DEFAULT_TOL``; raises ConvergenceError after ``DEFAULT_MAX_ITERS``
+    iterations otherwise. Both errors carry the iterate trace
     of (bandwidth, price, bound) triples.
     """
     sched = suboptimal_schedule(catalog, cell.price_unicast)
@@ -382,7 +380,7 @@ def joint_optimize(
     bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
     bandwidth = None
     trace = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_MAX_ITERS + 1):
         sched = smith_schedule(catalog, cell.price_unicast, price)
         new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
         new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched, floor=floor)
@@ -396,15 +394,15 @@ def joint_optimize(
         bound = new_bound
         if (
             bandwidth is not None
-            and abs(new_bandwidth - bandwidth) < tol
-            and abs(new_price - price) < tol
+            and abs(new_bandwidth - bandwidth) < DEFAULT_TOL
+            and abs(new_price - price) < DEFAULT_TOL
         ):
             bandwidth, price = new_bandwidth, new_price
             break
         bandwidth, price = new_bandwidth, new_price
     else:
         raise ConvergenceError(
-            f"joint optimization did not converge in {max_iters} iterations",
+            f"joint optimization did not converge in {DEFAULT_MAX_ITERS} iterations",
             trace=trace,
         )
 

@@ -407,9 +407,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         for m in counts:
             catalog, base_cell, _ = normalize(spec, zipf_exponent=gamma, file_count=m)
             for variant in spec.schedulers:
-                static_schedule = None
-                if variant != "optimal":
-                    static_schedule = _variant_schedule(variant, catalog, base_cell)
                 for n in sorted(spec.sweep_users):
                     row = {
                         "N": n, "scheduler_variant": variant,
@@ -417,10 +414,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                     }
                     try:
                         cell = replace(base_cell, n_users=n)
-                        schedule = (
-                            static_schedule if static_schedule is not None
-                            else _variant_schedule(variant, catalog, cell)
-                        )
+                        schedule = _variant_schedule(variant, catalog, cell)
                         bandwidth, price, moment = operating_point(catalog, cell, schedule)
                         bound = lower_bound_revenue(catalog, cell, price, bandwidth, schedule)
                         gain = revenue_gain(catalog, cell, moment, schedule)

@@ -351,13 +351,16 @@ class TestBoundCoordinateArgmax:
 
 
 class TestJointOptimizeAscent:
-    def test_bound_never_decreases_along_iterates(self):
+    def test_bound_never_decreases_along_iterates(self, monkeypatch):
         rng = np.random.default_rng(43)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            # tol=0 never converges, so the error hands back every iterate
-            with pytest.raises(ConvergenceError, match="did not converge") as err:
-                joint_optimize(catalog, cell, tol=0.0, max_iters=12)
+            # a zero tolerance never converges, so the error hands back every iterate
+            with monkeypatch.context() as patched:
+                patched.setattr(optimizer, "DEFAULT_TOL", 0.0)
+                patched.setattr(optimizer, "DEFAULT_MAX_ITERS", 12)
+                with pytest.raises(ConvergenceError, match="did not converge") as err:
+                    joint_optimize(catalog, cell)
             bounds = [b for _, _, b in err.value.trace]
             assert len(bounds) == 12
 
@@ -382,8 +385,9 @@ class TestJointOptimizeAscent:
             return w * 1e-3 if len(calls) == 3 else w
 
         monkeypatch.setattr(optimizer, "bound_argmax_bandwidth", bad_on_third)
+        monkeypatch.setattr(optimizer, "DEFAULT_TOL", 0.0)
         with pytest.raises(ConvergenceError, match="iteration 3") as err:
-            joint_optimize(catalog, cell, tol=0.0)
+            joint_optimize(catalog, cell)
         trace = err.value.trace
         assert len(trace) == 3
         assert all(len(step) == 3 for step in trace)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 
@@ -6,7 +7,7 @@ import pytest
 
 import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
-from bcastopt.cli import main
+from bcastopt.cli import build_parser, main
 from bcastopt.errors import ConfigError, ConvergenceError
 from bcastopt.scenario import (
     load_spec,
@@ -246,6 +247,44 @@ class TestRunValidation:
         text = report.to_text()
         assert "validation report" in text
         assert "smith_vs_bruteforce" in text
+
+
+# Each subcommand's options besides the config path and -o/--output.
+CLI_OPTIONS = {
+    "optimize": {"--seed", "--beta", "--n"},
+    "sweep": {"--seed", "--beta", "--scheduler", "--format", "--trials"},
+    "simulate": {"--seed", "--beta", "--scheduler", "--n", "--trials"},
+    "schedule": {"--seed", "--scheduler", "--n", "--catalog"},
+    "validate": {"--seed", "--beta", "--format"},
+}
+
+
+class TestCliSurface:
+    def test_each_subcommand_declares_exactly_its_options(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {opt for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help", "-o", "--output")}
+            for name, p in sub.choices.items()
+        }
+        assert declared == CLI_OPTIONS
+        assert sum(len(opts) for opts in declared.values()) == 20
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("optimize", "--scheduler", "optimal"),
+        ("optimize", "--format", "csv"),
+        ("simulate", "--format", "json"),
+        ("schedule", "--format", "json"),
+        ("schedule", "--beta", "0.05"),
+        ("validate", "--scheduler", "none"),
+        ("validate", "--n", "5"),
+    ])
+    def test_unread_options_are_rejected(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "any.cfg", option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 class TestCli:
