@@ -39,7 +39,7 @@ def _write(text: str, path: str | None):
 
 def _apply_overrides(spec, args):
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     if getattr(args, "beta", None) is not None:
         updates["bc_cap_fraction"] = args.beta

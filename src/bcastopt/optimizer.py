@@ -13,10 +13,11 @@ closed-form maximizer: the Smith order for the schedule,
 ``bound_argmax_bandwidth`` for the bandwidth and ``bound_argmax_price``
 for the price. ``joint_optimize`` alternates these three, so no step
 lowers the bound. ``optimal_schedule`` is the Smith order at the
-closed-form price of its own demand moment, a fixed point the iteration
-always reaches because that price is capped at Pu. Grid-search oracles
-in the validation suite measure how far each approximation sits from the
-bound's true argmax; the measured gaps are reported rather than hidden.
+operating-point price of its own demand moment, a fixed point the
+iteration always reaches because that price stays in [floor, Pu].
+Grid-search oracles in the validation suite measure how far each
+approximation sits from the bound's true argmax; the measured gaps are
+reported rather than hidden.
 """
 from __future__ import annotations
 
@@ -214,28 +215,29 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
     moment = scheduled_demand_moment(catalog, schedule)
     bandwidth = closed_form_bandwidth(catalog, cell)
     floor = price_validity_floor(catalog, cell)
-    price = min(cell.price_unicast, max(closed_form_price(catalog, cell, moment), floor))
+    price = max(closed_form_price(catalog, cell, moment), floor)
     return bandwidth, price, moment
 
 
 def optimal_schedule(
     catalog: FileCatalog, cell: CellConfig,
 ) -> tuple[Schedule, float, int]:
-    """Price-aware scheduler: the Smith order at its own closed-form price.
+    """Price-aware scheduler: the Smith order at its own operating price.
 
     The weights w_i = theta_i p_i (1 - (Pu - Pb) f_i) are the Smith
-    ratios at Pb = :func:`closed_form_price` of the demand moment S of
-    the order they generate. Starting from the suboptimal order, re-sort
-    until the order repeats.
+    ratios at the :func:`operating_point` price Pb of the order they
+    generate: the closed-form price of its demand moment S, floored to
+    the bound's validity region. Starting from the suboptimal order,
+    re-sort until the order repeats.
 
     The loop ends. With g = Pu - Pb the Smith order minimizes D - g E
     (:func:`bound_moments`), so a larger g >= 0 gives an order with no
-    smaller E and hence no smaller D = S. The price's cap at Pu keeps
-    g >= 0 and non-decreasing in S, so the moments of successive orders
-    move one way; an unchanged moment repeats the price and hence the
-    order. ``DEFAULT_FIXED_POINT_CAP`` only guards against near-ties at
-    rounding level: reaching it raises ConvergenceError with the trace
-    of moments.
+    smaller E and hence no smaller D = S. The price lies in [floor, Pu]
+    and is non-increasing in S, so g >= 0 is non-decreasing in S and the
+    moments of successive orders move one way; an unchanged moment
+    repeats the price and hence the order. ``DEFAULT_FIXED_POINT_CAP``
+    only guards against near-ties at rounding level: reaching it raises
+    ConvergenceError with the trace of moments.
 
     Returns (schedule, S, iterations), where S is the demand moment of
     the returned order.
@@ -243,11 +245,9 @@ def optimal_schedule(
     current = suboptimal_schedule(catalog, cell.price_unicast)
     trace = []
     for it in range(1, DEFAULT_FIXED_POINT_CAP + 1):
-        moment = scheduled_demand_moment(catalog, current)
+        _, price, moment = operating_point(catalog, cell, current)
         trace.append(moment)
-        nxt = smith_schedule(
-            catalog, cell.price_unicast, closed_form_price(catalog, cell, moment),
-        )
+        nxt = smith_schedule(catalog, cell.price_unicast, price)
         if np.array_equal(nxt.order, current.order):
             return nxt, moment, it
         current = nxt

@@ -113,16 +113,6 @@ def assign_services(demand, eligible, pool) -> np.ndarray:
     return assigned
 
 
-def _row_sums(x, mask, counts) -> np.ndarray:
-    """Sum of each row's masked entries of ``x``, where row j has
-    ``counts[j]`` of them. Each row is summed as its own 1-D slice of
-    ``x[mask]``, numpy's pairwise order for that row alone; reduceat and
-    masked 2-D row sums round differently."""
-    flat = x[mask]
-    stops = np.cumsum(counts).tolist()
-    return np.array([flat[a:b].sum() for a, b in zip([0] + stops[:-1], stops)])
-
-
 @dataclass
 class SimulationReport:
     """Monte Carlo estimate of realized cell revenue and policy statistics.
@@ -177,12 +167,12 @@ def simulate_revenue(
     request counts, then N rate uniforms and N threshold uniforms in one
     call. Rates, thresholds, payoffs, assignment and statistics of the
     whole block are then one pass over (k, N) arrays. Per-trial sums are
-    1-D sums of each row's slice of the block's masked entries (see
-    :func:`_row_sums`), so the report equals that of a trial-by-trial
-    loop bit for bit, and a payoff domain error names the trial and
-    element that loop meets first (its unicast term before its broadcast
-    term). A user assigned broadcast below their unicast payoff raises
-    AssertionError.
+    row sums of the (k, N) arrays with the entries outside the mask set
+    to zero, so each equals the sum of that trial's zero-padded N-vector
+    bit for bit. A payoff domain error names the trial and element a
+    trial-by-trial loop meets first (its unicast term before its
+    broadcast term). A user assigned broadcast below their unicast
+    payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -282,12 +272,15 @@ def simulate_revenue(
         n_bc = np.count_nonzero(bc_mask, axis=1)
         bc_frac[block] = n_bc / n_users
         uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
-        revenues[block] = uc_revenue + prices.broadcast * _row_sums(f, bc_mask, n_bc)
+        bc_sizes = np.where(bc_mask, f, 0.0).sum(axis=1)
+        revenues[block] = uc_revenue + prices.broadcast * bc_sizes
         realized = np.where(bc_mask, payoff_bc, payoff_uc)
         n_served = np.count_nonzero(served, axis=1)
         some = n_served > 0
-        policy_payoffs.extend(_row_sums(realized, served, n_served)[some] / n_served[some])
-        baseline_payoffs.extend(_row_sums(payoff_uc, served, n_served)[some] / n_served[some])
+        policy_payoffs.extend(
+            np.where(served, realized, 0.0).sum(axis=1)[some] / n_served[some])
+        baseline_payoffs.extend(
+            np.where(served, payoff_uc, 0.0).sum(axis=1)[some] / n_served[some])
         realized_rates.extend(np.where(bc_mask, rate_u, np.inf).min(axis=1)[n_bc > 0])
 
     if shortfall_trials:

@@ -140,6 +140,8 @@ class ExperimentSpec:
             raise ConfigError("sweep user range must be non-empty")
         if any(n < 0 for n in self.sweep_users):
             raise ConfigError("sweep user counts must be >= 0")
+        if not self.schedulers:
+            raise ConfigError("scheduler list must be non-empty")
         for s in self.schedulers:
             if s not in SCHEDULER_VARIANTS:
                 raise ConfigError(

@@ -4,14 +4,21 @@ Performance work must not change what ``bcastopt`` prints (acceptance
 criterion 9). These digests are the SHA-256 of stdout. The ``sweep`` and
 ``validate`` digests were recorded before the simulator and the bound
 grids were vectorized; the ``schedule`` digests were recorded before the
-catalog and the schedule became plain values; the ``simulate`` and
-``validate-text`` digests were recorded before the revenue bound was
-rewritten on the schedule's two moments. The ``optimize`` digests were
-re-recorded with that rewrite: it moved ``lower_bound`` in the last
-digit (at most 1.8e-16 relative) and nothing else. The ``sweep-optimal``
-digests were recorded before the price-aware scheduler took the capped
-closed-form price. A change that alters the output on purpose updates
-them and says why in CHANGES.md.
+catalog and the schedule became plain values; the ``validate-text`` and
+single-cell ``simulate`` digests were recorded before the revenue bound
+was rewritten on the schedule's two moments. The ``optimize`` digests
+were re-recorded with that rewrite: it moved ``lower_bound`` in the last
+digit (at most 1.8e-16 relative) and nothing else.
+
+The seven-cell ``simulate`` digest was re-recorded when the simulator's
+per-trial sums became masked row sums over all N users:
+``revenue_stderr`` moved by 2.2e-16 relative and nothing else. The
+``schedule-optimal`` and ``sweep-optimal`` digests of both configs were
+re-recorded when the price-aware scheduler began to weigh each order at
+the operating-point price (the closed-form price floored to the bound's
+validity region) instead of the unfloored closed-form price. A change
+that alters the output on purpose updates them and says why in
+CHANGES.md.
 """
 import hashlib
 import warnings
@@ -38,7 +45,7 @@ GOLDEN = {
     ("single_cell", "simulate"): (
         0, "2caff7aa4dca246a72b8061e8929cf356a9e3af466bb590e6d1e0ccd3e81fc1b"),
     ("seven_cell", "simulate"): (
-        0, "b97217e37499d206a12cf67a98af3bb828e13d2ee1e978fc1f5986daf79794b4"),
+        0, "0e1382b61c3825054ff493823fdd04b0c73f03ebc07ef824419bbf1d1ef3ddb0"),
     ("single_cell", "optimize"): (
         0, "019aebdaaf81f84956ab98075f6dec9b872ed1b39bf4abc120ba57b9fd6f3cad"),
     ("seven_cell", "optimize"): (
@@ -48,15 +55,15 @@ GOLDEN = {
     ("seven_cell", "schedule"): (
         0, "67322de6e54108bb62d7527f8dd2431d5911c7ee51099f9a4e9770c57605f1a2"),
     ("single_cell", "schedule-optimal"): (
-        0, "041d87a7f0c41e657695292b584dc61b58d8cbc85559ac66d84ea9a54a812e23"),
+        0, "78bf586e98406cf53bd5e9bcb75c9df0494d3e0772e1b6969f17175b7df58455"),
     ("seven_cell", "schedule-optimal"): (
-        0, "dd73eb9d205e6cf7c6caf459cf8778ce9fc53d837783932a7e6a3138b2708969"),
+        0, "78bf586e98406cf53bd5e9bcb75c9df0494d3e0772e1b6969f17175b7df58455"),
     ("single_cell", "schedule-catalog"): (
         0, "2716ded3001e9370f9b2a2a77cf840b1c81ef5a912df2de58d8d5f5c0b037233"),
     ("single_cell", "sweep-optimal"): (
-        0, "877398e5d00540682d2c01561447f7a40c974e96d0cc14f88d11109c8838549e"),
+        0, "1072050554b0f725c831970117d69460269615769e95ef4a65f2d5aed7009ce1"),
     ("seven_cell", "sweep-optimal"): (
-        0, "3fbe7d7d03258ede101c5069d212806623aeee0a33c6dc6093715e2209df07ad"),
+        0, "3368e458e0b2b30aae5ae0c148edb45085e70a0139347eee6d1752940444049e"),
 }
 ARGS = {
     "sweep": ["sweep", "--trials", "40"],

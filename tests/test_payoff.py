@@ -376,7 +376,9 @@ class TestSimulateRevenue:
 
 def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials, seed):
     """The simulator as one loop iteration per trial, the way it ran before
-    trials were evaluated in blocks, with the per-user allocation loop."""
+    trials were evaluated in blocks, with the per-user allocation loop.
+    Per-trial sums run over the trial's N users with the entries outside
+    the mask set to zero."""
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
@@ -421,13 +423,14 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         uc_mask = assigned == UNICAST
         served = bc_mask | uc_mask
         violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
-        revenues[t] = uc_revenue + prices.broadcast * float(f[bc_mask].sum())
+        revenues[t] = uc_revenue + prices.broadcast * float(np.where(bc_mask, f, 0.0).sum())
         bc_frac[t] = bc_mask.sum() / n_users
         uc_frac[t] = uc_mask.sum() / n_users
         unserved_frac[t] = 1.0 - bc_frac[t] - uc_frac[t]
         if served.any():
-            policy.append(np.where(bc_mask, payoff_bc, payoff_uc)[served].mean())
-            baseline.append(payoff_uc[served].mean())
+            realized = np.where(bc_mask, payoff_bc, payoff_uc)
+            policy.append(np.where(served, realized, 0.0).sum() / served.sum())
+            baseline.append(np.where(served, payoff_uc, 0.0).sum() / served.sum())
         if bc_mask.any():
             rates.append(float(rate_u[bc_mask].min()))
     if shortfall:
@@ -512,24 +515,25 @@ class TestSimulateBlocks:
     def test_rows_without_broadcast_or_served_users(self, single_cell_setup, monkeypatch):
         # 3 users in an 8-unit cell with half of it on broadcast: in the one
         # block of 300 trials, some rows serve nobody and some broadcast to
-        # nobody, so their per-row slices are empty next to non-empty ones.
+        # nobody, so their masked sums are empty next to non-empty ones.
         catalog, cell0, _ = single_cell_setup
         cell = dataclasses.replace(cell0, bandwidth=8.0, n_users=3)
         schedule = suboptimal_schedule(catalog, cell.price_unicast)
         _, price, _ = operating_point(catalog, cell, schedule)
         args = (catalog, cell, PricePair(cell.price_unicast, price), 4.0, schedule)
-        row_sums, counts = payoff._row_sums, []
+        assign, blocks = payoff.assign_services, []
 
-        def spy(x, mask, row_counts):
-            counts.append(np.array(row_counts))
-            return row_sums(x, mask, row_counts)
+        def spy(demand, eligible, pool):
+            blocks.append(assign(demand, eligible, pool))
+            return blocks[-1]
 
-        monkeypatch.setattr(payoff, "_row_sums", spy)
+        monkeypatch.setattr(payoff, "assign_services", spy)
         got = simulate_revenue(*args, trials=300, seed=5)
         _assert_same_report(got, _reference_simulation(*args, trials=300, seed=5))
-        # calls: broadcast sizes, then the served users' two payoffs
-        assert len(counts) == 3 and len(counts[0]) == 300
-        n_bc, n_served = counts[0], counts[1]
+        (assigned,) = blocks
+        assert assigned.shape == (300, 3)
+        n_bc = np.count_nonzero(assigned == BROADCAST, axis=1)
+        n_served = np.count_nonzero(assigned != UNSERVED, axis=1)
         assert 0 < np.count_nonzero(n_bc == 0) < 300
         assert 0 < np.count_nonzero(n_served == 0) < 300
 

@@ -348,11 +348,15 @@ class TestCli:
         (("[experiment]\n", ""), ["optimize"]),
         (("[simulation]", "[sweep]"), ["optimize"]),
         (("name = small", "name = 100% small"), ["optimize"]),
+        (("schedulers = suboptimal", "schedulers ="), ["simulate"]),
+        (("schedulers = suboptimal", "schedulers = ,"), ["schedule"]),
+        (("schedulers = suboptimal", "schedulers ="), ["sweep"]),
     ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
             "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
             "negative-seed-simulate", "no-section-header", "duplicate-section",
-            "bare-percent"])
+            "bare-percent", "no-schedulers-simulate", "no-schedulers-schedule",
+            "no-schedulers-sweep"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
         path = small_config

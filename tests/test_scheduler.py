@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from bcastopt import optimizer
 from bcastopt.errors import ConvergenceError, InvalidPermutationError, PreconditionError
-from bcastopt.optimizer import CellConfig, closed_form_price, optimal_schedule
+from bcastopt.optimizer import (
+    CellConfig,
+    closed_form_price,
+    lower_bound_revenue,
+    operating_point,
+    optimal_schedule,
+    price_validity_floor,
+)
 from bcastopt.scheduler import (
     Schedule,
     _permutations,
@@ -211,8 +218,22 @@ def high_pressure_instances(seed, count):
 
 
 def smith_order_at_own_price(catalog, cell, moment):
-    price = closed_form_price(catalog, cell, moment)
+    """The Smith order at the operating-point price of ``moment``: the
+    closed-form price, floored to the bound's validity region."""
+    price = max(closed_form_price(catalog, cell, moment), price_validity_floor(catalog, cell))
     return smith_schedule(catalog, cell.price_unicast, price).order
+
+
+def unfloored_fixed_point(catalog, cell):
+    """Smith orders at the closed-form price without the validity floor,
+    iterated from the suboptimal order until the order repeats."""
+    current = suboptimal_schedule(catalog, cell.price_unicast)
+    while True:
+        price = closed_form_price(catalog, cell, scheduled_demand_moment(catalog, current))
+        nxt = smith_schedule(catalog, cell.price_unicast, price)
+        if np.array_equal(nxt.order, current.order):
+            return nxt
+        current = nxt
 
 
 class TestOptimalSchedule:
@@ -244,7 +265,7 @@ class TestOptimalSchedule:
     def test_fixed_point_above_the_unicast_price(self, single_cell_setup):
         # The implied price (Pu + pressure) / 2 exceeds Pu in both cases
         # (pressure 3.9 Pu and 10.9 Pu); the order is the Smith order at
-        # the capped closed-form price of its own moment.
+        # the operating-point price of its own moment, here capped at Pu.
         catalog, cell = list(high_pressure_instances(1000, 409))[-1]
         assert (catalog.size, cell.n_users, cell.slots) == (26, 22599, 19)
         shipped, shipped_cell, _ = single_cell_setup
@@ -263,7 +284,7 @@ class TestOptimalSchedule:
     def test_iteration_cap_raises_with_moment_trace(self, single_cell_setup, monkeypatch):
         catalog, cell, _ = single_cell_setup
         cell = replace(cell, n_users=200)
-        assert optimal_schedule(catalog, cell)[2] == 3
+        assert optimal_schedule(catalog, cell)[2] == 2
         monkeypatch.setattr(optimizer, "DEFAULT_FIXED_POINT_CAP", 1)
         with pytest.raises(ConvergenceError, match="no fixed point in 1 iterations") as err:
             optimal_schedule(catalog, cell)
@@ -274,14 +295,30 @@ class TestOptimalSchedule:
         rng = np.random.default_rng(22)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment, _ = optimal_schedule(catalog, cell)
-            price = closed_form_price(catalog, cell, moment)
-            if (cell.price_unicast - price) * catalog.sizes.max() >= 1.0:
-                continue
+            sched = optimal_schedule(catalog, cell)[0]
+            price = operating_point(catalog, cell, sched)[1]
             sub = suboptimal_schedule(catalog, cell.price_unicast)
             cost_opt = smith_cost(sched.order, catalog, cell.price_unicast, price)
             cost_sub = smith_cost(sub.order, catalog, cell.price_unicast, price)
             assert cost_opt <= cost_sub + 1e-12
+
+    @pytest.mark.parametrize("setup", ["single_cell", "seven_cell"])
+    def test_weighs_at_the_operating_price_on_shipped_points(self, request, setup):
+        spec = request.getfixturevalue(f"{setup}_spec")
+        catalog, cell0, _ = request.getfixturevalue(f"{setup}_setup")
+        for n in spec.sweep_users:
+            cell = replace(cell0, n_users=n)
+            sched, moment, _ = optimal_schedule(catalog, cell)
+            bandwidth, price, own_moment = operating_point(catalog, cell, sched)
+            assert own_moment == moment
+            assert np.array_equal(
+                sched.order, smith_schedule(catalog, cell.price_unicast, price).order)
+            # the bound at the operating point is no lower than that of the
+            # unfloored fixed point at its own operating point
+            old = unfloored_fixed_point(catalog, cell)
+            old_bandwidth, old_price, _ = operating_point(catalog, cell, old)
+            assert (lower_bound_revenue(catalog, cell, price, bandwidth, sched)
+                    >= lower_bound_revenue(catalog, cell, old_price, old_bandwidth, old))
 
     def test_zero_users_reduces_to_suboptimal(self):
         catalog = catalog_from([0.3, 0.2], [0.7, 0.3], [2.0, 3.0])
