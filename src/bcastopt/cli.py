@@ -116,7 +116,6 @@ _OPTIONS = {
                    help="override the broadcast bandwidth cap fraction"),
     "--scheduler": dict(choices=SCHEDULER_VARIANTS, default=None,
                         help="override the scheduler variant"),
-    "--format": dict(choices=("csv", "json"), default="csv"),
     "--n": dict(type=int, default=None, help="user count (default: largest sweep point)"),
     "--trials": dict(type=int, default=None, help="override the trial count"),
     "--catalog": dict(action="store_true",
@@ -126,14 +125,16 @@ _COMMANDS = (
     ("optimize", cmd_optimize, "joint optimum at one user count",
      ("--seed", "--beta", "--n")),
     ("sweep", cmd_sweep, "run the user-count sweep",
-     ("--seed", "--beta", "--scheduler", "--format", "--trials")),
+     ("--seed", "--beta", "--scheduler", "--trials")),
     ("simulate", cmd_simulate, "Monte Carlo revenue at one user count",
      ("--seed", "--beta", "--scheduler", "--n", "--trials")),
     ("schedule", cmd_schedule, "emit the broadcast schedule as CSV",
      ("--seed", "--scheduler", "--n", "--catalog")),
     ("validate", cmd_validate, "run the oracle battery",
-     ("--seed", "--beta", "--format")),
+     ("--seed", "--beta")),
 )
+# Output formats of the subcommands that offer a choice; the first is the default.
+_FORMATS = {"sweep": ("csv", "json"), "validate": ("text", "json")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
+        if name in _FORMATS:
+            p.add_argument("--format", choices=_FORMATS[name], default=_FORMATS[name][0])
         p.set_defaults(func=func)
     return parser
 

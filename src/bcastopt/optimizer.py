@@ -315,12 +315,8 @@ def revenue_gain(
     R = 1 + N F / (2 W T) * {min(N r_b F^2 / (4 Pu^2 T r_u S), 1) + 1 - G / Pu}.
     Equals 1 with no users; exceeds 1 whenever Pu > G and N > 0.
     """
-    if demand_moment <= 0:
-        raise InvalidParameterError(f"demand moment must be > 0, got {demand_moment}")
-    if cell.n_users == 0:
-        return 1.0
-    saturation = min(price_pressure(catalog, cell, demand_moment) / cell.price_unicast, 1.0)
     g = gain_offset(catalog, schedule, demand_moment)
+    saturation = min(price_pressure(catalog, cell, demand_moment) / cell.price_unicast, 1.0)
     lever = cell.n_users * catalog.mean_size / (2.0 * cell.bandwidth * cell.slots)
     return 1.0 + lever * (saturation + 1.0 - g / cell.price_unicast)
 

@@ -12,23 +12,16 @@ from __future__ import annotations
 import configparser
 import io
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
 from .demand import FileCatalog, ZipfParams, build_catalog
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    InvalidParameterError,
-    InvalidPermutationError,
-    PayoffDomainError,
-    PreconditionError,
-)
+from .errors import ConfigError, ConvergenceError, PayoffDomainError, PreconditionError
 from .optimizer import (
     CellConfig,
-    closed_form_bandwidth,
     closed_form_price,
     fixed_point_residuals,
     joint_optimize,
@@ -53,13 +46,10 @@ MB_TO_BITS = 8e6
 _PERMUTATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
 
-# Failures a sweep point may meet on valid code: recorded in the row's
-# error column. Anything else (a TypeError, an IndexError) is a bug and
-# propagates.
-_POINT_ERRORS = (
-    ConfigError, ConvergenceError, InvalidParameterError,
-    InvalidPermutationError, PayoffDomainError, PreconditionError,
-)
+# Failures a sweep point of a valid spec may meet: recorded in the row's
+# error column. Anything else (a PreconditionError, a TypeError) is a bug
+# and propagates.
+_POINT_ERRORS = (ConvergenceError, PayoffDomainError)
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -120,8 +110,8 @@ class ExperimentSpec:
             "trials": self.trials,
         }
         for key, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.size_min_mb > self.size_max_mb:
@@ -130,7 +120,7 @@ class ExperimentSpec:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
         if self.r_low_bps_hz > self.r_high_bps_hz:
             raise ConfigError("r_low_bps_hz must not exceed r_high_bps_hz")
-        if self.area_ratio_low_to_high < 0:
+        if not self.area_ratio_low_to_high >= 0:
             raise ConfigError(
                 f"area_ratio_low_to_high must be >= 0, got {self.area_ratio_low_to_high}"
             )
@@ -140,6 +130,11 @@ class ExperimentSpec:
             raise ConfigError("sweep user range must be non-empty")
         if any(n < 0 for n in self.sweep_users):
             raise ConfigError("sweep user counts must be >= 0")
+        if not all(0 < g < math.inf for g in self.zipf_variants):
+            raise ConfigError(
+                f"sweep zipf exponents must be positive and finite, got {self.zipf_variants}")
+        if any(m < 1 for m in self.file_count_variants):
+            raise ConfigError(f"sweep file counts must be >= 1, got {self.file_count_variants}")
         if not self.schedulers:
             raise ConfigError("scheduler list must be non-empty")
         for s in self.schedulers:
@@ -253,26 +248,8 @@ class NormalizationScheme:
     rate_scale: float
     normalized_bandwidth: float
 
-    def as_dict(self) -> dict:
-        return {
-            "frequency_unit_mhz": self.frequency_unit_mhz,
-            "slot_seconds": self.slot_seconds,
-            "slots_per_interval": self.slots_per_interval,
-            "size_unit_mb": self.size_unit_mb,
-            "rate_scale": self.rate_scale,
-            "normalized_bandwidth": self.normalized_bandwidth,
-        }
-
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def denormalize_bandwidth(self, bandwidth_units: float) -> float:
-        """Model frequency units back to MHz."""
-        return bandwidth_units * self.frequency_unit_mhz
-
-    def denormalize_size(self, size_units: float) -> float:
-        """Model size units back to MBytes."""
-        return size_units * self.size_unit_mb
+        return json.dumps(asdict(self), indent=indent)
 
 
 def _scheme_for(spec: ExperimentSpec) -> NormalizationScheme:
@@ -378,7 +355,7 @@ class SweepResult:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(
-            {"experiment": self.spec_name, "normalization": self.scheme.as_dict(),
+            {"experiment": self.spec_name, "normalization": asdict(self.scheme),
              "rows": self.rows},
             indent=indent,
         )
@@ -470,10 +447,22 @@ class ValidationReport:
                           indent=indent)
 
 
-def _grid_argmax(bound_on, lo: float, hi: float) -> tuple[float, float]:
-    """Argmax of ``bound_on`` over an even grid on [lo, hi], and its step."""
+def _grid_check(report: ValidationReport, check: str, closed_form: float, bound_on,
+                lo: float, hi: float):
+    """Add a PASS/FAIL entry: ``closed_form`` against the argmax of
+    ``bound_on`` over an even grid on [lo, hi], within two grid steps plus
+    5% of the argmax."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    return float(grid[int(np.argmax(bound_on(grid)))]), (hi - lo) / (_GRID_POINTS - 1)
+    argmax = float(grid[int(np.argmax(bound_on(grid)))])
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    tol = 2 * step + 0.05 * abs(argmax)
+    delta = abs(closed_form - argmax)
+    report.add(
+        check,
+        "PASS" if delta <= tol else "FAIL",
+        f"closed form {closed_form:.6g} vs grid argmax {argmax:.6g} "
+        f"(|delta|={delta:.3g}, tolerance={tol:.3g})",
+    )
 
 
 def run_validation(spec: ExperimentSpec) -> ValidationReport:
@@ -504,35 +493,18 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
         report.add("smith_vs_bruteforce", "FAIL",
                    f"smith {smith_value:.9g} > brute force {best_value:.9g}")
 
-    # 2. Closed-form operating point vs 1-D grid argmax of the bound.
+    # 2. Closed-form operating point vs 1-D grid argmax of the bound. The
+    #    raw closed-form price is structurally confined to [Pu/2, Pu];
+    #    compare it against the bound's argmax over [floor, Pu].
     sched = suboptimal_schedule(catalog, cell.price_unicast)
     bandwidth, price, moment = operating_point(catalog, cell, sched)
-    wb_hat = closed_form_bandwidth(catalog, cell)
-    grid_wb, wb_step = _grid_argmax(
-        lambda w: lower_bound_revenue(catalog, cell, price, w, sched),
-        cell.bc_cap / _GRID_POINTS, cell.bc_cap)
-    tol_wb = 2 * wb_step + 0.05 * abs(grid_wb)
-    delta_wb = abs(wb_hat - grid_wb)
-    report.add(
-        "closed_form_bandwidth_vs_grid",
-        "PASS" if delta_wb <= tol_wb else "FAIL",
-        f"closed form {wb_hat:.6g} vs grid argmax {grid_wb:.6g} "
-        f"(|delta|={delta_wb:.3g}, tolerance={tol_wb:.3g})",
-    )
-    pb_hat = closed_form_price(catalog, cell, moment)
-    # the closed form is structurally confined to [Pu/2, Pu]; compare it
-    # against the bound's argmax over the admissible range [floor, Pu]
-    grid_pb, pb_step = _grid_argmax(
-        lambda p: lower_bound_revenue(catalog, cell, p, wb_hat, sched),
-        floor, cell.price_unicast)
-    tol_pb = 2 * pb_step + 0.05 * abs(grid_pb)
-    delta_pb = abs(pb_hat - grid_pb)
-    report.add(
-        "closed_form_price_vs_grid",
-        "PASS" if delta_pb <= tol_pb else "FAIL",
-        f"closed form {pb_hat:.6g} vs grid argmax {grid_pb:.6g} "
-        f"(|delta|={delta_pb:.3g}, tolerance={tol_pb:.3g})",
-    )
+    raw_price = closed_form_price(catalog, cell, moment)
+    _grid_check(report, "closed_form_bandwidth_vs_grid", bandwidth,
+                lambda w: lower_bound_revenue(catalog, cell, price, w, sched),
+                cell.bc_cap / _GRID_POINTS, cell.bc_cap)
+    _grid_check(report, "closed_form_price_vs_grid", raw_price,
+                lambda p: lower_bound_revenue(catalog, cell, p, bandwidth, sched),
+                floor, cell.price_unicast)
 
     # 3. Joint fixed-point consistency.
     opt = joint_optimize(catalog, cell)
@@ -547,24 +519,24 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
     # 4. Monte Carlo revenue vs the analytic bound, at the raw closed-form
     #    price (skipped when the bound hypothesis fails there; the
     #    simulation then runs at the floored price for check 5).
-    raw_price = min(closed_form_price(catalog, cell, moment), cell.price_unicast)
     try:
         bound = lower_bound_revenue(catalog, cell, raw_price, bandwidth, sched)
-        mc_price = raw_price
     except PreconditionError:
-        bound, mc_price = None, price
+        bound = None
+    mc = simulate_revenue(
+        catalog, cell, PricePair(cell.price_unicast, price if bound is None else raw_price),
+        bandwidth, sched,
+        trials=max(400, min(spec.trials, 2000)),
+        seed=np.random.SeedSequence([spec.seed, 0xA11D]),
+    )
+    if bound is None:
         excess = (cell.price_unicast - raw_price) * catalog.sizes.max()
         report.add(
             "lower_bound_mc", "SKIPPED",
             f"(Pu - Pb) * max f = {excess:.4g} >= 1 at the "
             f"closed-form price {raw_price:.4g}; bound undefined there",
         )
-    mc = simulate_revenue(
-        catalog, cell, PricePair(cell.price_unicast, mc_price), bandwidth, sched,
-        trials=max(400, min(spec.trials, 2000)),
-        seed=np.random.SeedSequence([spec.seed, 0xA11D]),
-    )
-    if bound is not None:
+    else:
         slack = mc.revenue_mean + 3.0 * mc.revenue_stderr - bound
         report.add(
             "lower_bound_mc",

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 
@@ -8,7 +9,7 @@ import pytest
 import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import build_parser, main
-from bcastopt.errors import ConfigError, ConvergenceError
+from bcastopt.errors import ConfigError, ConvergenceError, PreconditionError
 from bcastopt.scenario import (
     load_spec,
     normalize,
@@ -114,7 +115,7 @@ class TestNormalize:
         assert scheme.frequency_unit_mhz == 2.5
         assert scheme.size_unit_mb == pytest.approx(634.0 / 0.99)
         # the largest admissible file normalizes to 0.99; all draws sit below
-        assert scheme.denormalize_size(0.99) == pytest.approx(634.0)
+        assert 0.99 * scheme.size_unit_mb == pytest.approx(634.0)
         assert 0.0 < catalog.sizes.max() <= 0.99
         assert np.all(catalog.sizes < 1.0)
 
@@ -174,7 +175,7 @@ class TestRunSweep:
         for row in result.rows:
             if row["error"]:
                 continue
-            mhz = result.scheme.denormalize_bandwidth(row["W_b_star"])
+            mhz = row["W_b_star"] * result.scheme.frequency_unit_mhz
             assert mhz <= small_spec.bc_cap_fraction * small_spec.bandwidth_mhz + 1e-9
 
     def test_failed_point_is_recorded_and_sweep_continues(self, small_spec, monkeypatch):
@@ -197,6 +198,16 @@ class TestRunSweep:
 
         monkeypatch.setattr(scenario, "lower_bound_revenue", broken)
         with pytest.raises(TypeError, match="injected bug"):
+            run_sweep(small_spec)
+
+    def test_precondition_error_propagates(self, small_spec, monkeypatch):
+        # A valid spec never breaks the bound hypothesis at the operating
+        # point, so a PreconditionError there is a bug, not a row error.
+        def broken(*args, **kwargs):
+            raise PreconditionError("injected violation")
+
+        monkeypatch.setattr(scenario, "lower_bound_revenue", broken)
+        with pytest.raises(PreconditionError, match="injected violation"):
             run_sweep(small_spec)
 
     def test_broken_payoff_guarantee_propagates(self, small_spec, monkeypatch):
@@ -241,6 +252,17 @@ class TestRunValidation:
         entry = next(e for e in report.entries if e["check"] == "lower_bound_mc")
         assert entry["status"] == "SKIPPED"
         assert ">= 1" in entry["detail"]
+
+    def test_skipped_report_is_byte_stable(self, small_spec):
+        # SHA-256 of both renderings of the SKIPPED report above, which no
+        # shipped config reaches; recorded before check 4 was rewritten.
+        report = run_validation(small_spec)
+        digests = [hashlib.sha256(text.encode()).hexdigest()
+                   for text in (report.to_text(), report.to_json())]
+        assert digests == [
+            "1e7965bd4adf17fae752d501e30dca2cb64e37748470911f68a0eb1fc7cb0655",
+            "d370ae050eb7ff907dbdcea2b88cd46d95b373049c3d771a962571eed39a4793",
+        ]
 
     def test_text_rendering(self, small_spec):
         report = run_validation(small_spec)
@@ -328,6 +350,19 @@ class TestCli:
         assert rc in (0, 2)
         assert ("FAIL" in text) == (rc == 2)
 
+    def test_validate_format_text_is_the_default(self, small_config, capsys):
+        main(["validate", small_config])
+        default = capsys.readouterr().out
+        main(["validate", small_config, "--format", "text"])
+        assert capsys.readouterr().out == default
+        assert default.startswith("validation report: small\n")
+
+    def test_validate_rejects_csv_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["validate", "any.cfg", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_seed_override_changes_sweep(self, small_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", small_config, "-o", str(a)]) == 0
@@ -351,12 +386,23 @@ class TestCli:
         (("schedulers = suboptimal", "schedulers ="), ["simulate"]),
         (("schedulers = suboptimal", "schedulers = ,"), ["schedule"]),
         (("schedulers = suboptimal", "schedulers ="), ["sweep"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = -0.5"),
+         ["sweep"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal\nfile_counts = 0"), ["sweep"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = nan"),
+         ["sweep"]),
+        (("bandwidth_mhz = 10", "bandwidth_mhz = nan"), ["optimize"]),
+        (("bandwidth_mhz = 10", "bandwidth_mhz = inf"), ["optimize"]),
+        (("unicast_price = 2.6", "unicast_price = inf"), ["optimize"]),
+        (("area_ratio_low_to_high = 9", "area_ratio_low_to_high = nan"), ["simulate"]),
     ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
             "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
             "negative-seed-simulate", "no-section-header", "duplicate-section",
             "bare-percent", "no-schedulers-simulate", "no-schedulers-schedule",
-            "no-schedulers-sweep"])
+            "no-schedulers-sweep", "negative-zipf-variant", "zero-file-count-variant",
+            "nan-zipf-variant", "nan-bandwidth", "inf-bandwidth", "inf-price",
+            "nan-area-ratio"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
         path = small_config
