@@ -138,6 +138,11 @@ class SimulationReport:
         return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
+def _prefix_mean(values, count) -> float:
+    """Mean of the first ``count`` entries; NaN when there are none."""
+    return float(values[:count].mean()) if count else float("nan")
+
+
 def simulate_revenue(
     catalog: FileCatalog,
     cell,
@@ -160,7 +165,9 @@ def simulate_revenue(
     Revenue decomposes exactly as Pb * sum_i f_i * (broadcast count of i)
     plus the fixed unicast term Pu * (W - Wb) * T. Trials use independent
     child streams of ``seed``, so results do not depend on execution
-    order.
+    order. The streams are spawned block by block; ``SeedSequence.spawn``
+    hands out consecutive children, so trial t draws from the same child
+    one ``spawn(trials)`` would give it.
 
     Trials run in consecutive blocks of k = max(1, 2**13 // N). Each
     trial of a block draws from its own stream, in trial order: its
@@ -169,10 +176,12 @@ def simulate_revenue(
     whole block are then one pass over (k, N) arrays. Per-trial sums are
     row sums of the (k, N) arrays with the entries outside the mask set
     to zero, so each equals the sum of that trial's zero-padded N-vector
-    bit for bit. A payoff domain error names the trial and element a
-    trial-by-trial loop meets first (its unicast term before its
-    broadcast term). A user assigned broadcast below their unicast
-    payoff raises AssertionError.
+    bit for bit. The per-trial payoff means and realized rates of the
+    trials that serve (broadcast to) somebody fill preallocated arrays in
+    trial order, so memory grows by a few 8-byte slots a trial. A payoff
+    domain error names the trial and element a trial-by-trial loop meets
+    first (its unicast term before its broadcast term). A user assigned
+    broadcast below their unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -215,14 +224,17 @@ def simulate_revenue(
     revenues = np.empty(trials)
     bc_frac = np.zeros(trials)
     uc_frac = np.zeros(trials)
-    policy_payoffs = []
-    baseline_payoffs = []
     shortfall_trials = 0
     unrequested = np.zeros(trials)
-    realized_rates = []
+    # Per-trial means over the trials with a served user (policy and
+    # baseline payoffs) or a broadcast user (realized rate), in trial order.
+    policy_payoffs = np.empty(trials)
+    baseline_payoffs = np.empty(trials)
+    n_served_trials = 0
+    realized_rates = np.empty(trials)
+    n_bc_trials = 0
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(trials)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
     # Each trial draws its N rate uniforms, then its N threshold uniforms.
@@ -231,7 +243,7 @@ def simulate_revenue(
     for start in range(0, trials, k):
         block = slice(start, min(start + k, trials))
         rows = block.stop - start
-        for j, stream in enumerate(streams[block]):
+        for j, stream in enumerate(root.spawn(rows)):
             gen = np.random.default_rng(stream)
             counts = gen.multinomial(n_users, catalog.popularity)
             ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
@@ -277,11 +289,16 @@ def simulate_revenue(
         realized = np.where(bc_mask, payoff_bc, payoff_uc)
         n_served = np.count_nonzero(served, axis=1)
         some = n_served > 0
-        policy_payoffs.extend(
+        filled = slice(n_served_trials, n_served_trials + np.count_nonzero(some))
+        policy_payoffs[filled] = (
             np.where(served, realized, 0.0).sum(axis=1)[some] / n_served[some])
-        baseline_payoffs.extend(
+        baseline_payoffs[filled] = (
             np.where(served, payoff_uc, 0.0).sum(axis=1)[some] / n_served[some])
-        realized_rates.extend(np.where(bc_mask, rate_u, np.inf).min(axis=1)[n_bc > 0])
+        n_served_trials = filled.stop
+        any_bc = n_bc > 0
+        filled = slice(n_bc_trials, n_bc_trials + np.count_nonzero(any_bc))
+        realized_rates[filled] = np.where(bc_mask, rate_u, np.inf).min(axis=1)[any_bc]
+        n_bc_trials = filled.stop
 
     if shortfall_trials:
         warnings.warn(
@@ -301,13 +318,9 @@ def simulate_revenue(
         uc_revenue=uc_revenue,
         uc_user_fraction=float(uc_frac.mean()),
         unserved_user_fraction=float((1.0 - bc_frac - uc_frac).mean()),
-        mean_payoff_policy=float(np.mean(policy_payoffs)) if policy_payoffs else float("nan"),
-        mean_payoff_uc_baseline=(
-            float(np.mean(baseline_payoffs)) if baseline_payoffs else float("nan")
-        ),
+        mean_payoff_policy=_prefix_mean(policy_payoffs, n_served_trials),
+        mean_payoff_uc_baseline=_prefix_mean(baseline_payoffs, n_served_trials),
         uc_demand_shortfall_trials=shortfall_trials,
         unrequested_scheduled_mean=float(unrequested.mean()),
-        bc_rate_realized_mean=(
-            float(np.mean(realized_rates)) if realized_rates else float("nan")
-        ),
+        bc_rate_realized_mean=_prefix_mean(realized_rates, n_bc_trials),
     )

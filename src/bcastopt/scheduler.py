@@ -144,19 +144,37 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
     """Exhaustive minimizer of :func:`smith_cost` over all orders.
 
     Independent oracle for small catalogs; cost grows factorially.
-    Returns (best order, minimal cost).
+    Returns (best order, minimal cost): the first minimizer in
+    itertools.permutations order.
+
+    The orders are enumerated one leading file at a time, so at most
+    (n - 1)! rows are held at once: the orders starting with file i are i
+    followed by the rows of ``_permutations(n - 1)`` with every index >= i
+    shifted up, the way ``_permutations`` builds its last level. A row's
+    cost depends on that row alone, so every cost has the same bits as in
+    one n!-row array; a later chunk replaces the best only when strictly
+    cheaper.
     """
     n = catalog.size
     if n > 9:
         raise InvalidParameterError(f"brute force limited to 9 files, got {n}")
     check_bound_hypothesis(catalog, price_unicast, price_broadcast)
     gap = price_unicast - price_broadcast
-    perms = _permutations(n)
     c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - gap * catalog.sizes)
-    completion = np.cumsum(catalog.sizes[perms], axis=1)
-    costs = (completion * c[perms]).sum(axis=1)
-    k = int(np.argmin(costs))
-    return perms[k].copy(), float(costs[k])
+    rest = _permutations(n - 1)
+    chunk = np.empty((len(rest), n), dtype=np.int64)
+    completion = np.empty(chunk.shape)
+    best_order, best_cost = None, None
+    for first in range(n):
+        chunk[:, 0] = first
+        np.add(rest, rest >= first, out=chunk[:, 1:])
+        np.cumsum(catalog.sizes[chunk], axis=1, out=completion)
+        completion *= c[chunk]
+        costs = completion.sum(axis=1)
+        k = int(np.argmin(costs))
+        if best_cost is None or costs[k] < best_cost:
+            best_order, best_cost = chunk[k].copy(), float(costs[k])
+    return best_order, best_cost
 
 
 def scheduled_demand_moment(catalog: FileCatalog, schedule: Schedule) -> float:

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ def catalog_from(sizes, popularity, theta, rate_model=None, delay_lo=None, delay
     return FileCatalog.from_arrays(
         sizes, popularity, theta, rate_model, delay_lo=delay_lo, delay_hi=delay_hi
     )
+
+
+def traced_peak(run) -> int:
+    """Bytes ``run()`` allocates at its peak above what was live before it,
+    as tracemalloc counts them (numpy reports its array buffers)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_instance(rng, m_lo=3, m_hi=8, f_lo=0.05, f_hi=0.5):

@@ -24,7 +24,7 @@ from bcastopt.payoff import (
 )
 from bcastopt.scheduler import popularity_schedule, suboptimal_schedule
 
-from conftest import catalog_from, point_rate
+from conftest import catalog_from, point_rate, traced_peak
 
 
 class TestUnicastPayoff:
@@ -511,6 +511,19 @@ class TestSimulateBlocks:
         if cell_bandwidth is not None:
             assert min(got.bc_user_fraction, got.uc_user_fraction,
                        got.unserved_user_fraction) > 0
+
+    def test_memory_per_trial_is_a_few_slots(self, single_cell_setup):
+        # Per trial the simulator keeps seven 8-byte statistics; trial
+        # streams are spawned one block at a time.
+        catalog, cell, _ = single_cell_setup
+        cell = dataclasses.replace(cell, n_users=200)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, cell, schedule)
+        args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+        simulate_revenue(*args, trials=50, seed=3)
+        small = traced_peak(lambda: simulate_revenue(*args, trials=1000, seed=3))
+        large = traced_peak(lambda: simulate_revenue(*args, trials=8000, seed=3))
+        assert (large - small) / 7000 <= 64
 
     def test_rows_without_broadcast_or_served_users(self, single_cell_setup, monkeypatch):
         # 3 users in an 8-unit cell with half of it on broadcast: in the one

@@ -30,7 +30,7 @@ from bcastopt.scheduler import (
     suboptimal_schedule,
 )
 
-from conftest import catalog_from, point_rate, random_instance
+from conftest import catalog_from, point_rate, random_instance, traced_peak
 
 
 class TestCumulativeSizes:
@@ -159,6 +159,30 @@ def _itertools_best_order(catalog, pu, pb):
     return list(best_order), best_cost
 
 
+def _one_array_costs(catalog, pu, pb):
+    """All n! orders as one array and the Smith cost of each, summed the
+    way the oracle sums a row."""
+    perms = _permutations(catalog.size)
+    c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - (pu - pb) * catalog.sizes)
+    return perms, (np.cumsum(catalog.sizes[perms], axis=1) * c[perms]).sum(axis=1)
+
+
+def _duplicated_catalog(n):
+    """n files in equal pairs (0, 1), (2, 3), ...; with odd n the last file
+    is alone. Sizes, tolerances and popularity are dyadic with few bits,
+    so every completion size and cost is exact in any summation order."""
+    pair = np.arange(n) // 2
+    sizes = np.array([0.5, 0.25, 0.375, 0.125])[pair % 4]
+    theta = np.array([1.0, 2.0, 0.75, 3.0])[pair % 4]
+    weights = np.ones(n)
+    surplus = 2 ** int(np.ceil(np.log2(n))) - n
+    if n % 2:
+        weights[-1] += surplus
+    else:
+        weights[:2] += surplus / 2
+    return catalog_from(sizes, weights / weights.sum(), theta)
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_permutations_in_itertools_order(self, n):
@@ -178,8 +202,33 @@ class TestBruteForce:
             want_order, want_cost = _itertools_best_order(catalog, pu, pb)
             assert order.tolist() == want_order
             assert cost == pytest.approx(want_cost, rel=1e-12, abs=1e-15)
+            perms, costs = _one_array_costs(catalog, pu, pb)
+            k = int(np.argmin(costs))
+            assert order.tolist() == perms[k].tolist() and cost == costs[k]
             sizes_seen.add(catalog.size)
         assert 8 in sizes_seen
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ties_resolve_to_the_first_minimizer(self, n):
+        # Swapping two equal files leaves the cost bit for bit, so for n > 1
+        # every minimizer has a twin, often one with another leading file.
+        catalog = _duplicated_catalog(n)
+        order, cost = brute_force_best_order(catalog, 1.0, 0.5)
+        want_order, want_cost = _itertools_best_order(catalog, 1.0, 0.5)
+        perms, costs = _one_array_costs(catalog, 1.0, 0.5)
+        k = int(np.argmin(costs))
+        assert order.tolist() == want_order == perms[k].tolist()
+        assert cost == want_cost == costs[k]
+        assert np.count_nonzero(costs == cost) >= (2 if n > 1 else 1)
+
+    def test_memory_stays_below_one_chunk_per_copy(self):
+        # One n!-row array and its float copies took 7.7 MB at n = 8; one
+        # (n - 1)!-row chunk at a time takes about 1.3 MB.
+        catalog, cell = random_instance(np.random.default_rng(5), m_lo=8, m_hi=8)
+        pu = cell.price_unicast
+        brute_force_best_order(catalog, pu, 0.75 * pu)
+        peak = traced_peak(lambda: brute_force_best_order(catalog, pu, 0.75 * pu))
+        assert peak < 2_000_000
 
 
 @given(data=st.data())
