@@ -2,8 +2,8 @@
 
 Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
-success, 1 on configuration or convergence errors, 2 on validation
-failures.
+success, 1 on configuration, convergence or payoff-domain errors, 2 on
+validation failures.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .demand import catalog_to_csv
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, PayoffDomainError
 from .optimizer import joint_optimize
 from .payoff import PricePair, simulate_revenue
 from .scenario import (
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConvergenceError) as exc:
+    except (ConfigError, ConvergenceError, PayoffDomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except BrokenPipeError:

@@ -282,22 +282,21 @@ def bound_argmax_bandwidth(
 
 def bound_argmax_price(
     catalog: FileCatalog, cell: CellConfig, bandwidth: float, schedule: Schedule,
-    floor: float = 0.0,
 ) -> float:
-    """Maximizer of the bound over price in [floor, Pu] at fixed bandwidth
-    and schedule.
+    """Maximizer of the bound over price in [:func:`price_validity_floor`, Pu]
+    at fixed bandwidth and schedule.
 
     Along the price the bound is a concave quadratic; with
     F = sum_i f_i p_i, k = r_u / (Wb r_b) and the schedule's
     :func:`bound_moments` D and E its vertex is (F - k (D - Pu E)) / (2 k E),
-    projected onto [floor, Pu].
+    projected onto that box.
     """
     if bandwidth <= 0:
         raise InvalidParameterError(f"bandwidth must be > 0, got {bandwidth}")
     d, e = bound_moments(catalog, schedule.s)
     k = cell.r_u / (bandwidth * cell.r_b)
     raw = (catalog.mean_size - k * (d - cell.price_unicast * e)) / (2.0 * k * e)
-    return min(max(raw, floor), cell.price_unicast)
+    return min(max(raw, price_validity_floor(catalog, cell)), cell.price_unicast)
 
 
 def gain_offset(catalog: FileCatalog, schedule: Schedule, demand_moment: float) -> float:
@@ -331,10 +330,9 @@ def fixed_point_residuals(
     for the result's price and returns the absolute changes. Both are ~0
     at a genuine fixed point.
     """
-    floor = price_validity_floor(catalog, cell)
     sched = smith_schedule(catalog, cell.price_unicast, result.bc_price)
     w = bound_argmax_bandwidth(catalog, cell, result.bc_price, sched)
-    p = bound_argmax_price(catalog, cell, result.bc_bandwidth, sched, floor=floor)
+    p = bound_argmax_price(catalog, cell, result.bc_bandwidth, sched)
     return abs(w - result.bc_bandwidth), abs(p - result.bc_price)
 
 
@@ -372,14 +370,13 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
             iterations=0,
         )
 
-    floor = price_validity_floor(catalog, cell)
     bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
     bandwidth = None
     trace = []
     for it in range(1, DEFAULT_MAX_ITERS + 1):
         sched = smith_schedule(catalog, cell.price_unicast, price)
         new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
-        new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched, floor=floor)
+        new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched)
         new_bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
         trace.append((new_bandwidth, new_price, new_bound))
         if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):

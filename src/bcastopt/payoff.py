@@ -53,6 +53,16 @@ def _check_delay_term(denom, expression: str):
         )
 
 
+# The delay term of each service, as a payoff domain error names it.
+_DELAY_TERMS = {UNICAST: "size/rate - threshold", BROADCAST: "s/(Wb*rb) - threshold"}
+
+
+def _payoff(size, denom, price):
+    """log((1 + f) / denom) - P * f, where ``denom`` is the download's delay
+    beyond the user's threshold."""
+    return np.log((1.0 + size) / denom) - price * size
+
+
 def unicast_payoff(size, threshold, rate, price):
     """log((1 + f) / (f/r - t)) - Pu * f for a unicast download.
 
@@ -61,8 +71,8 @@ def unicast_payoff(size, threshold, rate, price):
     model does not apply and a domain error is raised.
     """
     denom = size / rate - threshold
-    _check_delay_term(denom, "size/rate - threshold")
-    value = np.log((1.0 + size) / denom) - price * size
+    _check_delay_term(denom, _DELAY_TERMS[UNICAST])
+    value = _payoff(size, denom, price)
     return value if np.ndim(value) else float(value)
 
 
@@ -76,8 +86,8 @@ def broadcast_payoff(size, threshold, bc_rate, completed_size, bandwidth, price)
     if bandwidth <= 0:
         raise InvalidParameterError(f"broadcast bandwidth must be > 0, got {bandwidth}")
     denom = completed_size / (bandwidth * bc_rate) - threshold
-    _check_delay_term(denom, "s/(Wb*rb) - threshold")
-    value = np.log((1.0 + size) / denom) - price * size
+    _check_delay_term(denom, _DELAY_TERMS[BROADCAST])
+    value = _payoff(size, denom, price)
     return value if np.ndim(value) else float(value)
 
 
@@ -138,11 +148,6 @@ class SimulationReport:
         return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
-def _prefix_mean(values, count) -> float:
-    """Mean of the first ``count`` entries; NaN when there are none."""
-    return float(values[:count].mean()) if count else float("nan")
-
-
 def simulate_revenue(
     catalog: FileCatalog,
     cell,
@@ -176,12 +181,15 @@ def simulate_revenue(
     whole block are then one pass over (k, N) arrays. Per-trial sums are
     row sums of the (k, N) arrays with the entries outside the mask set
     to zero, so each equals the sum of that trial's zero-padded N-vector
-    bit for bit. The per-trial payoff means and realized rates of the
-    trials that serve (broadcast to) somebody fill preallocated arrays in
-    trial order, so memory grows by a few 8-byte slots a trial. A payoff
-    domain error names the trial and element a trial-by-trial loop meets
-    first (its unicast term before its broadcast term). A user assigned
-    broadcast below their unicast payoff raises AssertionError.
+    bit for bit. The delay terms of a block sit in one (k, 2, N) array,
+    unicast before broadcast within each trial, so its first non-positive
+    entry in C order is the payoff domain error a trial-by-trial loop
+    meets first. With Wb = 0 the broadcast delay is infinite: the
+    broadcast payoff is -inf and nobody is eligible. The per-trial payoff
+    means and realized rates fill preallocated (trials,) arrays, and two
+    boolean masks mark the trials that serve (broadcast to) somebody, so
+    memory grows by a few bytes a trial. A user assigned broadcast below
+    their unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -192,86 +200,78 @@ def simulate_revenue(
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
+    report_seed = seed if isinstance(seed, int) or seed is None else None
+    nan = float("nan")
 
     if n_users == 0:
         # Only the fixed unicast term remains; exact, zero variance.
         return SimulationReport(
             revenue_mean=uc_revenue, revenue_stderr=0.0, bc_user_fraction=0.0,
-            payoff_guarantee_violations=0, trials=trials,
-            seed=seed if isinstance(seed, int) or seed is None else None,
+            payoff_guarantee_violations=0, trials=trials, seed=report_seed,
             n_users=0, uc_revenue=uc_revenue, uc_user_fraction=0.0,
-            unserved_user_fraction=0.0, mean_payoff_policy=float("nan"),
-            mean_payoff_uc_baseline=float("nan"), uc_demand_shortfall_trials=0,
-            unrequested_scheduled_mean=float(catalog.size),
-            bc_rate_realized_mean=float("nan"),
+            unserved_user_fraction=0.0, mean_payoff_policy=nan,
+            mean_payoff_uc_baseline=nan, uc_demand_shortfall_trials=0,
+            unrequested_scheduled_mean=float(catalog.size), bc_rate_realized_mean=nan,
         )
 
     proc_order = np.argsort(-catalog.popularity, kind="stable")
     sizes = catalog.sizes
     lo = catalog.delay_lo
-    hi = catalog.delay_hi
-    s = schedule.s
+    span = catalog.delay_hi - lo
+    with np.errstate(divide="ignore"):
+        # With no broadcast bandwidth the queue never completes: delay inf.
+        bc_delay = schedule.s / (bc_bandwidth * cell.r_b)
+    price = np.array([[prices.unicast], [prices.broadcast]])
 
-    def payoffs(f, ufile, thr, rate_u):
-        payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
-        if bc_bandwidth > 0.0:
-            payoff_bc = broadcast_payoff(
-                f, thr, cell.r_b, s[ufile], bc_bandwidth, prices.broadcast
-            )
-            return payoff_uc, payoff_bc, payoff_bc >= payoff_uc
-        return payoff_uc, np.full(f.shape, -np.inf), np.zeros(f.shape, dtype=bool)
-
-    revenues = np.empty(trials)
-    bc_frac = np.zeros(trials)
-    uc_frac = np.zeros(trials)
+    revenues, bc_frac, uc_frac, unrequested = (np.empty(trials) for _ in range(4))
+    # Per-trial means of the served users' policy and baseline payoffs and
+    # the broadcast group's realized rate; only the trials the masks mark
+    # (somebody served, somebody on broadcast) enter the final means.
+    policy_payoffs, baseline_payoffs, realized_rates = (np.empty(trials) for _ in range(3))
+    any_served = np.empty(trials, dtype=bool)
+    any_bc = np.empty(trials, dtype=bool)
     shortfall_trials = 0
-    unrequested = np.zeros(trials)
-    # Per-trial means over the trials with a served user (policy and
-    # baseline payoffs) or a broadcast user (realized rate), in trial order.
-    policy_payoffs = np.empty(trials)
-    baseline_payoffs = np.empty(trials)
-    n_served_trials = 0
-    realized_rates = np.empty(trials)
-    n_bc_trials = 0
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
     # Each trial draws its N rate uniforms, then its N threshold uniforms.
     u_buf = np.empty((k, 2, n_users))
-    span = hi - lo
+    # Each trial's unicast delay terms f/r - t, then its broadcast ones.
+    terms_buf = np.empty((k, 2, n_users))
     for start in range(0, trials, k):
         block = slice(start, min(start + k, trials))
         rows = block.stop - start
         for j, stream in enumerate(root.spawn(rows)):
             gen = np.random.default_rng(stream)
             counts = gen.multinomial(n_users, catalog.popularity)
+            unrequested[start + j] = catalog.size - np.count_nonzero(counts)
             ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
             gen.random(out=u_buf[j])
-        ufile, u = ufile_buf[:rows], u_buf[:rows]
-        # Rows are grouped by file, so each file change starts a new requested file.
-        requested = 1 + np.count_nonzero(ufile[:, 1:] != ufile[:, :-1], axis=1)
-        unrequested[block] = catalog.size - requested
+        ufile, u, terms = ufile_buf[:rows], u_buf[:rows], terms_buf[:rows]
         rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
         # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
         thr = lo[ufile] + span[ufile] * u[:, 1]
         f = sizes[ufile]
+        download = f / rate_u
+        np.subtract(download, thr, out=terms[:, UNICAST])
+        np.subtract(bc_delay[ufile], thr, out=terms[:, BROADCAST])
+        bad = terms <= 0
+        if bad.any():
+            # In C order the first bad entry is the one a trial-by-trial loop
+            # meets first: by trial, then unicast before broadcast, then user.
+            j, service, _ = np.unravel_index(np.argmax(bad), bad.shape)
+            try:
+                _check_delay_term(terms[j, service], _DELAY_TERMS[service])
+            except PayoffDomainError as exc:
+                raise PayoffDomainError(f"trial {start + j}: {exc}") from exc
+        with np.errstate(divide="ignore"):
+            payoff = _payoff(f[:, None], terms, price)
+        payoff_uc, payoff_bc = payoff[:, UNICAST], payoff[:, BROADCAST]
 
-        try:
-            payoff_uc, payoff_bc, eligible = payoffs(f, ufile, thr, rate_u)
-        except PayoffDomainError:
-            # Name the failure a trial-by-trial loop meets first: each trial's
-            # unicast term, then its broadcast term.
-            for j in range(rows):
-                try:
-                    payoffs(f[j], ufile[j], thr[j], rate_u[j])
-                except PayoffDomainError as exc:
-                    raise PayoffDomainError(f"trial {start + j}: {exc}") from exc
-            raise
-
-        demand = np.ceil(f / rate_u)
+        demand = np.ceil(download)
         shortfall_trials += int(np.count_nonzero(demand.sum(axis=1) < uc_pool))
-        assigned = assign_services(demand, eligible, uc_pool)
+        assigned = assign_services(demand, payoff_bc >= payoff_uc, uc_pool)
 
         bc_mask = assigned == BROADCAST
         uc_mask = assigned == UNICAST
@@ -282,23 +282,17 @@ def simulate_revenue(
             raise AssertionError(f"payoff guarantee broken in trial {start + j}: user {user}")
 
         n_bc = np.count_nonzero(bc_mask, axis=1)
+        n_served = np.count_nonzero(served, axis=1)
+        any_bc[block] = n_bc > 0
+        any_served[block] = n_served > 0
         bc_frac[block] = n_bc / n_users
         uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
-        bc_sizes = np.where(bc_mask, f, 0.0).sum(axis=1)
-        revenues[block] = uc_revenue + prices.broadcast * bc_sizes
+        revenues[block] = uc_revenue + prices.broadcast * np.where(bc_mask, f, 0.0).sum(axis=1)
         realized = np.where(bc_mask, payoff_bc, payoff_uc)
-        n_served = np.count_nonzero(served, axis=1)
-        some = n_served > 0
-        filled = slice(n_served_trials, n_served_trials + np.count_nonzero(some))
-        policy_payoffs[filled] = (
-            np.where(served, realized, 0.0).sum(axis=1)[some] / n_served[some])
-        baseline_payoffs[filled] = (
-            np.where(served, payoff_uc, 0.0).sum(axis=1)[some] / n_served[some])
-        n_served_trials = filled.stop
-        any_bc = n_bc > 0
-        filled = slice(n_bc_trials, n_bc_trials + np.count_nonzero(any_bc))
-        realized_rates[filled] = np.where(bc_mask, rate_u, np.inf).min(axis=1)[any_bc]
-        n_bc_trials = filled.stop
+        per_served = np.maximum(n_served, 1)  # 0/1 where nobody is served; masked out
+        policy_payoffs[block] = np.where(served, realized, 0.0).sum(axis=1) / per_served
+        baseline_payoffs[block] = np.where(served, payoff_uc, 0.0).sum(axis=1) / per_served
+        realized_rates[block] = np.where(bc_mask, rate_u, np.inf).min(axis=1)
 
     if shortfall_trials:
         warnings.warn(
@@ -306,6 +300,11 @@ def simulate_revenue(
             "the fixed unicast revenue term still assumes a sold-out pool",
             stacklevel=2,
         )
+    mean_policy, mean_baseline, mean_rate = (
+        float(values[mask].mean()) if mask.any() else nan
+        for values, mask in ((policy_payoffs, any_served), (baseline_payoffs, any_served),
+                             (realized_rates, any_bc))
+    )
     stderr = float(revenues.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimulationReport(
         revenue_mean=float(revenues.mean()),
@@ -313,14 +312,14 @@ def simulate_revenue(
         bc_user_fraction=float(bc_frac.mean()),
         payoff_guarantee_violations=0,
         trials=trials,
-        seed=seed if isinstance(seed, int) or seed is None else None,
+        seed=report_seed,
         n_users=n_users,
         uc_revenue=uc_revenue,
         uc_user_fraction=float(uc_frac.mean()),
         unserved_user_fraction=float((1.0 - bc_frac - uc_frac).mean()),
-        mean_payoff_policy=_prefix_mean(policy_payoffs, n_served_trials),
-        mean_payoff_uc_baseline=_prefix_mean(baseline_payoffs, n_served_trials),
+        mean_payoff_policy=mean_policy,
+        mean_payoff_uc_baseline=mean_baseline,
         uc_demand_shortfall_trials=shortfall_trials,
         unrequested_scheduled_mean=float(unrequested.mean()),
-        bc_rate_realized_mean=_prefix_mean(realized_rates, n_bc_trials),
+        bc_rate_realized_mean=mean_rate,
     )

@@ -380,13 +380,15 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """
     gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
     counts = tuple(dict.fromkeys((spec.file_count,) + spec.file_count_variants))
+    variants = tuple(dict.fromkeys(spec.schedulers))
+    users = sorted(dict.fromkeys(spec.sweep_users))
     result = SweepResult(spec_name=spec.name, scheme=_scheme_for(spec))
 
     for gamma in gammas:
         for m in counts:
             catalog, base_cell, _ = normalize(spec, zipf_exponent=gamma, file_count=m)
-            for variant in spec.schedulers:
-                for n in sorted(spec.sweep_users):
+            for variant in variants:
+                for n in users:
                     row = {
                         "N": n, "scheduler_variant": variant,
                         "gamma": gamma, "file_count": m, "error": "",

@@ -1,14 +1,16 @@
 """The benchmark's independent checks accept what the package prints.
 
-``bench/checks.py`` recomputes every validation entry from the config and
-the catalog the run built. This suite loads it read-only (no bytecode is
-written next to it) and feeds it the in-process ``validate --format json``
-output of both shipped configs, so a change to the package that breaks the
-benchmark's contract fails here too.
+``bench/checks.py`` recomputes every validation entry and sweep row from
+the config and the catalog the run built. This suite loads it read-only (no
+bytecode is written next to it) and feeds it the in-process
+``validate --format json`` output of both shipped configs and the sweep
+rows of a small single-cell spec, so a change to the package that breaks
+the benchmark's contract fails here too.
 """
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,9 @@ import bcastopt.scenario as scenario
 from bcastopt.cli import main
 
 from conftest import CONFIG_DIR, REPO
+
+SINGLE_CELL = CONFIG_DIR / "single_cell.cfg"
+USERS = (25, 50, 100, 150, 200)  # the bandwidth cap binds from 150 on
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +54,36 @@ def test_validation_report_passes_bench_checks(checks, config, monkeypatch, caps
     problems, report = checks.check_validation(entries, rc, cat, checks.config_facts(path))
     assert report == []
     assert problems == {name: [] for name in checks.VALIDATION_CHECKS}
+
+
+def _sweep_rows(spec):
+    return json.loads(scenario.run_sweep(spec).to_json())["rows"]
+
+
+@pytest.fixture(scope="module")
+def small_spec():
+    return replace(scenario.load_spec(str(SINGLE_CELL)), file_count=40, sweep_users=USERS,
+                   trials=200)
+
+
+def test_sweep_rows_pass_bench_checks(checks, small_spec):
+    rows = _sweep_rows(small_spec)
+    facts = dict(checks.config_facts(SINGLE_CELL), users=USERS)
+    problems, report = checks.check_sweep(rows, facts)
+    assert report == []
+    assert problems == {n: [] for n in USERS}
+
+    catalog, _, _ = scenario.normalize(small_spec)
+    cat = checks.catalog_arrays(checks.catalog_record(catalog))
+    assert checks.check_policy_point(rows[-1], cat, facts, 3, 2000) == []
+
+
+def test_repeated_sweep_axes_give_no_duplicate_rows(checks, small_spec):
+    users = (50, 25, 50, 25)
+    spec = replace(small_spec, sweep_users=users, schedulers=("suboptimal", "suboptimal"))
+    rows = _sweep_rows(spec)
+    problems, report = checks.check_sweep(rows, dict(checks.config_facts(SINGLE_CELL),
+                                                     users=users))
+    assert report == []
+    assert problems == {25: [], 50: []}
+    assert [row["N"] for row in rows] == [25, 50]

@@ -193,14 +193,18 @@ class TestMomentsForm:
                         _per_file_smith_cost(order, catalog, pu, pb), rel=1e-12)
 
     def test_price_vertex(self):
+        seen = set()
         for catalog, cell, prices, bandwidths in self._draws():
             sched = smith_schedule(catalog, cell.price_unicast, prices[0])
+            floor = price_validity_floor(catalog, cell)
             for w in bandwidths:
                 raw = _per_file_price_vertex(catalog, cell, w, sched)
-                # a floor of -1e9 leaves only the projection onto Pu
-                got = bound_argmax_price(catalog, cell, w, sched, floor=-1e9)
-                want = min(raw, cell.price_unicast)
+                got = bound_argmax_price(catalog, cell, w, sched)
+                want = min(max(raw, floor), cell.price_unicast)
                 assert got == pytest.approx(want, rel=1e-12)
+                seen.add("floor" if raw < floor
+                         else "unicast" if raw > cell.price_unicast else "interior")
+        assert seen == {"floor", "unicast", "interior"}
 
     def test_floor_is_half_unicast_price_for_small_files(self):
         catalog = catalog_from([0.1, 0.3, 0.2], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
@@ -321,7 +325,7 @@ class TestBoundCoordinateArgmax:
             floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
             sched = smith_schedule(catalog, cell.price_unicast, floor)
             wb = float(rng.uniform(0.05, 1.0)) * cell.bc_cap
-            found = bound_argmax_price(catalog, cell, wb, sched, floor=floor)
+            found = bound_argmax_price(catalog, cell, wb, sched)
             assert floor <= found <= cell.price_unicast
             seen.add("floor" if found == floor
                      else "unicast" if found == cell.price_unicast else "interior")
@@ -331,12 +335,13 @@ class TestBoundCoordinateArgmax:
         assert seen == {"floor", "unicast", "interior"}
 
     def test_price_vertex_by_hand(self):
-        # s = f = 0.5, theta = 2, Wb = 0.5: a = 2, and the broadcast term is
-        # N * 0.5 Pb [1 - 2 (1 - (2.5 - Pb) 0.5)] = N * 0.5 Pb (1.5 - Pb),
-        # whose vertex is Pb = 0.75
+        # s = f = 0.5, theta = 2: a = 1 / Wb, and the broadcast term is
+        # N * 0.5 Pb [1 - a (1 - (2.5 - Pb) 0.5)] = N * 0.5 Pb (1 + a / 4 - a Pb / 2),
+        # whose vertex is Pb = Wb + 0.25. The box is [Pu/2, Pu] = [1.25, 2.5].
         catalog, cell, sched = _single_file_setup(price_unicast=2.5)
-        assert bound_argmax_price(catalog, cell, 0.5, sched) == pytest.approx(0.75)
-        assert bound_argmax_price(catalog, cell, 0.5, sched, floor=1.0) == 1.0
+        assert price_validity_floor(catalog, cell) == 1.25
+        assert bound_argmax_price(catalog, cell, 1.25, sched) == pytest.approx(1.5)
+        assert bound_argmax_price(catalog, cell, 0.5, sched) == 1.25  # vertex 0.75
         assert bound_argmax_price(catalog, cell, 1e6, sched) == 2.5
 
     def test_degenerate_inputs_rejected(self):

@@ -614,3 +614,29 @@ class TestSimulateBlocks:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("trial 6: ")
         assert "s/(Wb*rb) - threshold" in str(got.value)
+
+    def test_domain_error_names_unicast_before_broadcast_within_a_trial(self):
+        # One trial, r = 0.5 and Wb * rb = 1. File 0 (popular, first in the
+        # queue, so at the low user indices) downloads in 10 slots but
+        # completes on broadcast at slot 5, before its 6-slot threshold; file
+        # 1 (rarer, higher indices) downloads in 1 slot, before its 2-slot
+        # threshold, but completes on broadcast at slot 5.5. The trial loop
+        # checks all unicast terms before any broadcast term, so it names
+        # file 1's first user, not user 0.
+        catalog = catalog_from(
+            sizes=[5.0, 0.5], popularity=[0.7, 0.3], theta=[0.3, 0.3],
+            rate_model=point_rate(0.5), delay_lo=[6.0, 2.0], delay_hi=[6.0, 2.0],
+        )
+        cell = CellConfig(bandwidth=30.0, slots=4, n_users=8, price_unicast=0.4,
+                          rate_model=point_rate(0.5))
+        (stream,) = np.random.SeedSequence(1).spawn(1)
+        counts = np.random.default_rng(stream).multinomial(8, catalog.popularity)
+        assert counts.tolist() == [5, 3]
+
+        args = (catalog, cell, PricePair(0.4, 0.1), 2.0, popularity_schedule(catalog))
+        with pytest.raises(PayoffDomainError) as want:
+            _reference_simulation(*args, trials=1, seed=1)
+        with pytest.raises(PayoffDomainError) as got:
+            simulate_revenue(*args, trials=1, seed=1)
+        assert str(got.value) == str(want.value) == (
+            "trial 0: delay term non-positive at element 5: size/rate - threshold = -1.0")

@@ -221,6 +221,18 @@ class TestRunSweep:
         with pytest.raises(AssertionError, match="payoff guarantee broken in trial 0"):
             run_sweep(small_spec)
 
+    def test_repeated_users_and_schedulers_give_one_row_each(self, small_config, tmp_path):
+        text = pathlib.Path(small_config).read_text()
+        text = text.replace("users = 0,5,10", "users = 10,5,5,0,10")
+        text = text.replace("schedulers = suboptimal", "schedulers = suboptimal,none,suboptimal")
+        path = tmp_path / "repeated.cfg"
+        path.write_text(text)
+        rows = run_sweep(load_spec(str(path))).rows
+        assert [(r["scheduler_variant"], r["N"]) for r in rows] == [
+            ("suboptimal", 0), ("suboptimal", 5), ("suboptimal", 10),
+            ("none", 0), ("none", 5), ("none", 10),
+        ]
+
     def test_variant_axes_expand_rows(self, small_config):
         text = pathlib.Path(small_config).read_text()
         text = text.replace("[simulation]", "zipf_exponents = 0.5\n\n[simulation]")
@@ -415,6 +427,20 @@ class TestCli:
         assert main([command, str(path), *options]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_simulate_payoff_domain_error_exits_with_one_error_line(self, tmp_path, capsys):
+        # With 60 s thresholds a file near the head of the seven-cell
+        # broadcast queue completes before some of its users' thresholds.
+        text = (CONFIG_DIR / "seven_cell.cfg").read_text()
+        assert "theta_max_s = 6.0\n" in text
+        path = tmp_path / "slow_users.cfg"
+        path.write_text(text.replace("theta_max_s = 6.0\n", "theta_max_s = 60\n"))
+        assert main(["simulate", str(path), "--trials", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: trial 0: delay term non-positive at element ")
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
