@@ -148,6 +148,14 @@ class SimulationReport:
         return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
+def _expected_unrequested(popularity, n_users: int) -> float:
+    """sum_i (1 - p_i)^N = sum_i exp(N log1p(-p_i)): files nobody requests."""
+    if n_users == 0:
+        return float(popularity.size)
+    with np.errstate(divide="ignore"):  # p_i = 1: log1p(-1) = -inf, term 0
+        return float(np.exp(n_users * np.log1p(-popularity)).sum())
+
+
 def simulate_revenue(
     catalog: FileCatalog,
     cell,
@@ -168,28 +176,23 @@ def simulate_revenue(
     lowest rate among its users, is reported separately.
 
     Revenue decomposes exactly as Pb * sum_i f_i * (broadcast count of i)
-    plus the fixed unicast term Pu * (W - Wb) * T. Trials use independent
-    child streams of ``seed``, so results do not depend on execution
-    order. The streams are spawned block by block; ``SeedSequence.spawn``
-    hands out consecutive children, so trial t draws from the same child
-    one ``spawn(trials)`` would give it.
+    plus the fixed unicast term Pu * (W - Wb) * T. One generator,
+    ``default_rng(seed)``, serves the call, and trials draw from it in
+    trial order: request counts, then N rate and N threshold uniforms in
+    one call. A report thus depends on the seed and N, not on the blocks.
+    The unrequested-file count is its exact mean sum_i (1 - p_i)^N.
 
-    Trials run in consecutive blocks of k = max(1, 2**13 // N). Each
-    trial of a block draws from its own stream, in trial order: its
-    request counts, then N rate uniforms and N threshold uniforms in one
-    call. Rates, thresholds, payoffs, assignment and statistics of the
-    whole block are then one pass over (k, N) arrays. Per-trial sums are
-    row sums of the (k, N) arrays with the entries outside the mask set
-    to zero, so each equals the sum of that trial's zero-padded N-vector
-    bit for bit. The delay terms of a block sit in one (k, 2, N) array,
-    unicast before broadcast within each trial, so its first non-positive
-    entry in C order is the payoff domain error a trial-by-trial loop
-    meets first. With Wb = 0 the broadcast delay is infinite: the
-    broadcast payoff is -inf and nobody is eligible. The per-trial payoff
-    means and realized rates fill preallocated (trials,) arrays, and two
-    boolean masks mark the trials that serve (broadcast to) somebody, so
-    memory grows by a few bytes a trial. A user assigned broadcast below
-    their unicast payoff raises AssertionError.
+    Trials run in consecutive blocks of k = max(1, 2**13 // N), each one
+    pass over (k, N) arrays. Per-trial sums are row sums with the entries
+    outside the mask set to zero, so each equals the sum of that trial's
+    zero-padded N-vector bit for bit. A block's delay terms sit in one
+    (k, 2, N) array, unicast before broadcast within each trial, so its
+    first non-positive entry in C order is the payoff domain error a
+    trial-by-trial loop meets first. With Wb = 0 the broadcast delay is
+    infinite, so nobody is eligible. Per-trial payoff means and realized
+    rates fill (trials,) arrays; two boolean masks mark the trials that
+    serve (broadcast to) somebody. A user assigned broadcast below their
+    unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -202,7 +205,7 @@ def simulate_revenue(
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
     report_seed = seed if isinstance(seed, int) or seed is None else None
     nan = float("nan")
-
+    unrequested = _expected_unrequested(catalog.popularity, n_users)
     if n_users == 0:
         # Only the fixed unicast term remains; exact, zero variance.
         return SimulationReport(
@@ -211,11 +214,10 @@ def simulate_revenue(
             n_users=0, uc_revenue=uc_revenue, uc_user_fraction=0.0,
             unserved_user_fraction=0.0, mean_payoff_policy=nan,
             mean_payoff_uc_baseline=nan, uc_demand_shortfall_trials=0,
-            unrequested_scheduled_mean=float(catalog.size), bc_rate_realized_mean=nan,
+            unrequested_scheduled_mean=unrequested, bc_rate_realized_mean=nan,
         )
 
     proc_order = np.argsort(-catalog.popularity, kind="stable")
-    sizes = catalog.sizes
     lo = catalog.delay_lo
     span = catalog.delay_hi - lo
     with np.errstate(divide="ignore"):
@@ -223,16 +225,15 @@ def simulate_revenue(
         bc_delay = schedule.s / (bc_bandwidth * cell.r_b)
     price = np.array([[prices.unicast], [prices.broadcast]])
 
-    revenues, bc_frac, uc_frac, unrequested = (np.empty(trials) for _ in range(4))
+    revenues, bc_frac, uc_frac = (np.empty(trials) for _ in range(3))
     # Per-trial means of the served users' policy and baseline payoffs and
     # the broadcast group's realized rate; only the trials the masks mark
     # (somebody served, somebody on broadcast) enter the final means.
     policy_payoffs, baseline_payoffs, realized_rates = (np.empty(trials) for _ in range(3))
-    any_served = np.empty(trials, dtype=bool)
-    any_bc = np.empty(trials, dtype=bool)
+    any_served, any_bc = (np.empty(trials, dtype=bool) for _ in range(2))
     shortfall_trials = 0
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    gen = np.random.default_rng(seed)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
     # Each trial draws its N rate uniforms, then its N threshold uniforms.
@@ -242,17 +243,15 @@ def simulate_revenue(
     for start in range(0, trials, k):
         block = slice(start, min(start + k, trials))
         rows = block.stop - start
-        for j, stream in enumerate(root.spawn(rows)):
-            gen = np.random.default_rng(stream)
+        for j in range(rows):
             counts = gen.multinomial(n_users, catalog.popularity)
-            unrequested[start + j] = catalog.size - np.count_nonzero(counts)
             ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
             gen.random(out=u_buf[j])
         ufile, u, terms = ufile_buf[:rows], u_buf[:rows], terms_buf[:rows]
         rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
         # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
         thr = lo[ufile] + span[ufile] * u[:, 1]
-        f = sizes[ufile]
+        f = catalog.sizes[ufile]
         download = f / rate_u
         np.subtract(download, thr, out=terms[:, UNICAST])
         np.subtract(bc_delay[ufile], thr, out=terms[:, BROADCAST])
@@ -320,6 +319,6 @@ def simulate_revenue(
         mean_payoff_policy=mean_policy,
         mean_payoff_uc_baseline=mean_baseline,
         uc_demand_shortfall_trials=shortfall_trials,
-        unrequested_scheduled_mean=float(unrequested.mean()),
+        unrequested_scheduled_mean=unrequested,
         bc_rate_realized_mean=mean_rate,
     )

@@ -170,7 +170,7 @@ def joint_optimize_runs(single_cell_setup):
     for cat, cell in instances:
         result = joint_optimize(cat, cell)
         sub = suboptimal_schedule(cat, cell.price_unicast)
-        floor = max(cell.price_unicast / 2, price_validity_floor(cat, cell))
+        floor = price_validity_floor(cat, cell)
         wb = closed_form_bandwidth(cat, cell)
         pb = min(max(closed_form_price(cat, cell, scheduled_demand_moment(cat, sub)),
                      floor), cell.price_unicast)
@@ -365,7 +365,7 @@ class TestCriterion09Properties:
         for _ in range(1000):
             catalog, cell = self._light_instance(rng)
             sched = suboptimal_schedule(catalog, cell.price_unicast)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             a = cell.r_u / cell.r_b
             c1 = float(sched.s @ (catalog.theta * catalog.sizes * catalog.popularity))
             c2 = float(sched.s @ (catalog.theta * catalog.sizes**2 * catalog.popularity))

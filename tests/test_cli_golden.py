@@ -16,9 +16,18 @@ per-trial sums became masked row sums over all N users:
 ``schedule-optimal`` and ``sweep-optimal`` digests of both configs were
 re-recorded when the price-aware scheduler began to weigh each order at
 the operating-point price (the closed-form price floored to the bound's
-validity region) instead of the unfloored closed-form price. A change
-that alters the output on purpose updates them and says why in
-CHANGES.md.
+validity region) instead of the unfloored closed-form price.
+
+The ten digests that print Monte Carlo numbers (``sweep``,
+``sweep-optimal``, ``simulate``, ``validate`` and ``validate-text`` on
+both configs) were re-recorded when the simulator began to draw every
+trial of a call from one ``default_rng(seed)`` stream, in trial order,
+instead of from one spawned ``SeedSequence`` child per trial. The draws
+changed, so the simulated means, standard errors and fractions moved
+within their sampling error. ``unrequested_scheduled_mean`` became the
+exact expectation sum_i (1 - p_i)^N. The ``optimize`` and ``schedule``
+digests did not move. A change that alters the output on purpose
+updates them and says why in CHANGES.md.
 """
 import hashlib
 import warnings
@@ -31,21 +40,21 @@ from conftest import CONFIG_DIR
 
 GOLDEN = {
     ("single_cell", "sweep"): (
-        0, "e355398263db81c86bc399787c07d645ab154228ef0274a75bba03ebc8fc7be5"),
+        0, "6eeeb1fa3820750872255c567c43da511b59cc109ad0876ec4fbbdc8a102dc6a"),
     ("single_cell", "validate"): (
-        2, "683bcc29f0c9eb95f2316a6da9d6ca1dd24d74e19931e77ea1e3fb7d922c07e6"),
+        2, "4e66850659e378e00a6248a279e5d71fbfc3af9f0e76be8cdc857ce9da046150"),
     ("seven_cell", "sweep"): (
-        0, "16f68fa1cfc7dd6750a1a0b64ea7baab3e86073c4727c2b3b1348a58d6c76edd"),
+        0, "444563a998e0e8447d4aec4725b82dc40c0f3cc7024c5140ad7a6f0fa49ff7d3"),
     ("seven_cell", "validate"): (
-        0, "96b4b025e370d26773e3172917d9b87b1662f304e792e859d5045e14f153afbd"),
+        0, "0c17693b524e6039fe3d5d46c1873c4352749d2bf98e5d0b2b3bc78fbd16c20a"),
     ("single_cell", "validate-text"): (
-        2, "893a186daaf25e5c552827b521dd01053ca1894da71ee79b16c172871054a428"),
+        2, "20832737936da36d98a0ead5d5b6a712c91ab222aa1584c1320d69dcc53d3da8"),
     ("seven_cell", "validate-text"): (
-        0, "3edbc8fcaa31f33fcf105f6564921cc3503bfb53ca2e5f612f472ad0af6e7cdf"),
+        0, "584abf72b2d8f5402cd2b743228c23badc95a99959e1a3ffee59b2a72809a469"),
     ("single_cell", "simulate"): (
-        0, "2caff7aa4dca246a72b8061e8929cf356a9e3af466bb590e6d1e0ccd3e81fc1b"),
+        0, "cedc2bf31c256a5ec28c15b4284f9196a01f46e39e9ad00039fa3bd2323c00b6"),
     ("seven_cell", "simulate"): (
-        0, "0e1382b61c3825054ff493823fdd04b0c73f03ebc07ef824419bbf1d1ef3ddb0"),
+        0, "35b4e54434cb984c144b919f0513441e221a4370671530f87af26a007b7c0c03"),
     ("single_cell", "optimize"): (
         0, "019aebdaaf81f84956ab98075f6dec9b872ed1b39bf4abc120ba57b9fd6f3cad"),
     ("seven_cell", "optimize"): (
@@ -61,9 +70,9 @@ GOLDEN = {
     ("single_cell", "schedule-catalog"): (
         0, "2716ded3001e9370f9b2a2a77cf840b1c81ef5a912df2de58d8d5f5c0b037233"),
     ("single_cell", "sweep-optimal"): (
-        0, "1072050554b0f725c831970117d69460269615769e95ef4a65f2d5aed7009ce1"),
+        0, "fe3190a62c8efe3f98056a443c45950577f0618cfa7ab7b8bb563a60c9268342"),
     ("seven_cell", "sweep-optimal"): (
-        0, "3368e458e0b2b30aae5ae0c148edb45085e70a0139347eee6d1752940444049e"),
+        0, "58ebfb53945ba0cef171ec5086f5e7eac1bf5c5e3700d5f8f571df7668ccdf7e"),
 }
 ARGS = {
     "sweep": ["sweep", "--trials", "40"],

@@ -77,7 +77,7 @@ class TestLowerBoundOnGrids:
         for _ in range(10):
             catalog, cell = random_instance(rng, m_lo=m_lo, m_hi=m_hi)
             sched = suboptimal_schedule(catalog, cell.price_unicast)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             w_grid = np.linspace(cell.bc_cap / 400, cell.bc_cap, 400)
             p_grid = np.linspace(floor, cell.price_unicast, 400)
             price = float(rng.uniform(floor, cell.price_unicast))
@@ -290,7 +290,7 @@ def _grid_check(values_at, grid, found):
 
 def _closed_form_bound(catalog, cell):
     sub = suboptimal_schedule(catalog, cell.price_unicast)
-    floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+    floor = price_validity_floor(catalog, cell)
     pb = min(max(closed_form_price(catalog, cell, scheduled_demand_moment(catalog, sub)),
                  floor), cell.price_unicast)
     return lower_bound_revenue(catalog, cell, pb, closed_form_bandwidth(catalog, cell), sub)
@@ -301,7 +301,7 @@ class TestBoundCoordinateArgmax:
         rng = np.random.default_rng(41)
         for _ in range(10):
             catalog, cell = random_instance(rng)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             price = float(rng.uniform(floor, cell.price_unicast))
             sched = smith_schedule(catalog, cell.price_unicast, price)
             found = bound_argmax_bandwidth(catalog, cell, price, sched)
@@ -322,7 +322,7 @@ class TestBoundCoordinateArgmax:
         seen = set()
         for _ in range(30):
             catalog, cell = random_instance(rng)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             sched = smith_schedule(catalog, cell.price_unicast, floor)
             wb = float(rng.uniform(0.05, 1.0)) * cell.bc_cap
             found = bound_argmax_price(catalog, cell, wb, sched)
@@ -421,7 +421,7 @@ class TestJointOptimize:
             # the exact fixed point does at least as well as the one-shot
             # closed forms, both evaluated where the bound is defined
             sub = suboptimal_schedule(catalog, cell.price_unicast)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             wb = closed_form_bandwidth(catalog, cell)
             pb = min(max(closed_form_price(
                 catalog, cell, scheduled_demand_moment(catalog, sub)), floor),
@@ -492,7 +492,7 @@ class TestBoundShape:
         for _ in range(200):
             catalog, cell = random_instance(rng)
             sched = suboptimal_schedule(catalog, cell.price_unicast)
-            floor = max(cell.price_unicast / 2, price_validity_floor(catalog, cell))
+            floor = price_validity_floor(catalog, cell)
             w_grid = np.linspace(cell.bc_cap / 50, cell.bc_cap, 50)
             p_grid = np.linspace(floor, cell.price_unicast, 50)
             # one grid call; TestLowerBoundOnGrids pins it to the scalar calls

@@ -249,6 +249,34 @@ class TestSimulateRevenue:
         assert report.revenue_mean == 0.4 * (3.0 - 1.0) * 4
         assert report.revenue_stderr == 0.0
         assert report.bc_user_fraction == 0.0
+        assert report.unrequested_scheduled_mean == 3.0  # sum_i (1 - p_i)^0 = M
+
+    def test_unrequested_mean_hand_value(self):
+        # M = 2, N = 1: the one user requests exactly one of the two files.
+        catalog = catalog_from(
+            sizes=[5.0, 4.0], popularity=[0.7, 0.3], theta=[0.3, 0.3],
+            rate_model=point_rate(0.5), delay_lo=[1.0, 1.0], delay_hi=[1.0, 1.0],
+        )
+        report = simulate_revenue(catalog, _oracle_cell(1), PricePair(0.4, 0.1), 1.0,
+                                  popularity_schedule(catalog), trials=3, seed=0)
+        assert report.unrequested_scheduled_mean == pytest.approx(1.0, abs=1e-15)
+
+    def test_unrequested_mean_matches_sampled_count(self, single_cell_setup):
+        # The exact mean against the per-trial count M - count_nonzero(counts)
+        # on the M = 2000 catalog.
+        catalog, cell, _ = single_cell_setup
+        cell = dataclasses.replace(cell, n_users=200)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, cell, schedule)
+        report = simulate_revenue(catalog, cell, PricePair(cell.price_unicast, price),
+                                  bandwidth, schedule, trials=1, seed=0)
+        gen = np.random.default_rng(4)
+        sampled = np.array([
+            catalog.size - np.count_nonzero(gen.multinomial(200, catalog.popularity))
+            for _ in range(2000)
+        ])
+        stderr = sampled.std(ddof=1) / math.sqrt(sampled.size)
+        assert abs(sampled.mean() - report.unrequested_scheduled_mean) <= 4 * stderr
 
     def test_zero_broadcast_price_leaves_only_unicast_term(self):
         catalog = _oracle_catalog()
@@ -377,8 +405,9 @@ class TestSimulateRevenue:
 def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials, seed):
     """The simulator as one loop iteration per trial, the way it ran before
     trials were evaluated in blocks, with the per-user allocation loop.
-    Per-trial sums run over the trial's N users with the entries outside
-    the mask set to zero."""
+    One generator serves every trial, in trial order. Per-trial sums run
+    over the trial's N users with the entries outside the mask set to
+    zero."""
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
@@ -391,15 +420,12 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
     proc_order = np.argsort(-catalog.popularity, kind="stable")
     lo, hi = catalog.delay_lo, catalog.delay_hi
     model = catalog.rate_model
-    revenues, bc_frac, uc_frac, unserved_frac, unrequested = (
-        np.zeros(trials) for _ in range(5)
-    )
+    revenues, bc_frac, uc_frac, unserved_frac = (np.zeros(trials) for _ in range(4))
     policy, baseline, rates = [], [], []
     violations = shortfall = 0
-    for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        gen = np.random.default_rng(stream)
+    gen = np.random.default_rng(seed)
+    for t in range(trials):
         counts = gen.multinomial(n_users, catalog.popularity)
-        unrequested[t] = np.count_nonzero(counts == 0)
         ufile = np.repeat(proc_order, counts[proc_order])
         rate_u = np.where(gen.random(n_users) < model.prob_high, model.r_high, model.r_low)
         thr = gen.uniform(lo[ufile], hi[ufile])
@@ -451,7 +477,7 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         mean_payoff_policy=float(np.mean(policy)) if policy else nan,
         mean_payoff_uc_baseline=float(np.mean(baseline)) if baseline else nan,
         uc_demand_shortfall_trials=shortfall,
-        unrequested_scheduled_mean=float(unrequested.mean()),
+        unrequested_scheduled_mean=float(np.exp(n_users * np.log1p(-catalog.popularity)).sum()),
         bc_rate_realized_mean=float(np.mean(rates)) if rates else nan,
     )
 
@@ -513,8 +539,8 @@ class TestSimulateBlocks:
                        got.unserved_user_fraction) > 0
 
     def test_memory_per_trial_is_a_few_slots(self, single_cell_setup):
-        # Per trial the simulator keeps seven 8-byte statistics; trial
-        # streams are spawned one block at a time.
+        # Per trial the simulator keeps six 8-byte statistics and two mask
+        # bytes; one stream serves every trial.
         catalog, cell, _ = single_cell_setup
         cell = dataclasses.replace(cell, n_users=200)
         schedule = suboptimal_schedule(catalog, cell.price_unicast)
@@ -589,7 +615,7 @@ class TestSimulateBlocks:
         # With this seed, trial 6 (second block of four) is the first to
         # request either, only file 3, and trial 7 requests file 2: evaluating
         # the block's unicast terms first would name trial 7 instead.
-        n_users, trials, seed = 2048, 24, 28
+        n_users, trials, seed = 2048, 24, 238
         catalog = catalog_from(
             sizes=[5.0, 3.0, 4.0], popularity=[1 - 0.45 / 2048, 0.3 / 2048, 0.15 / 2048],
             theta=[0.3, 0.3, 0.3], rate_model=point_rate(0.5),
@@ -598,10 +624,12 @@ class TestSimulateBlocks:
         cell = CellConfig(bandwidth=30.0, slots=4, n_users=n_users, price_unicast=0.4,
                           rate_model=point_rate(0.5))
         k = payoff._BLOCK_USER_TRIALS // n_users
-        counts = np.array([
-            np.random.default_rng(stream).multinomial(n_users, catalog.popularity)
-            for stream in np.random.SeedSequence(seed).spawn(trials)
-        ])
+        gen = np.random.default_rng(seed)
+        counts = []
+        for _ in range(trials):  # each trial's request counts, then its 2N uniforms
+            counts.append(gen.multinomial(n_users, catalog.popularity))
+            gen.random(2 * n_users)
+        counts = np.array(counts)
         first = int(np.flatnonzero(counts[:, 1:].any(axis=1))[0])
         assert (k, first) == (4, 6)
         assert counts[6, 1] == 0 < counts[6, 2] and counts[7, 1] > 0
@@ -629,14 +657,13 @@ class TestSimulateBlocks:
         )
         cell = CellConfig(bandwidth=30.0, slots=4, n_users=8, price_unicast=0.4,
                           rate_model=point_rate(0.5))
-        (stream,) = np.random.SeedSequence(1).spawn(1)
-        counts = np.random.default_rng(stream).multinomial(8, catalog.popularity)
+        counts = np.random.default_rng(0).multinomial(8, catalog.popularity)
         assert counts.tolist() == [5, 3]
 
         args = (catalog, cell, PricePair(0.4, 0.1), 2.0, popularity_schedule(catalog))
         with pytest.raises(PayoffDomainError) as want:
-            _reference_simulation(*args, trials=1, seed=1)
+            _reference_simulation(*args, trials=1, seed=0)
         with pytest.raises(PayoffDomainError) as got:
-            simulate_revenue(*args, trials=1, seed=1)
+            simulate_revenue(*args, trials=1, seed=0)
         assert str(got.value) == str(want.value) == (
             "trial 0: delay term non-positive at element 5: size/rate - threshold = -1.0")

@@ -101,6 +101,24 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec(str(path))
 
+    def _spec_with_rates(self, tmp_path, rates):
+        path = tmp_path / "rates.cfg"
+        path.write_text(SMALL_CONFIG.replace("r_low_degradation = 0.45", rates))
+        return load_spec(str(path))
+
+    def test_low_rate_given_directly(self, tmp_path):
+        spec = self._spec_with_rates(tmp_path, "r_low_bps_hz = 1.5")
+        assert (spec.r_high_bps_hz, spec.r_low_bps_hz) == (2.4, 1.5)
+
+    def test_low_rate_wins_over_degradation(self, tmp_path):
+        # An out-of-range degradation is never read when the rate is given.
+        spec = self._spec_with_rates(tmp_path, "r_low_bps_hz = 1.5\nr_low_degradation = 7")
+        assert spec.r_low_bps_hz == 1.5
+
+    def test_low_rate_above_high_rate(self, tmp_path):
+        with pytest.raises(ConfigError, match="r_low_bps_hz must not exceed r_high_bps_hz"):
+            self._spec_with_rates(tmp_path, "r_low_bps_hz = 2.5")
+
     def test_unknown_scheduler(self, tmp_path):
         path = tmp_path / "sched.cfg"
         path.write_text(SMALL_CONFIG.replace("schedulers = suboptimal", "schedulers = magic"))
