@@ -43,9 +43,7 @@ from .payoff import (
     PricePair,
     SimulationReport,
     assign_services,
-    broadcast_payoff,
     simulate_revenue,
-    unicast_payoff,
 )
 from .scenario import (
     ExperimentSpec,

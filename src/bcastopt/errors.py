@@ -6,8 +6,8 @@ class InvalidParameterError(ValueError):
 
 
 class PayoffDomainError(ValueError):
-    """A payoff expression was evaluated outside its domain (non-positive
-    log argument or delay denominator)."""
+    """A payoff expression would leave its domain: some admissible draw
+    gives a non-positive delay denominator."""
 
 
 class PreconditionError(ValueError):

@@ -110,7 +110,6 @@ class OptimizationResult:
     gain_offset: float
     lower_bound: float
     gain: float
-    converged: bool
     iterations: int
 
     def to_json(self, indent: int = 2) -> str:
@@ -122,7 +121,6 @@ class OptimizationResult:
             "gain_offset": self.gain_offset,
             "lower_bound": self.lower_bound,
             "gain": self.gain,
-            "converged": self.converged,
             "iterations": self.iterations,
         }
         return json.dumps(payload, indent=indent)
@@ -366,7 +364,6 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
             gain_offset=gain_offset(catalog, sched, moment),
             lower_bound=cell.uc_only_revenue,
             gain=1.0,
-            converged=True,
             iterations=0,
         )
 
@@ -408,6 +405,5 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
         gain_offset=gain_offset(catalog, sched, moment),
         lower_bound=bound,
         gain=revenue_gain(catalog, cell, moment, sched),
-        converged=True,
         iterations=it,
     )

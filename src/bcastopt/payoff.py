@@ -42,53 +42,10 @@ class PricePair:
             )
 
 
-def _check_delay_term(denom, expression: str):
-    """Raise PayoffDomainError naming the first non-positive entry of ``denom``."""
-    bad = np.ravel(denom <= 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise PayoffDomainError(
-            f"delay term non-positive at element {k}: "
-            f"{expression} = {float(np.ravel(denom)[k])!r}"
-        )
-
-
-# The delay term of each service, as a payoff domain error names it.
-_DELAY_TERMS = {UNICAST: "size/rate - threshold", BROADCAST: "s/(Wb*rb) - threshold"}
-
-
 def _payoff(size, denom, price):
     """log((1 + f) / denom) - P * f, where ``denom`` is the download's delay
     beyond the user's threshold."""
     return np.log((1.0 + size) / denom) - price * size
-
-
-def unicast_payoff(size, threshold, rate, price):
-    """log((1 + f) / (f/r - t)) - Pu * f for a unicast download.
-
-    Elementwise over numpy arrays (a float for scalar inputs). The
-    download time f/r must exceed the threshold t, otherwise the payoff
-    model does not apply and a domain error is raised.
-    """
-    denom = size / rate - threshold
-    _check_delay_term(denom, _DELAY_TERMS[UNICAST])
-    value = _payoff(size, denom, price)
-    return value if np.ndim(value) else float(value)
-
-
-def broadcast_payoff(size, threshold, bc_rate, completed_size, bandwidth, price):
-    """log((1 + f) / (s/(Wb*rb) - t)) - Pb * f for a broadcast download.
-
-    Elementwise over numpy arrays (a float for scalar inputs).
-    ``completed_size`` is the cumulative queue size through this file,
-    so s/(Wb*rb) is its completion delay; it must exceed the threshold.
-    """
-    if bandwidth <= 0:
-        raise InvalidParameterError(f"broadcast bandwidth must be > 0, got {bandwidth}")
-    denom = completed_size / (bandwidth * bc_rate) - threshold
-    _check_delay_term(denom, _DELAY_TERMS[BROADCAST])
-    value = _payoff(size, denom, price)
-    return value if np.ndim(value) else float(value)
 
 
 def assign_services(demand, eligible, pool) -> np.ndarray:
@@ -133,7 +90,7 @@ class SimulationReport:
     bc_user_fraction: float
     payoff_guarantee_violations: int
     trials: int
-    seed: int | None
+    seed: int | list[int] | None
     n_users: int
     uc_revenue: float
     uc_user_fraction: float
@@ -182,13 +139,17 @@ def simulate_revenue(
     one call. A report thus depends on the seed and N, not on the blocks.
     The unrequested-file count is its exact mean sum_i (1 - p_i)^N.
 
+    Before any draw, both delay terms f_i/r - t and s_i/(Wb*rb) - t of
+    every file with p_i > 0 are checked at the fastest rate of positive
+    probability and the largest threshold a draw can give, u = 1 - 2**-53.
+    Rounding is monotone, so every drawn term is at least the checked one:
+    a PayoffDomainError naming the file is raised exactly when some draw
+    could leave the payoff's domain, for every seed and trial count.
+
     Trials run in consecutive blocks of k = max(1, 2**13 // N), each one
     pass over (k, N) arrays. Per-trial sums are row sums with the entries
     outside the mask set to zero, so each equals the sum of that trial's
-    zero-padded N-vector bit for bit. A block's delay terms sit in one
-    (k, 2, N) array, unicast before broadcast within each trial, so its
-    first non-positive entry in C order is the payoff domain error a
-    trial-by-trial loop meets first. With Wb = 0 the broadcast delay is
+    zero-padded N-vector bit for bit. With Wb = 0 the broadcast delay is
     infinite, so nobody is eligible. Per-trial payoff means and realized
     rates fill (trials,) arrays; two boolean masks mark the trials that
     serve (broadcast to) somebody. A user assigned broadcast below their
@@ -203,7 +164,11 @@ def simulate_revenue(
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
-    report_seed = seed if isinstance(seed, int) or seed is None else None
+    if isinstance(seed, np.random.SeedSequence) and not seed.spawn_key:
+        # Its entropy rebuilds the stream: SeedSequence(report.seed).
+        report_seed = np.asarray(seed.entropy).tolist()
+    else:
+        report_seed = seed if isinstance(seed, int) or seed is None else None
     nan = float("nan")
     unrequested = _expected_unrequested(catalog.popularity, n_users)
     if n_users == 0:
@@ -223,6 +188,21 @@ def simulate_revenue(
     with np.errstate(divide="ignore"):
         # With no broadcast bandwidth the queue never completes: delay inf.
         bc_delay = schedule.s / (bc_bandwidth * cell.r_b)
+    # The domain check: the threshold expression below at Generator.random's
+    # largest value, and the fastest rate of positive probability.
+    t_max = lo + span * (1.0 - 2.0 ** -53)
+    model = catalog.rate_model
+    top_rate = model.r_high if model.prob_high > 0.0 else model.r_low
+    requested = catalog.popularity > 0
+    for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
+        term = delay - t_max
+        bad = np.flatnonzero(requested & (term <= 0))
+        if bad.size:
+            i = bad[0]
+            raise PayoffDomainError(
+                f"file {i + 1}: delay term non-positive at the largest threshold: "
+                f"{name} - threshold = {float(term[i])!r}"
+            )
     price = np.array([[prices.unicast], [prices.broadcast]])
 
     revenues, bc_frac, uc_frac = (np.empty(trials) for _ in range(3))
@@ -255,15 +235,6 @@ def simulate_revenue(
         download = f / rate_u
         np.subtract(download, thr, out=terms[:, UNICAST])
         np.subtract(bc_delay[ufile], thr, out=terms[:, BROADCAST])
-        bad = terms <= 0
-        if bad.any():
-            # In C order the first bad entry is the one a trial-by-trial loop
-            # meets first: by trial, then unicast before broadcast, then user.
-            j, service, _ = np.unravel_index(np.argmax(bad), bad.shape)
-            try:
-                _check_delay_term(terms[j, service], _DELAY_TERMS[service])
-            except PayoffDomainError as exc:
-                raise PayoffDomainError(f"trial {start + j}: {exc}") from exc
         with np.errstate(divide="ignore"):
             payoff = _payoff(f[:, None], terms, price)
         payoff_uc, payoff_bc = payoff[:, UNICAST], payoff[:, BROADCAST]

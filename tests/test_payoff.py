@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt import payoff
+from bcastopt.channel import RateModel
 from bcastopt.errors import InvalidParameterError, PayoffDomainError
 from bcastopt.optimizer import CellConfig, operating_point
 from bcastopt.payoff import (
@@ -18,9 +19,7 @@ from bcastopt.payoff import (
     PricePair,
     SimulationReport,
     assign_services,
-    broadcast_payoff,
     simulate_revenue,
-    unicast_payoff,
 )
 from bcastopt.scheduler import popularity_schedule, suboptimal_schedule
 
@@ -28,60 +27,43 @@ from conftest import catalog_from, point_rate, traced_peak
 
 
 class TestUnicastPayoff:
+    """payoff._payoff with the unicast delay term f/r - t."""
+
     def test_hand_evaluation(self):
-        value = unicast_payoff(size=3.0, threshold=1.0, rate=1.0, price=0.1)
-        assert isinstance(value, float)
+        # f = 3, t = 1, r = 1: denom = 2.
+        value = payoff._payoff(3.0, 3.0 / 1.0 - 1.0, 0.1)
         assert value == pytest.approx(math.log(2.0) - 0.3, abs=1e-12)
 
     def test_break_even_price(self):
         price = math.log(2.0) / 3.0
-        assert unicast_payoff(3.0, 1.0, 1.0, price) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_denominator_is_domain_error(self):
-        with pytest.raises(PayoffDomainError):
-            unicast_payoff(3.0, 3.0, 1.0, 0.1)
+        assert payoff._payoff(3.0, 3.0 / 1.0 - 1.0, price) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_values_on_arrays(self):
-        values = unicast_payoff(np.array([3.0, 3.0, 6.0]), np.array([1.0, 1.0, 2.0]),
-                                np.array([1.0, 1.0, 2.0]), 0.1)
+        sizes = np.array([3.0, 3.0, 6.0])
+        denom = sizes / np.array([1.0, 1.0, 2.0]) - np.array([1.0, 1.0, 2.0])
         expected = [math.log(2.0) - 0.3, math.log(2.0) - 0.3, math.log(7.0) - 0.6]
-        assert values == pytest.approx(expected, abs=1e-12)
-
-    def test_domain_error_names_first_offending_element(self):
-        with pytest.raises(PayoffDomainError, match="element 1:.* = -1.0"):
-            unicast_payoff(np.array([3.0, 3.0, 3.0]), np.array([1.0, 4.0, 3.0]), 1.0, 0.1)
+        assert payoff._payoff(sizes, denom, 0.1) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBroadcastPayoff:
+    """payoff._payoff with the broadcast delay term s/(Wb*rb) - t."""
+
     def test_degenerates_to_unicast(self):
         # With s = f, Wb * rb = r and equal prices the two expressions match.
-        uc = unicast_payoff(3.0, 1.0, 1.0, 0.1)
-        bc = broadcast_payoff(3.0, 1.0, bc_rate=0.5, completed_size=3.0,
-                              bandwidth=2.0, price=0.1)
+        uc = payoff._payoff(3.0, 3.0 / 1.0 - 1.0, 0.1)
+        bc = payoff._payoff(3.0, 3.0 / (2.0 * 0.5) - 1.0, 0.1)
         assert bc == pytest.approx(uc, abs=1e-12)
 
     def test_hand_evaluation(self):
-        value = broadcast_payoff(3.0, 1.0, bc_rate=1.0, completed_size=6.0,
-                                 bandwidth=1.0, price=0.05)
+        # f = 3, t = 1, s = 6, Wb * rb = 1: denom = 5.
+        value = payoff._payoff(3.0, 6.0 / 1.0 - 1.0, 0.05)
         assert value == pytest.approx(math.log(0.8) - 0.15, abs=1e-12)
 
     def test_hand_values_on_arrays(self):
-        values = broadcast_payoff(np.array([3.0, 3.0]), np.array([1.0, 1.0]), bc_rate=1.0,
-                                  completed_size=np.array([6.0, 3.0]), bandwidth=1.0,
-                                  price=0.05)
+        denom = np.array([6.0, 3.0]) / 1.0 - np.array([1.0, 1.0])
         expected = [math.log(0.8) - 0.15, math.log(2.0) - 0.15]
-        assert values == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_denominator_is_domain_error(self):
-        with pytest.raises(PayoffDomainError):
-            broadcast_payoff(3.0, 1.0, bc_rate=1.0, completed_size=1.0,
-                             bandwidth=1.0, price=0.05)
-        with pytest.raises(PayoffDomainError, match="element 2"):
-            broadcast_payoff(3.0, np.array([1.0, 2.0, 6.0]), 1.0, 6.0, 1.0, 0.05)
-
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            broadcast_payoff(3.0, 1.0, 1.0, 6.0, bandwidth=0.0, price=0.05)
+        assert payoff._payoff(np.array([3.0, 3.0]), denom, 0.05) == pytest.approx(
+            expected, abs=1e-12)
 
 
 class TestSelectService:
@@ -373,21 +355,28 @@ class TestSimulateRevenue:
 
     def test_broadcast_before_threshold_is_domain_error(self):
         # Wb * rb = 12.5, so file 1 (s = 5) completes at 0.4 slots, before
-        # every user's threshold of 1 slot.
+        # every user's threshold of 1 slot. No draw decides it.
         catalog = _oracle_catalog()
         cell = CellConfig(bandwidth=30.0, slots=4, n_users=5, price_unicast=0.4,
                           rate_model=point_rate(0.5))
-        with pytest.raises(PayoffDomainError, match=r"trial 0: .*s/\(Wb\*rb\) - threshold"):
-            simulate_revenue(catalog, cell, PricePair(0.4, 0.1), 25.0,
-                             popularity_schedule(catalog), trials=3, seed=0)
+        for trials, seed in ((3, 0), (500, 9)):
+            with pytest.raises(PayoffDomainError) as exc:
+                simulate_revenue(catalog, cell, PricePair(0.4, 0.1), 25.0,
+                                 popularity_schedule(catalog), trials=trials, seed=seed)
+            assert str(exc.value) == (
+                f"file 1: delay term non-positive at the largest threshold: "
+                f"s/(Wb*rb) - threshold = {5.0 / 12.5 - 1.0!r}")
 
     def test_download_before_threshold_is_domain_error(self):
         # f / r = 10 slots, below the 20-slot threshold.
         catalog = catalog_from([5.0], [1.0], [0.25], rate_model=point_rate(0.5),
                                delay_lo=[20.0], delay_hi=[20.0])
-        with pytest.raises(PayoffDomainError, match=r"trial 0: .*size/rate - threshold"):
+        with pytest.raises(PayoffDomainError) as exc:
             simulate_revenue(catalog, _oracle_cell(3), PricePair(0.4, 0.1), 1.0,
                              popularity_schedule(catalog), trials=3, seed=0)
+        assert str(exc.value) == (
+            "file 1: delay term non-positive at the largest threshold: "
+            "size/rate - threshold = -10.0")
 
     def test_invalid_arguments_rejected(self):
         catalog = _oracle_catalog()
@@ -405,9 +394,10 @@ class TestSimulateRevenue:
 def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials, seed):
     """The simulator as one loop iteration per trial, the way it ran before
     trials were evaluated in blocks, with the per-user allocation loop.
-    One generator serves every trial, in trial order. Per-trial sums run
-    over the trial's N users with the entries outside the mask set to
-    zero."""
+    One generator serves every trial, in trial order. Payoffs come from
+    the formula written out here, and every delay term drawn must be
+    positive. Per-trial sums run over the trial's N users with the entries
+    outside the mask set to zero."""
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
@@ -430,17 +420,17 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         rate_u = np.where(gen.random(n_users) < model.prob_high, model.r_high, model.r_low)
         thr = gen.uniform(lo[ufile], hi[ufile])
         f = catalog.sizes[ufile]
-        try:
-            payoff_uc = unicast_payoff(f, thr, rate_u, prices.unicast)
-            if bc_bandwidth > 0.0:
-                payoff_bc = broadcast_payoff(f, thr, cell.r_b, schedule.s[ufile],
-                                             bc_bandwidth, prices.broadcast)
-                eligible = payoff_bc >= payoff_uc
-            else:
-                payoff_bc = np.full(n_users, -np.inf)
-                eligible = np.zeros(n_users, dtype=bool)
-        except PayoffDomainError as exc:
-            raise PayoffDomainError(f"trial {t}: {exc}") from exc
+        uc_term = f / rate_u - thr
+        assert np.all(uc_term > 0), f"trial {t}: a drawn download ends before its threshold"
+        payoff_uc = np.log((1.0 + f) / uc_term) - prices.unicast * f
+        if bc_bandwidth > 0.0:
+            bc_term = schedule.s[ufile] / (bc_bandwidth * cell.r_b) - thr
+            assert np.all(bc_term > 0), f"trial {t}: a drawn broadcast ends before its threshold"
+            payoff_bc = np.log((1.0 + f) / bc_term) - prices.broadcast * f
+            eligible = payoff_bc >= payoff_uc
+        else:
+            payoff_bc = np.full(n_users, -np.inf)
+            eligible = np.zeros(n_users, dtype=bool)
         demand = np.ceil(f / rate_u)
         if demand.sum() < uc_pool:
             shortfall += 1
@@ -461,6 +451,8 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
             rates.append(float(rate_u[bc_mask].min()))
     if shortfall:
         warnings.warn(f"unicast demand fell below capacity in {shortfall}/{trials} trials")
+    with np.errstate(divide="ignore"):  # p_i = 1: log1p(-1) = -inf, term 0
+        unrequested = float(np.exp(n_users * np.log1p(-catalog.popularity)).sum())
     return SimulationReport(
         revenue_mean=float(revenues.mean()),
         revenue_stderr=(
@@ -477,7 +469,7 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         mean_payoff_policy=float(np.mean(policy)) if policy else nan,
         mean_payoff_uc_baseline=float(np.mean(baseline)) if baseline else nan,
         uc_demand_shortfall_trials=shortfall,
-        unrequested_scheduled_mean=float(np.exp(n_users * np.log1p(-catalog.popularity)).sum()),
+        unrequested_scheduled_mean=unrequested,
         bc_rate_realized_mean=float(np.mean(rates)) if rates else nan,
     )
 
@@ -609,61 +601,125 @@ class TestSimulateBlocks:
         assert f"{got.uc_demand_shortfall_trials}/2000 trials" in got_warned[0]
         assert want_warned[0] in got_warned[0]
 
-    def test_domain_error_names_the_trial_loops_first_failure(self):
-        # File 3 completes on broadcast before its 2-slot threshold; file 2
-        # downloads in 6 slots, before its 7-slot threshold. Both are rare.
-        # With this seed, trial 6 (second block of four) is the first to
-        # request either, only file 3, and trial 7 requests file 2: evaluating
-        # the block's unicast terms first would name trial 7 instead.
-        n_users, trials, seed = 2048, 24, 238
+
+# Generator.random's largest value, and the largest threshold it gives on
+# [0.5, 2]: one ulp below 2, so no draw reaches delay_hi.
+_U_MAX = 1.0 - 2.0 ** -53
+assert 0.5 + 1.5 * _U_MAX == 2.0 - 2.0 ** -52
+
+
+def _boundary_case(size, user_rate, bc_bandwidth, n_users=40):
+    """One file on thresholds [0.5, 2], users at ``user_rate`` and a
+    broadcast slice with Wb * rb = ``bc_bandwidth`` * 0.5."""
+    catalog = catalog_from([size], [1.0], [0.3], rate_model=point_rate(user_rate),
+                           delay_lo=[0.5], delay_hi=[2.0])
+    cell = CellConfig(bandwidth=3.0, slots=4, n_users=n_users, price_unicast=0.4,
+                      rate_model=point_rate(0.5))
+    return catalog, cell, PricePair(0.4, 0.1), bc_bandwidth, popularity_schedule(catalog)
+
+
+class TestDomainCheck:
+    """The payoff domain is checked once, at the largest threshold a draw
+    can give and the fastest rate a user can draw."""
+
+    @pytest.mark.parametrize("user_rate, bc_bandwidth, term", [
+        (0.1, 1.0, "s/(Wb*rb)"),   # broadcast completes at s / 0.5 = 2 * size
+        (0.5, 0.1, "size/rate"),   # download takes size / 0.5 = 2 * size
+    ])
+    def test_boundary_is_exact(self, user_rate, bc_bandwidth, term):
+        # size = 1: the delay is 2, one ulp above the largest threshold, so
+        # the term is the smallest positive value it can take there.
+        args = _boundary_case(1.0, user_rate, bc_bandwidth)
+        got = simulate_revenue(*args, trials=200, seed=4)
+        _assert_same_report(got, _reference_simulation(*args, trials=200, seed=4))
+        assert math.isfinite(got.mean_payoff_policy)
+        assert math.isfinite(got.mean_payoff_uc_baseline)
+        # One ulp less: the delay equals the largest threshold.
+        with pytest.raises(PayoffDomainError) as exc:
+            simulate_revenue(*_boundary_case(_U_MAX, user_rate, bc_bandwidth),
+                             trials=1, seed=0)
+        assert str(exc.value) == (
+            f"file 1: delay term non-positive at the largest threshold: "
+            f"{term} - threshold = 0.0")
+
+    @pytest.mark.parametrize("rare", [0.0, 1e-13])
+    def test_file_nobody_can_request_is_exempt(self, rare):
+        # File 2 downloads in 10 slots, before its 20-slot threshold.
         catalog = catalog_from(
-            sizes=[5.0, 3.0, 4.0], popularity=[1 - 0.45 / 2048, 0.3 / 2048, 0.15 / 2048],
-            theta=[0.3, 0.3, 0.3], rate_model=point_rate(0.5),
-            delay_lo=[0.1, 7.0, 2.0], delay_hi=[0.1, 7.0, 2.0],
+            sizes=[5.0, 5.0], popularity=[1.0 - rare, rare], theta=[0.3, 0.3],
+            rate_model=point_rate(0.5), delay_lo=[1.0, 20.0], delay_hi=[1.0, 20.0],
         )
-        cell = CellConfig(bandwidth=30.0, slots=4, n_users=n_users, price_unicast=0.4,
-                          rate_model=point_rate(0.5))
-        k = payoff._BLOCK_USER_TRIALS // n_users
-        gen = np.random.default_rng(seed)
-        counts = []
-        for _ in range(trials):  # each trial's request counts, then its 2N uniforms
-            counts.append(gen.multinomial(n_users, catalog.popularity))
-            gen.random(2 * n_users)
-        counts = np.array(counts)
-        first = int(np.flatnonzero(counts[:, 1:].any(axis=1))[0])
-        assert (k, first) == (4, 6)
-        assert counts[6, 1] == 0 < counts[6, 2] and counts[7, 1] > 0
+        args = (catalog, _oracle_cell(20), PricePair(0.4, 0.1), 1.0,
+                popularity_schedule(catalog))
+        if rare:
+            with pytest.raises(PayoffDomainError, match=r"^file 2: .* size/rate - "):
+                simulate_revenue(*args, trials=5, seed=0)
+        else:
+            got = simulate_revenue(*args, trials=5, seed=0)
+            _assert_same_report(got, _reference_simulation(*args, trials=5, seed=0))
 
-        args = (catalog, cell, PricePair(0.4, 0.1), 20.0, popularity_schedule(catalog))
-        with pytest.raises(PayoffDomainError) as want:
-            _reference_simulation(*args, trials=trials, seed=seed)
-        with pytest.raises(PayoffDomainError) as got:
-            simulate_revenue(*args, trials=trials, seed=seed)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("trial 6: ")
-        assert "s/(Wb*rb) - threshold" in str(got.value)
+    @pytest.mark.parametrize("prob_high", [0.0, 1e-9])
+    def test_rate_nobody_can_draw_is_exempt(self, prob_high):
+        # f / r_high = 1 slot, before the 2-slot threshold; f / r_low = 10.
+        rates = RateModel(r_high=1.0, r_low=0.1, prob_high=prob_high)
+        catalog = catalog_from([1.0], [1.0], [0.3], rate_model=rates,
+                               delay_lo=[2.0], delay_hi=[2.0])
+        args = (catalog, _oracle_cell(20), PricePair(0.4, 0.1), 0.1,
+                popularity_schedule(catalog))
+        if prob_high:
+            with pytest.raises(PayoffDomainError, match=r"size/rate - threshold = -1\.0$"):
+                simulate_revenue(*args, trials=5, seed=0)
+        else:
+            got = simulate_revenue(*args, trials=5, seed=0)
+            _assert_same_report(got, _reference_simulation(*args, trials=5, seed=0))
 
-    def test_domain_error_names_unicast_before_broadcast_within_a_trial(self):
-        # One trial, r = 0.5 and Wb * rb = 1. File 0 (popular, first in the
-        # queue, so at the low user indices) downloads in 10 slots but
-        # completes on broadcast at slot 5, before its 6-slot threshold; file
-        # 1 (rarer, higher indices) downloads in 1 slot, before its 2-slot
-        # threshold, but completes on broadcast at slot 5.5. The trial loop
-        # checks all unicast terms before any broadcast term, so it names
-        # file 1's first user, not user 0.
+    @given(
+        files=st.lists(
+            st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0),
+                      st.floats(0.0, 2.0)),
+            min_size=1, max_size=4,
+        ).filter(lambda fs: sum(f[1] for f in fs) > 0),
+        r_low=st.floats(0.05, 2.0),
+        r_ratio=st.floats(1.0, 3.0),
+        prob_high=st.sampled_from([0.0, 0.5, 1.0]),
+        r_b=st.floats(0.05, 2.0),
+        wb_share=st.sampled_from([0.0, 0.25, 1.0]),
+        n_users=st.integers(1, 30),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_check_raises_or_every_drawn_term_is_positive(
+            self, files, r_low, r_ratio, prob_high, r_b, wb_share, n_users, trials, seed):
+        sizes, weights, lo, span = (np.array(column) for column in zip(*files))
         catalog = catalog_from(
-            sizes=[5.0, 0.5], popularity=[0.7, 0.3], theta=[0.3, 0.3],
-            rate_model=point_rate(0.5), delay_lo=[6.0, 2.0], delay_hi=[6.0, 2.0],
+            sizes, weights / weights.sum(), np.ones(len(files)),
+            rate_model=RateModel(r_high=r_low * r_ratio, r_low=r_low, prob_high=prob_high),
+            delay_lo=lo, delay_hi=lo + span,
         )
-        cell = CellConfig(bandwidth=30.0, slots=4, n_users=8, price_unicast=0.4,
-                          rate_model=point_rate(0.5))
-        counts = np.random.default_rng(0).multinomial(8, catalog.popularity)
-        assert counts.tolist() == [5, 3]
+        cell = CellConfig(bandwidth=2.0, slots=3, n_users=n_users, price_unicast=0.4,
+                          rate_model=point_rate(r_b))
+        args = (catalog, cell, PricePair(0.4, 0.1), 2.0 * wb_share,
+                popularity_schedule(catalog))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # unsold unicast pool
+            try:
+                got = simulate_revenue(*args, trials=trials, seed=seed)
+            except PayoffDomainError:
+                return
+            # The reference asserts that every term it draws is positive.
+            _assert_same_report(got, _reference_simulation(*args, trials=trials, seed=seed))
 
-        args = (catalog, cell, PricePair(0.4, 0.1), 2.0, popularity_schedule(catalog))
-        with pytest.raises(PayoffDomainError) as want:
-            _reference_simulation(*args, trials=1, seed=0)
-        with pytest.raises(PayoffDomainError) as got:
-            simulate_revenue(*args, trials=1, seed=0)
-        assert str(got.value) == str(want.value) == (
-            "trial 0: delay term non-positive at element 5: size/rate - threshold = -1.0")
+
+@pytest.mark.parametrize("seed, reported", [
+    (3, 3), (None, None), (np.random.SeedSequence([3, 5]), [3, 5]),
+    (np.random.SeedSequence(3).spawn(1)[0], None),  # entropy alone does not rebuild it
+])
+def test_report_seed_rebuilds_the_stream(seed, reported):
+    catalog = _oracle_catalog()
+    args = (catalog, _oracle_cell(10), PricePair(0.4, 0.1), 1.0, popularity_schedule(catalog))
+    report = simulate_revenue(*args, trials=5, seed=seed)
+    assert report.seed == reported
+    if isinstance(reported, list):
+        again = simulate_revenue(*args, trials=5, seed=np.random.SeedSequence(report.seed))
+        assert again.to_json() == report.to_json()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -9,7 +10,12 @@ import pytest
 import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import build_parser, main
-from bcastopt.errors import ConfigError, ConvergenceError, PreconditionError
+from bcastopt.errors import (
+    ConfigError,
+    ConvergenceError,
+    PayoffDomainError,
+    PreconditionError,
+)
 from bcastopt.scenario import (
     load_spec,
     normalize,
@@ -339,6 +345,16 @@ class TestCliSurface:
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
+def _simulate_args(config, n_users):
+    """The simulate_revenue arguments of ``bcastopt simulate CONFIG --n N``."""
+    spec = load_spec(config)
+    catalog, cell, _ = normalize(spec)
+    cell = dataclasses.replace(cell, n_users=n_users)
+    schedule = scenario._variant_schedule(spec.schedulers[0], catalog, cell)
+    bandwidth, price, _ = operating_point(catalog, cell, schedule)
+    return catalog, cell, payoff.PricePair(cell.price_unicast, price), bandwidth, schedule
+
+
 class TestCli:
     def test_sweep_writes_csv(self, small_config, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -357,7 +373,7 @@ class TestCli:
     def test_optimize_emits_json(self, small_config, capsys):
         assert main(["optimize", small_config, "--n", "10"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["converged"] is True
+        assert payload["iterations"] >= 1
         assert 0 <= payload["bc_bandwidth"]
 
     def test_simulate_emits_report(self, small_config, capsys):
@@ -446,19 +462,58 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    def test_simulate_payoff_domain_error_exits_with_one_error_line(self, tmp_path, capsys):
-        # With 60 s thresholds a file near the head of the seven-cell
-        # broadcast queue completes before some of its users' thresholds.
+    def test_simulate_report_names_its_stream(self, small_config, capsys):
+        # The report's seed is the entropy of the stream cmd_simulate builds,
+        # SeedSequence([seed, N]); it rebuilds that stream and the report.
+        assert main(["simulate", small_config, "--n", "10"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["seed"] == [7, 10]
+        report = payoff.simulate_revenue(
+            *_simulate_args(small_config, 10), trials=load_spec(small_config).trials,
+            seed=np.random.SeedSequence(json.loads(out)["seed"]))
+        assert report.to_json() + "\n" == out
+
+    @pytest.fixture
+    def slow_users_config(self, tmp_path):
+        # With 60 s thresholds, once N >= 500 a file near the head of the
+        # seven-cell broadcast queue completes before its slowest users'
+        # thresholds.
         text = (CONFIG_DIR / "seven_cell.cfg").read_text()
         assert "theta_max_s = 6.0\n" in text
         path = tmp_path / "slow_users.cfg"
         path.write_text(text.replace("theta_max_s = 6.0\n", "theta_max_s = 60\n"))
-        assert main(["simulate", str(path), "--trials", "20"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: trial 0: delay term non-positive at element ")
+        return str(path)
+
+    def test_simulate_payoff_domain_error_exits_with_one_error_line(self, slow_users_config,
+                                                                    capsys):
+        lines = set()
+        for trials in ("20", "3"):
+            assert main(["simulate", slow_users_config, "--trials", trials]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            lines.add(line)
+        (line,) = lines
+        assert line.startswith("error: file ")
+        assert "at the largest threshold: s/(Wb*rb) - threshold = -" in line
+        # The check runs before any draw: any stream and trial count meet it.
+        args = _simulate_args(slow_users_config, max(load_spec(slow_users_config).sweep_users))
+        for seed, trials in ((0, 1), (5, 200)):
+            with pytest.raises(PayoffDomainError) as exc:
+                payoff.simulate_revenue(*args, trials=trials, seed=seed)
+            assert line == f"error: {exc.value}"
+
+    def test_sweep_records_domain_errors_in_the_same_rows_at_two_seeds(self, slow_users_config,
+                                                                       capsys):
+        failing = []
+        for seed in ("99251", "11"):
+            assert main(["sweep", slow_users_config, "--trials", "3", "--seed", seed,
+                         "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert all(r["error"].startswith("PayoffDomainError: file ")
+                       for r in rows if r["error"])
+            failing.append([r["N"] for r in rows if r["error"]])
+        assert failing[0] == failing[1] == list(range(500, 1500, 100))
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
