@@ -37,13 +37,10 @@ from .optimizer import (
     revenue_gain,
 )
 from .payoff import (
-    BROADCAST,
-    UNICAST,
-    UNSERVED,
     PricePair,
     SimulationReport,
-    assign_services,
     simulate_revenue,
+    unicast_grants,
 )
 from .scenario import (
     ExperimentSpec,

@@ -81,6 +81,11 @@ def broadcast_rate(model: RateModel, n_broadcast_users: int) -> float:
     return model.r_low + (model.r_high - model.r_low) * p_all_high
 
 
+def fastest_rate(model: RateModel) -> float:
+    """The highest rate a user can draw: ``r_high`` unless ``prob_high`` is 0."""
+    return model.r_high if model.prob_high > 0.0 else model.r_low
+
+
 def rates_from_uniforms(model: RateModel, u) -> np.ndarray:
     """Unicast rates of users placed by standard uniforms ``u``: a user is
     in the good region when their uniform is below ``prob_high``."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import RateModel
+from .channel import RateModel, fastest_rate
 from .errors import InvalidParameterError, PreconditionError
 
 _PMF_TOL = 1e-12
@@ -174,8 +174,7 @@ def build_catalog(
     lo = np.broadcast_to(np.asarray(delay_lo, dtype=np.float64), (M,))
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
 
-    top_rate = rate_model.r_high if rate_model.prob_high > 0.0 else rate_model.r_low
-    worst = top_rate * (hi + 1.0)
+    worst = fastest_rate(rate_model) * (hi + 1.0)
     bad = np.flatnonzero(sizes <= worst)
     if bad.size:
         listing = ", ".join(

@@ -1,5 +1,5 @@
-"""Per-user payoffs, the service-assignment policy, and the Monte Carlo
-revenue estimator.
+"""Per-user payoffs, the unicast grants, and the Monte Carlo revenue
+estimator.
 
 A user's payoff grows with file size, falls logarithmically with the
 delay beyond their threshold, and falls linearly with the bill. The
@@ -16,12 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import rates_from_uniforms
+from .channel import fastest_rate, rates_from_uniforms
 from .demand import FileCatalog
 from .errors import InvalidParameterError, PayoffDomainError
-
-# Per-user outcomes of :func:`assign_services`.
-UNICAST, BROADCAST, UNSERVED = 0, 1, 2
 
 # User-trials :func:`simulate_revenue` evaluates in one vectorized block;
 # keeps the block's (k, N) temporaries near one megabyte.
@@ -48,16 +45,15 @@ def _payoff(size, denom, price):
     return np.log((1.0 + size) / denom) - price * size
 
 
-def assign_services(demand, eligible, pool) -> np.ndarray:
-    """Station-side assignment of users, taken in the given order.
+def unicast_grants(demand, pool) -> np.ndarray:
+    """Station-side unicast grants to users taken in the given order.
 
     ``demand`` holds each user's unicast need in pool units (whole
-    numbers >= 1), ``eligible`` whether their broadcast payoff is at
-    least their unicast payoff, and ``pool`` the unicast capacity. A
-    user gets UNICAST when their demand fits in what is left of the pool,
-    because unicast pays more; otherwise BROADCAST if eligible, else
-    UNSERVED. Users who would lose payoff on broadcast are never assigned
-    it.
+    numbers >= 1) and ``pool`` the unicast capacity. A user is granted
+    unicast when their demand fits in what is left of the pool, because
+    unicast pays more. The simulator broadcasts to the users without a
+    grant whose broadcast payoff is at least their unicast payoff, so
+    nobody is put on broadcast at a loss.
 
     Works on one trial, shape (N,), or on a block of trials, shape
     (k, N), every row starting from the same ``pool``. The greedy scan
@@ -68,16 +64,16 @@ def assign_services(demand, eligible, pool) -> np.ndarray:
     subtracting the grants one by one from ``pool`` decides.
     """
     demand = np.asarray(demand, dtype=np.float64)
-    assigned = np.where(eligible, BROADCAST, UNSERVED).astype(np.int8)
+    granted = np.zeros(demand.shape, dtype=bool)
     left = np.full(demand.shape[:-1] + (1,), np.floor(pool))
     active = demand <= left
     while active.any():
         reach = np.cumsum(np.where(active, demand, 0.0), axis=-1)
         grant = active & (reach <= left)
-        assigned[grant] = UNICAST
+        granted |= grant
         left -= np.where(grant, demand, 0.0).sum(axis=-1, keepdims=True)
         active &= ~grant & (demand <= left)
-    return assigned
+    return granted
 
 
 @dataclass
@@ -122,15 +118,18 @@ def simulate_revenue(
     trials: int,
     seed=None,
 ) -> SimulationReport:
-    """Estimate realized revenue under the assignment policy.
+    """Estimate realized revenue under the unicast-first policy.
 
     Each trial redraws request counts, user positions, and delay
     thresholds. Users are processed in popularity order; each unicast
     grant consumes one frequency unit for ceil(f/r) slots out of the
-    (W - Wb) * T pool (see :func:`assign_services`). Per-user broadcast
-    payoffs are evaluated at the conservative plan rate ``cell.r_b`` (the
-    low-region rate); the rate the broadcast group actually realizes, the
-    lowest rate among its users, is reported separately.
+    (W - Wb) * T pool (see :func:`unicast_grants`). A user without a
+    grant is put on broadcast when eligible, that is when their broadcast
+    payoff is at least their unicast payoff, and is left unserved
+    otherwise. Broadcast payoffs are evaluated at the conservative plan
+    rate ``cell.r_b`` (the low-region rate); the rate the broadcast group
+    actually realizes, the lowest rate among its users, is reported
+    separately.
 
     Revenue decomposes exactly as Pb * sum_i f_i * (broadcast count of i)
     plus the fixed unicast term Pu * (W - Wb) * T. One generator,
@@ -150,10 +149,10 @@ def simulate_revenue(
     pass over (k, N) arrays. Per-trial sums are row sums with the entries
     outside the mask set to zero, so each equals the sum of that trial's
     zero-padded N-vector bit for bit. With Wb = 0 the broadcast delay is
-    infinite, so nobody is eligible. Per-trial payoff means and realized
-    rates fill (trials,) arrays; two boolean masks mark the trials that
-    serve (broadcast to) somebody. A user assigned broadcast below their
-    unicast payoff raises AssertionError.
+    infinite, so the broadcast payoff is -inf and nobody is eligible.
+    Per-trial payoff means and realized rates fill (trials,) arrays; only
+    trials with a nonzero served (broadcast) fraction enter their means.
+    A user on broadcast below their unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -191,8 +190,7 @@ def simulate_revenue(
     # The domain check: the threshold expression below at Generator.random's
     # largest value, and the fastest rate of positive probability.
     t_max = lo + span * (1.0 - 2.0 ** -53)
-    model = catalog.rate_model
-    top_rate = model.r_high if model.prob_high > 0.0 else model.r_low
+    top_rate = fastest_rate(catalog.rate_model)
     requested = catalog.popularity > 0
     for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
         term = delay - t_max
@@ -203,14 +201,12 @@ def simulate_revenue(
                 f"file {i + 1}: delay term non-positive at the largest threshold: "
                 f"{name} - threshold = {float(term[i])!r}"
             )
-    price = np.array([[prices.unicast], [prices.broadcast]])
 
     revenues, bc_frac, uc_frac = (np.empty(trials) for _ in range(3))
     # Per-trial means of the served users' policy and baseline payoffs and
-    # the broadcast group's realized rate; only the trials the masks mark
-    # (somebody served, somebody on broadcast) enter the final means.
+    # the broadcast group's realized rate; only the trials that serve (put
+    # on broadcast) somebody enter the final means.
     policy_payoffs, baseline_payoffs, realized_rates = (np.empty(trials) for _ in range(3))
-    any_served, any_bc = (np.empty(trials, dtype=bool) for _ in range(2))
     shortfall_trials = 0
 
     gen = np.random.default_rng(seed)
@@ -218,8 +214,6 @@ def simulate_revenue(
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
     # Each trial draws its N rate uniforms, then its N threshold uniforms.
     u_buf = np.empty((k, 2, n_users))
-    # Each trial's unicast delay terms f/r - t, then its broadcast ones.
-    terms_buf = np.empty((k, 2, n_users))
     for start in range(0, trials, k):
         block = slice(start, min(start + k, trials))
         rows = block.stop - start
@@ -227,25 +221,22 @@ def simulate_revenue(
             counts = gen.multinomial(n_users, catalog.popularity)
             ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
             gen.random(out=u_buf[j])
-        ufile, u, terms = ufile_buf[:rows], u_buf[:rows], terms_buf[:rows]
+        ufile, u = ufile_buf[:rows], u_buf[:rows]
         rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
         # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
         thr = lo[ufile] + span[ufile] * u[:, 1]
         f = catalog.sizes[ufile]
         download = f / rate_u
-        np.subtract(download, thr, out=terms[:, UNICAST])
-        np.subtract(bc_delay[ufile], thr, out=terms[:, BROADCAST])
-        with np.errstate(divide="ignore"):
-            payoff = _payoff(f[:, None], terms, price)
-        payoff_uc, payoff_bc = payoff[:, UNICAST], payoff[:, BROADCAST]
+        payoff_uc = _payoff(f, download - thr, prices.unicast)
+        with np.errstate(divide="ignore"):  # Wb = 0: delay inf, payoff -inf
+            payoff_bc = _payoff(f, bc_delay[ufile] - thr, prices.broadcast)
 
         demand = np.ceil(download)
         shortfall_trials += int(np.count_nonzero(demand.sum(axis=1) < uc_pool))
-        assigned = assign_services(demand, payoff_bc >= payoff_uc, uc_pool)
-
-        bc_mask = assigned == BROADCAST
-        uc_mask = assigned == UNICAST
-        served = bc_mask | uc_mask
+        uc_mask = unicast_grants(demand, uc_pool)
+        eligible = payoff_bc >= payoff_uc
+        bc_mask = eligible & ~uc_mask
+        served = eligible | uc_mask
         losers = bc_mask & (payoff_bc < payoff_uc)
         if losers.any():
             j, user = np.argwhere(losers)[0]
@@ -253,8 +244,6 @@ def simulate_revenue(
 
         n_bc = np.count_nonzero(bc_mask, axis=1)
         n_served = np.count_nonzero(served, axis=1)
-        any_bc[block] = n_bc > 0
-        any_served[block] = n_served > 0
         bc_frac[block] = n_bc / n_users
         uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
         revenues[block] = uc_revenue + prices.broadcast * np.where(bc_mask, f, 0.0).sum(axis=1)
@@ -270,6 +259,8 @@ def simulate_revenue(
             "the fixed unicast revenue term still assumes a sold-out pool",
             stacklevel=2,
         )
+    any_bc = bc_frac > 0
+    any_served = any_bc | (uc_frac > 0)
     mean_policy, mean_baseline, mean_rate = (
         float(values[mask].mean()) if mask.any() else nan
         for values, mask in ((policy_payoffs, any_served), (baseline_payoffs, any_served),

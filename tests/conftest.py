@@ -26,6 +26,19 @@ def catalog_from(sizes, popularity, theta, rate_model=None, delay_lo=None, delay
     )
 
 
+def record_results(monkeypatch, module, name) -> list:
+    """Wrap ``module.<name>`` so each call's result is appended to the
+    returned list."""
+    real, results = getattr(module, name), []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
 def traced_peak(run) -> int:
     """Bytes ``run()`` allocates at its peak above what was live before it,
     as tracemalloc counts them (numpy reports its array buffers)."""

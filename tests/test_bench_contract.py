@@ -4,23 +4,28 @@
 the config and the catalog the run built. This suite loads it read-only (no
 bytecode is written next to it) and feeds it the in-process
 ``validate --format json`` output of both shipped configs and the sweep
-rows of a small single-cell spec, so a change to the package that breaks
-the benchmark's contract fails here too.
+rows of a small single-cell spec and of two seven-cell points, so a
+change to the package that breaks the benchmark's contract fails here
+too.
 """
 import importlib.util
 import json
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import main
 
-from conftest import CONFIG_DIR, REPO
+from conftest import CONFIG_DIR, REPO, record_results
 
 SINGLE_CELL = CONFIG_DIR / "single_cell.cfg"
 USERS = (25, 50, 100, 150, 200)  # the bandwidth cap binds from 150 on
+SEVEN_CELL = CONFIG_DIR / "seven_cell.cfg"
+SEVEN_CELL_USERS = (700, 1400)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +92,29 @@ def test_repeated_sweep_axes_give_no_duplicate_rows(checks, small_spec):
     assert report == []
     assert problems == {25: [], 50: []}
     assert [row["N"] for row in rows] == [25, 50]
+
+
+def test_seven_cell_rows_pass_bench_checks(checks, monkeypatch):
+    # At these points some users are both granted unicast and eligible for
+    # broadcast (a few hundred user-trials each), so the grants decide who
+    # is broadcast to; the spies count them.
+    grants = record_results(monkeypatch, payoff, "unicast_grants")
+    payoffs = record_results(monkeypatch, payoff, "_payoff")
+    spec = replace(scenario.load_spec(str(SEVEN_CELL)), sweep_users=SEVEN_CELL_USERS,
+                   trials=200)
+    rows = _sweep_rows(spec)
+    monkeypatch.undo()
+
+    overlap = dict.fromkeys(SEVEN_CELL_USERS, 0)
+    for granted, uc, bc in zip(grants, payoffs[0::2], payoffs[1::2]):
+        overlap[granted.shape[1]] += int(np.count_nonzero(granted & (bc >= uc)))
+    assert min(overlap.values()) > 0, overlap
+
+    facts = dict(checks.config_facts(SEVEN_CELL), users=SEVEN_CELL_USERS)
+    problems, report = checks.check_sweep(rows, facts)
+    assert report == []
+    assert problems == {n: [] for n in SEVEN_CELL_USERS}
+    catalog, _, _ = scenario.normalize(spec)
+    cat = checks.catalog_arrays(checks.catalog_record(catalog))
+    for row in rows:
+        assert checks.check_policy_point(row, cat, facts, 3, 200) == []

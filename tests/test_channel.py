@@ -6,6 +6,7 @@ import pytest
 from bcastopt.channel import (
     RateModel,
     broadcast_rate,
+    fastest_rate,
     prob_high_from_area_ratio,
     rates_from_uniforms,
     unicast_rate,
@@ -92,6 +93,20 @@ class TestSampleUserRate:
         a = rates_for_seed(REFERENCE, 1000, 5)
         b = rates_for_seed(REFERENCE, 1000, 5)
         assert np.array_equal(a, b)
+
+
+class TestFastestRate:
+    @pytest.mark.parametrize("prob_high, expected", [
+        (0.0, 1.0), (1e-12, 2.0), (0.5, 2.0), (1.0, 2.0),
+    ])
+    def test_high_rate_unless_nobody_draws_it(self, prob_high, expected):
+        assert fastest_rate(RateModel(2.0, 1.0, prob_high)) == expected
+
+    @pytest.mark.parametrize("prob_high", [0.0, 0.1, 1.0])
+    def test_bounds_every_draw_and_is_reached(self, prob_high):
+        model = RateModel(2.4, 1.32, prob_high)
+        rates = rates_for_seed(model, 1000, 3)
+        assert rates.max() == fastest_rate(model)
 
 
 class TestModelValidation:

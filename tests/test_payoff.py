@@ -12,18 +12,10 @@ from bcastopt import payoff
 from bcastopt.channel import RateModel
 from bcastopt.errors import InvalidParameterError, PayoffDomainError
 from bcastopt.optimizer import CellConfig, operating_point
-from bcastopt.payoff import (
-    BROADCAST,
-    UNICAST,
-    UNSERVED,
-    PricePair,
-    SimulationReport,
-    assign_services,
-    simulate_revenue,
-)
+from bcastopt.payoff import PricePair, SimulationReport, simulate_revenue, unicast_grants
 from bcastopt.scheduler import popularity_schedule, suboptimal_schedule
 
-from conftest import catalog_from, point_rate, traced_peak
+from conftest import catalog_from, point_rate, record_results, traced_peak
 
 
 class TestUnicastPayoff:
@@ -66,22 +58,33 @@ class TestBroadcastPayoff:
             expected, abs=1e-12)
 
 
+def _services(granted, eligible):
+    """Each user's outcome as the simulator derives it from the unicast
+    grants and broadcast eligibility: unicast if granted, else broadcast
+    if eligible, else unserved."""
+    return np.where(granted, "unicast", np.where(eligible, "broadcast", "unserved"))
+
+
+def _assign(demand, eligible, pool):
+    return _services(unicast_grants(demand, pool), eligible)
+
+
 class TestSelectService:
-    """Per-user service selection, as made by :func:`assign_services`."""
+    """Per-user service selection: :func:`unicast_grants` plus eligibility."""
 
     def test_unicast_wins_when_broadcast_pays_less(self):
-        assert assign_services([1.0], [0.5 >= 1.0], 5.0).tolist() == [UNICAST]
+        assert _assign([1.0], [0.5 >= 1.0], 5.0).tolist() == ["unicast"]
 
     def test_broadcast_after_capacity_exhausted(self):
-        assert assign_services([3.0, 3.0], [True, 1.5 >= 1.0], 3.0).tolist() == [
-            UNICAST, BROADCAST]
+        assert _assign([3.0, 3.0], [True, 1.5 >= 1.0], 3.0).tolist() == [
+            "unicast", "broadcast"]
 
     def test_tie_prefers_unicast_while_capacity_lasts(self):
-        assert assign_services([2.0], [1.0 >= 1.0], 2.0).tolist() == [UNICAST]
+        assert _assign([2.0], [1.0 >= 1.0], 2.0).tolist() == ["unicast"]
 
     def test_no_broadcast_without_payoff_gain_even_when_full(self):
-        assert assign_services([3.0, 3.0], [True, 0.5 >= 1.0], 3.0).tolist() == [
-            UNICAST, UNSERVED]
+        assert _assign([3.0, 3.0], [True, 0.5 >= 1.0], 3.0).tolist() == [
+            "unicast", "unserved"]
 
     @given(
         users=st.lists(
@@ -97,7 +100,7 @@ class TestSelectService:
         uc = np.array([u[0] for u in users])
         bc = np.array([u[1] for u in users])
         demand = np.array([u[2] for u in users], dtype=float)
-        _check_policy(assign_services(demand, bc >= uc, pool), uc, bc, demand, pool)
+        _check_policy(_assign(demand, bc >= uc, pool), uc, bc, demand, pool)
 
     @given(
         block=st.integers(0, 12).flatmap(lambda n: st.lists(
@@ -116,8 +119,9 @@ class TestSelectService:
         uc, bc, demand = (
             np.array([[u[i] for u in row] for row in block], dtype=float) for i in range(3)
         )
-        choice = assign_services(demand, bc >= uc, pool)
-        assert choice.shape == demand.shape
+        granted = unicast_grants(demand, pool)
+        assert granted.shape == demand.shape and granted.dtype == bool
+        choice = _services(granted, bc >= uc)
         for row_choice, row_uc, row_bc, row_demand in zip(choice, uc, bc, demand):
             _check_policy(row_choice, row_uc, row_bc, row_demand, pool)
             assert np.array_equal(
@@ -127,19 +131,19 @@ class TestSelectService:
 def _check_policy(choice, uc, bc, demand, pool):
     """One trial's assignment keeps the payoff guarantee and leaves nobody
     off unicast who would still fit."""
-    assert not np.any((choice == BROADCAST) & (bc < uc))
-    assert np.all((choice == UNSERVED) == ((choice != UNICAST) & (bc < uc)))
+    assert not np.any((choice == "broadcast") & (bc < uc))
+    assert np.all((choice == "unserved") == ((choice != "unicast") & (bc < uc)))
     # A user left off unicast had no room for it, even at the end.
-    leftover = pool - demand[choice == UNICAST].sum()
+    leftover = pool - demand[choice == "unicast"].sum()
     assert leftover >= 0
-    assert np.all(demand[choice != UNICAST] > leftover)
+    assert np.all(demand[choice != "unicast"] > leftover)
 
 
 def _reference_assignment(demand, eligible, pool):
     """The simulator's former per-user loop, which stopped only when less
     than one unit of pool was left."""
     n = len(demand)
-    assigned = np.full(n, UNSERVED, dtype=np.int8)
+    assigned = np.full(n, "unserved", dtype=object)
     remaining = pool
     cut = n
     for k in range(n):
@@ -147,28 +151,32 @@ def _reference_assignment(demand, eligible, pool):
             cut = k
             break
         if demand[k] <= remaining:
-            assigned[k] = UNICAST
+            assigned[k] = "unicast"
             remaining -= demand[k]
         else:
-            assigned[k] = BROADCAST if eligible[k] else UNSERVED
+            assigned[k] = "broadcast" if eligible[k] else "unserved"
     if cut < n:
-        assigned[cut:] = np.where(eligible[cut:], BROADCAST, UNSERVED)
+        assigned[cut:] = np.where(eligible[cut:], "broadcast", "unserved")
     return assigned
 
 
 class TestAssignServices:
+    """Service assignment: the unicast grants, then eligibility."""
+
     def test_leftover_below_every_remaining_demand(self):
         # Two grants leave 1.5 units: at least one, but too few for a 5.
         demand = np.array([2.0, 2.0, 5.0, 5.0, 5.0])
         eligible = np.array([False, True, True, False, True])
-        got = assign_services(demand, eligible, 5.5)
-        assert got.tolist() == [UNICAST, UNICAST, BROADCAST, UNSERVED, BROADCAST]
+        granted = unicast_grants(demand, 5.5)
+        assert granted.tolist() == [True, True, False, False, False]
+        got = _services(granted, eligible)
+        assert got.tolist() == ["unicast", "unicast", "broadcast", "unserved", "broadcast"]
         assert np.array_equal(got, _reference_assignment(demand, eligible, 5.5))
 
     def test_matches_reference_loop_on_random_cases(self):
         stuck = 0  # cases whose leftover is >= 1 but fits no remaining demand
         for demand, eligible, pool in _random_cases(rows=None):
-            got = assign_services(demand, eligible, pool)
+            got = _assign(demand, eligible, pool)
             stuck += _check_against_reference(got, demand, eligible, pool)
         assert stuck > 100
 
@@ -176,7 +184,7 @@ class TestAssignServices:
     def test_block_rows_match_reference_loop(self, rows):
         stuck = 0
         for demand, eligible, pool in _random_cases(rows):
-            got = assign_services(demand, eligible, pool)
+            got = _assign(demand, eligible, pool)
             assert got.shape == demand.shape
             for row in zip(got, demand, eligible):
                 stuck += _check_against_reference(*row, pool)
@@ -203,8 +211,8 @@ def _check_against_reference(got, demand, eligible, pool):
     """Assert one trial's assignment equals the reference loop; return
     whether its leftover is >= 1 yet fits no remaining demand."""
     assert np.array_equal(got, _reference_assignment(demand, eligible, pool))
-    leftover = pool - demand[got == UNICAST].sum()
-    return bool(leftover >= 1.0 and np.any(got != UNICAST))
+    leftover = pool - demand[got == "unicast"].sum()
+    return bool(leftover >= 1.0 and np.any(got != "unicast"))
 
 
 def _oracle_cell(n_users):
@@ -435,8 +443,8 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         if demand.sum() < uc_pool:
             shortfall += 1
         assigned = _reference_assignment(demand, eligible, uc_pool)
-        bc_mask = assigned == BROADCAST
-        uc_mask = assigned == UNICAST
+        bc_mask = assigned == "broadcast"
+        uc_mask = assigned == "unicast"
         served = bc_mask | uc_mask
         violations += int(np.count_nonzero(bc_mask & (payoff_bc < payoff_uc)))
         revenues[t] = uc_revenue + prices.broadcast * float(np.where(bc_mask, f, 0.0).sum())
@@ -531,8 +539,8 @@ class TestSimulateBlocks:
                        got.unserved_user_fraction) > 0
 
     def test_memory_per_trial_is_a_few_slots(self, single_cell_setup):
-        # Per trial the simulator keeps six 8-byte statistics and two mask
-        # bytes; one stream serves every trial.
+        # Per trial the simulator keeps six 8-byte statistics, and two mask
+        # bytes after the last block; one stream serves every trial.
         catalog, cell, _ = single_cell_setup
         cell = dataclasses.replace(cell, n_users=200)
         schedule = suboptimal_schedule(catalog, cell.price_unicast)
@@ -552,19 +560,15 @@ class TestSimulateBlocks:
         schedule = suboptimal_schedule(catalog, cell.price_unicast)
         _, price, _ = operating_point(catalog, cell, schedule)
         args = (catalog, cell, PricePair(cell.price_unicast, price), 4.0, schedule)
-        assign, blocks = payoff.assign_services, []
-
-        def spy(demand, eligible, pool):
-            blocks.append(assign(demand, eligible, pool))
-            return blocks[-1]
-
-        monkeypatch.setattr(payoff, "assign_services", spy)
+        grants = record_results(monkeypatch, payoff, "unicast_grants")
+        payoffs = record_results(monkeypatch, payoff, "_payoff")
         got = simulate_revenue(*args, trials=300, seed=5)
         _assert_same_report(got, _reference_simulation(*args, trials=300, seed=5))
-        (assigned,) = blocks
-        assert assigned.shape == (300, 3)
-        n_bc = np.count_nonzero(assigned == BROADCAST, axis=1)
-        n_served = np.count_nonzero(assigned != UNSERVED, axis=1)
+        (granted,), (payoff_uc, payoff_bc) = grants, payoffs
+        assert granted.shape == (300, 3)
+        assigned = _services(granted, payoff_bc >= payoff_uc)
+        n_bc = np.count_nonzero(assigned == "broadcast", axis=1)
+        n_served = np.count_nonzero(assigned != "unserved", axis=1)
         assert 0 < np.count_nonzero(n_bc == 0) < 300
         assert 0 < np.count_nonzero(n_served == 0) < 300
 

@@ -235,13 +235,12 @@ class TestRunSweep:
             run_sweep(small_spec)
 
     def test_broken_payoff_guarantee_propagates(self, small_spec, monkeypatch):
-        # An assignment that broadcasts every user also broadcasts those
-        # whose broadcast payoff is below their unicast payoff.
-        def broadcast_everyone(demand, eligible, pool):
-            assert not np.all(eligible)
-            return np.full(np.shape(demand), payoff.BROADCAST, dtype=np.int8)
+        # The simulator keeps the guarantee by construction; should it ever
+        # break, the AssertionError it raises is a bug, not a row error.
+        def broken_grants(demand, pool):
+            raise AssertionError("payoff guarantee broken in trial 0: user 0")
 
-        monkeypatch.setattr(payoff, "assign_services", broadcast_everyone)
+        monkeypatch.setattr(payoff, "unicast_grants", broken_grants)
         with pytest.raises(AssertionError, match="payoff guarantee broken in trial 0"):
             run_sweep(small_spec)
 
