@@ -33,8 +33,11 @@ def _write(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
 
 def _apply_overrides(spec, args):

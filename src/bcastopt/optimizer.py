@@ -351,50 +351,42 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
     Stops when consecutive (bandwidth, price) moves fall below
     ``DEFAULT_TOL``; raises ConvergenceError after ``DEFAULT_MAX_ITERS``
     iterations otherwise. Both errors carry the iterate trace
-    of (bandwidth, price, bound) triples.
+    of (bandwidth, price, bound) triples. With no users the starting point
+    is returned after 0 iterations: its bound is the unicast-only revenue
+    and its gain 1.
     """
     sched = suboptimal_schedule(catalog, cell.price_unicast)
-    bandwidth, price, moment = operating_point(catalog, cell, sched)
-    if cell.n_users == 0:
-        return OptimizationResult(
-            bc_bandwidth=bandwidth,
-            bc_price=price,
-            schedule=sched,
-            demand_moment=moment,
-            gain_offset=gain_offset(catalog, sched, moment),
-            lower_bound=cell.uc_only_revenue,
-            gain=1.0,
-            iterations=0,
-        )
-
+    bandwidth, price, _ = operating_point(catalog, cell, sched)
     bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
-    bandwidth = None
-    trace = []
-    for it in range(1, DEFAULT_MAX_ITERS + 1):
-        sched = smith_schedule(catalog, cell.price_unicast, price)
-        new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
-        new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched)
-        new_bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
-        trace.append((new_bandwidth, new_price, new_bound))
-        if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):
+    it = 0
+    if cell.n_users:
+        bandwidth = None
+        trace = []
+        for it in range(1, DEFAULT_MAX_ITERS + 1):
+            sched = smith_schedule(catalog, cell.price_unicast, price)
+            new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
+            new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched)
+            new_bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
+            trace.append((new_bandwidth, new_price, new_bound))
+            if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):
+                raise ConvergenceError(
+                    f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}",
+                    trace=trace,
+                )
+            bound = new_bound
+            if (
+                bandwidth is not None
+                and abs(new_bandwidth - bandwidth) < DEFAULT_TOL
+                and abs(new_price - price) < DEFAULT_TOL
+            ):
+                bandwidth, price = new_bandwidth, new_price
+                break
+            bandwidth, price = new_bandwidth, new_price
+        else:
             raise ConvergenceError(
-                f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}",
+                f"joint optimization did not converge in {DEFAULT_MAX_ITERS} iterations",
                 trace=trace,
             )
-        bound = new_bound
-        if (
-            bandwidth is not None
-            and abs(new_bandwidth - bandwidth) < DEFAULT_TOL
-            and abs(new_price - price) < DEFAULT_TOL
-        ):
-            bandwidth, price = new_bandwidth, new_price
-            break
-        bandwidth, price = new_bandwidth, new_price
-    else:
-        raise ConvergenceError(
-            f"joint optimization did not converge in {DEFAULT_MAX_ITERS} iterations",
-            trace=trace,
-        )
 
     moment = scheduled_demand_moment(catalog, sched)
     return OptimizationResult(

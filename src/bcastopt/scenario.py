@@ -13,7 +13,7 @@ import configparser
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,9 +58,41 @@ SWEEP_COLUMNS = (
 )
 
 
+def _parse_users(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if ":" in text:
+        parts = [int(p) for p in text.split(":")]
+        if len(parts) != 3:
+            raise ConfigError(f"user range must be start:stop:step, got {text!r}")
+        start, stop, step = parts
+        if step <= 0:
+            raise ConfigError("user range step must be positive")
+        return tuple(range(start, stop + 1, step))
+    return tuple(int(p) for p in text.split(","))
+
+
+def _csv(conv):
+    return lambda raw: tuple(conv(x) for x in raw.split(","))
+
+
+def _key(section, parse=float, default=None, key=None, positive=False):
+    """Declare a field read from config key ``[section] key`` (the field
+    name unless ``key`` is given) through ``parse``. The key is required
+    when ``default`` is None. A ``positive`` field must be positive and
+    finite, which :class:`ExperimentSpec` checks on every construction."""
+    return field(metadata=dict(section=section, parse=parse, default=default, key=key,
+                               positive=positive))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Physical-unit description of one experiment.
+
+    Each config-read field declares its ``[section]`` key, parser,
+    default and positivity once, through :func:`_key`; :func:`load_spec`
+    reads those declarations. Only ``name`` (``[experiment] name``, else
+    the config file's stem) and ``r_low_bps_hz`` (``[cell] r_low_bps_hz``
+    or ``r_low_degradation``) are read by hand.
 
     ``theta_samples`` (config key ``[catalog] theta_samples``) is parsed
     and must be positive, but its value is ignored: the delay tolerances
@@ -68,50 +100,38 @@ class ExperimentSpec:
     """
 
     name: str
-    bandwidth_mhz: float
-    uc_grant_mhz: float
-    interval_minutes: float
-    slots_per_interval: int
-    r_high_bps_hz: float
-    r_low_bps_hz: float
-    area_ratio_low_to_high: float
-    bc_cap_fraction: float
-    file_count: int
-    zipf_exponent: float
-    size_min_mb: float
-    size_max_mb: float
-    theta_min_s: float
-    theta_max_s: float
-    theta_samples: int
-    unicast_price: float
-    sweep_users: tuple[int, ...]
-    schedulers: tuple[str, ...]
-    zipf_variants: tuple[float, ...]
-    file_count_variants: tuple[int, ...]
-    trials: int
-    seed: int
+    bandwidth_mhz: float = _key("cell", positive=True)
+    uc_grant_mhz: float = _key("cell", positive=True)
+    interval_minutes: float = _key("cell", positive=True)
+    slots_per_interval: int = _key("cell", int, positive=True)
+    r_high_bps_hz: float = _key("cell", positive=True)
+    r_low_bps_hz: float = field(metadata=dict(positive=True))  # read by hand
+    area_ratio_low_to_high: float = _key("cell")
+    bc_cap_fraction: float = _key("cell", default=1.0)
+    file_count: int = _key("catalog", int, positive=True)
+    zipf_exponent: float = _key("catalog", positive=True)
+    size_min_mb: float = _key("catalog", positive=True)
+    size_max_mb: float = _key("catalog", positive=True)
+    theta_min_s: float = _key("catalog", positive=True)
+    theta_max_s: float = _key("catalog", positive=True)
+    theta_samples: int = _key("catalog", int, default=100_000, positive=True)
+    unicast_price: float = _key("pricing", positive=True)
+    sweep_users: tuple[int, ...] = _key("sweep", _parse_users, key="users")
+    schedulers: tuple[str, ...] = _key(
+        "sweep", lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
+        default=("suboptimal",))
+    zipf_variants: tuple[float, ...] = _key(
+        "sweep", _csv(float), default=(), key="zipf_exponents")
+    file_count_variants: tuple[int, ...] = _key(
+        "sweep", _csv(int), default=(), key="file_counts")
+    trials: int = _key("simulation", int, positive=True)
+    seed: int = _key("simulation", int)
 
     def __post_init__(self):
-        positive = {
-            "bandwidth_mhz": self.bandwidth_mhz,
-            "uc_grant_mhz": self.uc_grant_mhz,
-            "interval_minutes": self.interval_minutes,
-            "slots_per_interval": self.slots_per_interval,
-            "r_high_bps_hz": self.r_high_bps_hz,
-            "r_low_bps_hz": self.r_low_bps_hz,
-            "file_count": self.file_count,
-            "zipf_exponent": self.zipf_exponent,
-            "size_min_mb": self.size_min_mb,
-            "size_max_mb": self.size_max_mb,
-            "theta_min_s": self.theta_min_s,
-            "theta_max_s": self.theta_max_s,
-            "theta_samples": self.theta_samples,
-            "unicast_price": self.unicast_price,
-            "trials": self.trials,
-        }
-        for key, value in positive.items():
-            if not 0 < value < math.inf:  # also rejects NaN
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata.get("positive") and not 0 < value < math.inf:  # also rejects NaN
+                raise ConfigError(f"{f.name} must be positive and finite, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.size_min_mb > self.size_max_mb:
@@ -144,19 +164,6 @@ class ExperimentSpec:
                 )
 
 
-def _parse_users(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"user range must be start:stop:step, got {text!r}")
-        start, stop, step = parts
-        if step <= 0:
-            raise ConfigError("user range step must be positive")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
-
-
 def load_spec(path: str) -> ExperimentSpec:
     """Parse an experiment config file; raises ConfigError on problems."""
     try:
@@ -184,50 +191,23 @@ def _read_spec(path: str) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    r_high = get("cell", "r_high_bps_hz", float)
+    name = get("experiment", "name", str, default="")
+    if not name:
+        stem = str(path).rsplit("/", 1)[-1]
+        name = stem.rsplit(".", 1)[0]
+    values = {
+        f.name: get(f.metadata["section"], f.metadata["key"] or f.name,
+                    f.metadata["parse"], f.metadata["default"])
+        for f in fields(ExperimentSpec) if "section" in f.metadata
+    }
     if parser.has_option("cell", "r_low_bps_hz"):
         r_low = get("cell", "r_low_bps_hz", float)
     else:
         degradation = get("cell", "r_low_degradation", float)
         if not (0.0 <= degradation < 1.0):
             raise ConfigError(f"r_low_degradation must be in [0, 1), got {degradation}")
-        r_low = r_high * (1.0 - degradation)
-
-    name = get("experiment", "name", str, default="")
-    if not name:
-        stem = str(path).rsplit("/", 1)[-1]
-        name = stem.rsplit(".", 1)[0]
-
-    floats = lambda raw: tuple(float(x) for x in raw.split(","))
-    ints = lambda raw: tuple(int(x) for x in raw.split(","))
-    schedulers = get("sweep", "schedulers", lambda raw: tuple(
-        s.strip() for s in raw.split(",") if s.strip()), default=("suboptimal",))
-
-    return ExperimentSpec(
-        name=name,
-        bandwidth_mhz=get("cell", "bandwidth_mhz", float),
-        uc_grant_mhz=get("cell", "uc_grant_mhz", float),
-        interval_minutes=get("cell", "interval_minutes", float),
-        slots_per_interval=get("cell", "slots_per_interval", int),
-        r_high_bps_hz=r_high,
-        r_low_bps_hz=r_low,
-        area_ratio_low_to_high=get("cell", "area_ratio_low_to_high", float),
-        bc_cap_fraction=get("cell", "bc_cap_fraction", float, default=1.0),
-        file_count=get("catalog", "file_count", int),
-        zipf_exponent=get("catalog", "zipf_exponent", float),
-        size_min_mb=get("catalog", "size_min_mb", float),
-        size_max_mb=get("catalog", "size_max_mb", float),
-        theta_min_s=get("catalog", "theta_min_s", float),
-        theta_max_s=get("catalog", "theta_max_s", float),
-        theta_samples=get("catalog", "theta_samples", int, default=100_000),
-        unicast_price=get("pricing", "unicast_price", float),
-        sweep_users=get("sweep", "users", _parse_users),
-        schedulers=schedulers,
-        zipf_variants=get("sweep", "zipf_exponents", floats, default=()),
-        file_count_variants=get("sweep", "file_counts", ints, default=()),
-        trials=get("simulation", "trials", int),
-        seed=get("simulation", "seed", int),
-    )
+        r_low = values["r_high_bps_hz"] * (1.0 - degradation)
+    return ExperimentSpec(name=name, r_low_bps_hz=r_low, **values)
 
 
 @dataclass(frozen=True)

@@ -405,8 +405,9 @@ class TestJointOptimize:
         result = joint_optimize(catalog, cell)
         assert result.bc_bandwidth == 0.0
         assert result.bc_price == pytest.approx(1.0)  # half the unicast price
-        assert result.lower_bound == pytest.approx(cell.uc_only_revenue)
+        assert result.lower_bound == cell.uc_only_revenue
         assert result.gain == 1.0
+        assert result.iterations == 0
 
     def test_fixed_point_and_dominance_on_random_instances(self):
         rng = np.random.default_rng(14)

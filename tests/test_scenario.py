@@ -1,8 +1,12 @@
 import argparse
+import configparser
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from bcastopt.errors import (
     PreconditionError,
 )
 from bcastopt.scenario import (
+    ExperimentSpec,
     load_spec,
     normalize,
     operating_point,
@@ -26,7 +31,7 @@ from bcastopt.scenario import (
 from bcastopt.optimizer import price_validity_floor
 from bcastopt.scheduler import suboptimal_schedule
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO
 
 SMALL_CONFIG = """
 [experiment]
@@ -74,6 +79,76 @@ def small_config(tmp_path_factory):
 @pytest.fixture(scope="module")
 def small_spec(small_config):
     return load_spec(small_config)
+
+
+def _shipped_keys():
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "single_cell.cfg")
+    return [key for section in parser.sections() for key in parser[section]]
+
+
+# One fault at a time in configs/single_cell.cfg: the key removed (None),
+# or its value replaced by each string.
+FAULTS = (None, "xx", "0", "-1", "nan")
+SHIPPED_KEYS = _shipped_keys()
+
+
+def _messages(section, key, zero, minus_one, nan):
+    return (f"missing [{section}] {key} in {{path}}",
+            f"bad value for [{section}] {key}: 'xx'", zero, minus_one, nan)
+
+
+def _positive_float(section, key):
+    return _messages(section, key, *(f"{key} must be positive and finite, got {v}"
+                                     for v in ("0.0", "-1.0", "nan")))
+
+
+def _positive_int(section, key):
+    return _messages(section, key, f"{key} must be positive and finite, got 0",
+                     f"{key} must be positive and finite, got -1",
+                     f"bad value for [{section}] {key}: 'nan'")
+
+
+def _unknown_scheduler(value):
+    return (f"unknown scheduler variant {value!r}; "
+            "expected one of ('optimal', 'suboptimal', 'none')")
+
+
+# The ConfigError message of each fault in FAULTS order; "" means the
+# config still loads. {path} stands for the repr of the config path.
+FAULT_MESSAGES = {
+    "name": ("", "", "", "", ""),
+    "bandwidth_mhz": _positive_float("cell", "bandwidth_mhz"),
+    "uc_grant_mhz": _positive_float("cell", "uc_grant_mhz"),
+    "interval_minutes": _positive_float("cell", "interval_minutes"),
+    "slots_per_interval": _positive_int("cell", "slots_per_interval"),
+    "r_high_bps_hz": _positive_float("cell", "r_high_bps_hz"),
+    "r_low_degradation": _messages(
+        "cell", "r_low_degradation", "", "r_low_degradation must be in [0, 1), got -1.0",
+        "r_low_degradation must be in [0, 1), got nan"),
+    "area_ratio_low_to_high": _messages(
+        "cell", "area_ratio_low_to_high", "",
+        "area_ratio_low_to_high must be >= 0, got -1.0",
+        "area_ratio_low_to_high must be >= 0, got nan"),
+    "bc_cap_fraction": ("", "bad value for [cell] bc_cap_fraction: 'xx'",
+                        "bc_cap_fraction must be in (0, 1], got 0.0",
+                        "bc_cap_fraction must be in (0, 1], got -1.0",
+                        "bc_cap_fraction must be in (0, 1], got nan"),
+    "file_count": _positive_int("catalog", "file_count"),
+    "zipf_exponent": _positive_float("catalog", "zipf_exponent"),
+    "size_min_mb": _positive_float("catalog", "size_min_mb"),
+    "size_max_mb": _positive_float("catalog", "size_max_mb"),
+    "theta_min_s": _positive_float("catalog", "theta_min_s"),
+    "theta_max_s": _positive_float("catalog", "theta_max_s"),
+    "theta_samples": ("",) + _positive_int("catalog", "theta_samples")[1:],
+    "unicast_price": _positive_float("pricing", "unicast_price"),
+    "users": _messages("sweep", "users", "", "sweep user counts must be >= 0",
+                       "bad value for [sweep] users: 'nan'"),
+    "schedulers": ("",) + tuple(_unknown_scheduler(v) for v in FAULTS[1:]),
+    "trials": _positive_int("simulation", "trials"),
+    "seed": _messages("simulation", "seed", "", "seed must be >= 0, got -1",
+                      "bad value for [simulation] seed: 'nan'"),
+}
 
 
 class TestLoadSpec:
@@ -130,6 +205,56 @@ class TestLoadSpec:
         path.write_text(SMALL_CONFIG.replace("schedulers = suboptimal", "schedulers = magic"))
         with pytest.raises(ConfigError, match="magic"):
             load_spec(str(path))
+
+    def test_optional_keys_take_their_defaults(self, tmp_path):
+        path = tmp_path / "bare.cfg"
+        text = SMALL_CONFIG
+        for line in ("name = small", "bc_cap_fraction = 0.6", "theta_samples = 2000",
+                     "schedulers = suboptimal"):
+            text = text.replace(line + "\n", "")
+        path.write_text(text)
+        spec = load_spec(str(path))
+        assert (spec.name, spec.bc_cap_fraction, spec.theta_samples, spec.schedulers,
+                spec.zipf_variants, spec.file_count_variants) == (
+                    "bare", 1.0, 100_000, ("suboptimal",), (), ())
+
+    def test_readme_lists_exactly_the_keys_load_spec_reads(self):
+        block = (REPO / "README.md").read_text().split("### Config format")[1].split("```")[1]
+        listed, section = set(), None
+        for line in block.splitlines():
+            line = re.sub(r"\([^)]*\)|#.*", "", line)  # drop remarks and comments
+            header = re.match(r"\[(\w+)\]", line)
+            if header:
+                section, line = header.group(1), line[header.end():]
+            listed |= {(section, key) for key in re.findall(r"\w+", line)}
+        declared = {(f.metadata["section"], f.metadata["key"] or f.name)
+                    for f in dataclasses.fields(ExperimentSpec) if "section" in f.metadata}
+        by_hand = {("experiment", "name"), ("cell", "r_low_bps_hz"),
+                   ("cell", "r_low_degradation")}
+        assert listed == declared | by_hand
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("key", SHIPPED_KEYS)
+    def test_one_fault_per_key(self, tmp_path, key, fault):
+        text = (CONFIG_DIR / "single_cell.cfg").read_text()
+        line = "" if fault is None else f"{key} = {fault}\n"
+        text, count = re.subn(rf"^{key} = .*\n", line, text, flags=re.M)
+        assert count == 1
+        path = tmp_path / "fault.cfg"
+        path.write_text(text)
+        expected = FAULT_MESSAGES[key][FAULTS.index(fault)].format(path=repr(str(path)))
+        if not expected:
+            load_spec(str(path))
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_spec(str(path))
+        assert str(exc.value) == expected
+        if expected.startswith(f"{key} must be positive and finite"):
+            spec = load_spec(str(CONFIG_DIR / "single_cell.cfg"))
+            value = type(getattr(spec, key))(fault)
+            with pytest.raises(ConfigError) as exc:
+                dataclasses.replace(spec, **{key: value})
+            assert str(exc.value) == expected
 
 
 class TestNormalize:
@@ -513,6 +638,18 @@ class TestCli:
                        for r in rows if r["error"])
             failing.append([r["N"] for r in rows if r["error"]])
         assert failing[0] == failing[1] == list(range(500, 1500, 100))
+
+    @pytest.mark.parametrize("target, code", [("missing/out.csv", errno.ENOENT),
+                                              (".", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_exits_with_one_error_line(self, small_config, tmp_path,
+                                                         capsys, target, code):
+        path = str(tmp_path / target)
+        assert main(["schedule", small_config, "-o", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write output file {path!r}: {os.strerror(code)}\n")
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
