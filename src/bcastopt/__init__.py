@@ -56,7 +56,6 @@ from .scheduler import (
     brute_force_best_order,
     cumulative_sizes,
     popularity_schedule,
-    scheduled_demand_moment,
     smith_cost,
     smith_schedule,
     suboptimal_schedule,

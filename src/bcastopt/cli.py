@@ -8,6 +8,7 @@ validation failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -29,15 +30,13 @@ from .scenario import (
 from .scheduler import schedule_to_csv
 
 
-def _write(text: str, path: str | None):
+def _open_output(path: str | None):
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
 
 def _apply_overrides(spec, args):
@@ -61,55 +60,39 @@ def _resolved_cell(spec, args):
     return catalog, replace(cell, n_users=n), scheme
 
 
-def cmd_optimize(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+def cmd_optimize(spec, args) -> tuple[str, int]:
     catalog, cell, scheme = _resolved_cell(spec, args)
     result = joint_optimize(catalog, cell)
-    _write(result.to_json() + "\n", args.output)
     sys.stderr.write(f"normalization: {scheme.to_json(indent=None)}\n")
-    return 0
+    return result.to_json() + "\n", 0
 
 
-def cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+def cmd_sweep(spec, args) -> tuple[str, int]:
     result = run_sweep(spec)
-    text = result.to_json() if args.format == "json" else result.to_csv()
-    _write(text, args.output)
-    return 0
+    return (result.to_json() if args.format == "json" else result.to_csv()), 0
 
 
-def cmd_simulate(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+def cmd_simulate(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
-    variant = spec.schedulers[0]
-    schedule = _variant_schedule(variant, catalog, cell)
+    schedule = _variant_schedule(spec.schedulers[0], catalog, cell)
     bandwidth, price, _ = operating_point(catalog, cell, schedule)
     report = simulate_revenue(
         catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule,
         trials=spec.trials, seed=np.random.SeedSequence([spec.seed, cell.n_users]),
     )
-    _write(report.to_json() + "\n", args.output)
-    return 0
+    return report.to_json() + "\n", 0
 
 
-def cmd_schedule(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+def cmd_schedule(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
-    variant = spec.schedulers[0]
-    schedule = _variant_schedule(variant, catalog, cell)
-    if args.catalog:
-        _write(catalog_to_csv(catalog), args.output)
-    else:
-        _write(schedule_to_csv(schedule, catalog), args.output)
-    return 0
+    schedule = _variant_schedule(spec.schedulers[0], catalog, cell)
+    return (catalog_to_csv(catalog) if args.catalog else schedule_to_csv(schedule, catalog)), 0
 
 
-def cmd_validate(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+def cmd_validate(spec, args) -> tuple[str, int]:
     report = run_validation(spec)
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
-    _write(text, args.output)
-    return 0 if report.all_passed else 2
+    return text, 0 if report.all_passed else 2
 
 
 # Every option a subcommand accepts is one its cmd_* function reads.
@@ -159,10 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = _apply_overrides(load_spec(args.config), args)
+        with _open_output(args.output) as out:
+            text, code = args.func(spec, args)
+            out.write(text)
+        return code
     except (ConfigError, ConvergenceError, PayoffDomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -33,8 +33,7 @@ from .errors import ConvergenceError, InvalidParameterError, PreconditionError
 from .scheduler import (
     Schedule,
     bound_moments,
-    check_bound_hypothesis,
-    scheduled_demand_moment,
+    smith_cost_at,
     smith_schedule,
     suboptimal_schedule,
 )
@@ -161,9 +160,7 @@ def lower_bound_revenue(
         return value.copy() if value.ndim else float(value)
     if np.any(bandwidth <= 0):
         raise PreconditionError("broadcast bandwidth must be positive when users exist")
-    check_bound_hypothesis(catalog, cell.price_unicast, price)
-    d, e = bound_moments(catalog, schedule.s)
-    cost = d - (cell.price_unicast - price) * e
+    cost = smith_cost_at(catalog, schedule.s, cell.price_unicast, price)
     load = cell.r_u / (bandwidth * cell.r_b)
     value = price * cell.n_users * (catalog.mean_size - load * cost) + uc_term
     return value if value.ndim else float(value)
@@ -210,16 +207,14 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
     The price is floored to the bound's validity region so revenue
     numbers stay well defined; returns (bandwidth, price, demand moment).
     """
-    moment = scheduled_demand_moment(catalog, schedule)
+    moment = bound_moments(catalog, schedule.s)[0]
     bandwidth = closed_form_bandwidth(catalog, cell)
     floor = price_validity_floor(catalog, cell)
     price = max(closed_form_price(catalog, cell, moment), floor)
     return bandwidth, price, moment
 
 
-def optimal_schedule(
-    catalog: FileCatalog, cell: CellConfig,
-) -> tuple[Schedule, float, int]:
+def optimal_schedule(catalog: FileCatalog, cell: CellConfig) -> tuple[Schedule, int]:
     """Price-aware scheduler: the Smith order at its own operating price.
 
     The weights w_i = theta_i p_i (1 - (Pu - Pb) f_i) are the Smith
@@ -237,8 +232,8 @@ def optimal_schedule(
     only guards against near-ties at rounding level: reaching it raises
     ConvergenceError with the trace of moments.
 
-    Returns (schedule, S, iterations), where S is the demand moment of
-    the returned order.
+    Returns (schedule, iterations); the order's moment S is the third
+    value of its :func:`operating_point`.
     """
     current = suboptimal_schedule(catalog, cell.price_unicast)
     trace = []
@@ -247,7 +242,7 @@ def optimal_schedule(
         trace.append(moment)
         nxt = smith_schedule(catalog, cell.price_unicast, price)
         if np.array_equal(nxt.order, current.order):
-            return nxt, moment, it
+            return nxt, it
         current = nxt
     raise ConvergenceError(
         f"price-aware scheduler found no fixed point in {DEFAULT_FIXED_POINT_CAP} iterations",
@@ -268,9 +263,7 @@ def bound_argmax_bandwidth(
     """
     if price <= 0:
         raise InvalidParameterError(f"price must be > 0, got {price}")
-    check_bound_hypothesis(catalog, cell.price_unicast, price)
-    d, e = bound_moments(catalog, schedule.s)
-    cost = d - (cell.price_unicast - price) * e
+    cost = smith_cost_at(catalog, schedule.s, cell.price_unicast, price)
     raw = math.sqrt(
         price * cell.n_users * cell.r_u * cost
         / (cell.r_b * cell.price_unicast * cell.slots)
@@ -297,25 +290,24 @@ def bound_argmax_price(
     return min(max(raw, price_validity_floor(catalog, cell)), cell.price_unicast)
 
 
-def gain_offset(catalog: FileCatalog, schedule: Schedule, demand_moment: float) -> float:
-    """Offset G = 0.5 + sum(s theta p) / S in the revenue-gain formula."""
-    if demand_moment <= 0:
-        raise InvalidParameterError(f"demand moment must be > 0, got {demand_moment}")
-    return 0.5 + float(schedule.s @ (catalog.theta * catalog.popularity)) / demand_moment
+def gain_offset(catalog: FileCatalog, schedule: Schedule) -> float:
+    """Offset G = 0.5 + sum(s theta p) / S in the revenue-gain formula,
+    with S the schedule's demand moment (:func:`bound_moments`)."""
+    moment = bound_moments(catalog, schedule.s)[0]
+    return 0.5 + float(schedule.s @ (catalog.theta * catalog.popularity)) / moment
 
 
-def revenue_gain(
-    catalog: FileCatalog, cell: CellConfig, demand_moment: float, schedule: Schedule,
-) -> float:
+def revenue_gain(catalog: FileCatalog, cell: CellConfig, schedule: Schedule) -> float:
     """Closed-form revenue gain over a unicast-only cell.
 
-    R = 1 + N F / (2 W T) * {min(N r_b F^2 / (4 Pu^2 T r_u S), 1) + 1 - G / Pu}.
-    Equals 1 with no users; exceeds 1 whenever Pu > G and N > 0.
+    R = 1 + N F / (2 W T) * {min(N r_b F^2 / (4 Pu^2 T r_u S), 1) + 1 - G / Pu}
+    on the schedule's demand moment S and :func:`gain_offset` G. Equals 1
+    with no users; exceeds 1 whenever Pu > G and N > 0.
     """
-    g = gain_offset(catalog, schedule, demand_moment)
-    saturation = min(price_pressure(catalog, cell, demand_moment) / cell.price_unicast, 1.0)
+    moment = bound_moments(catalog, schedule.s)[0]
+    saturation = min(price_pressure(catalog, cell, moment) / cell.price_unicast, 1.0)
     lever = cell.n_users * catalog.mean_size / (2.0 * cell.bandwidth * cell.slots)
-    return 1.0 + lever * (saturation + 1.0 - g / cell.price_unicast)
+    return 1.0 + lever * (saturation + 1.0 - gain_offset(catalog, schedule) / cell.price_unicast)
 
 
 def fixed_point_residuals(
@@ -388,14 +380,13 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
                 trace=trace,
             )
 
-    moment = scheduled_demand_moment(catalog, sched)
     return OptimizationResult(
         bc_bandwidth=bandwidth,
         bc_price=price,
         schedule=sched,
-        demand_moment=moment,
-        gain_offset=gain_offset(catalog, sched, moment),
+        demand_moment=bound_moments(catalog, sched.s)[0],
+        gain_offset=gain_offset(catalog, sched),
         lower_bound=bound,
-        gain=revenue_gain(catalog, cell, moment, sched),
+        gain=revenue_gain(catalog, cell, sched),
         iterations=it,
     )

@@ -165,7 +165,8 @@ class ExperimentSpec:
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    """Parse an experiment config file; raises ConfigError on problems."""
+    """Parse an experiment config file; raises ConfigError on problems,
+    among them a key that is neither declared nor read by hand."""
     try:
         return _read_spec(path)
     except configparser.Error as exc:
@@ -191,15 +192,21 @@ def _read_spec(path: str) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
+    declared = {(f.metadata["section"], f.metadata["key"] or f.name): f
+                for f in fields(ExperimentSpec) if "section" in f.metadata}
+    known = declared.keys() | {
+        ("experiment", "name"), ("cell", "r_low_bps_hz"), ("cell", "r_low_degradation")}
+    for section in parser.sections():
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown key [{section}] {key} in {path!r}")
+
     name = get("experiment", "name", str, default="")
     if not name:
         stem = str(path).rsplit("/", 1)[-1]
         name = stem.rsplit(".", 1)[0]
-    values = {
-        f.name: get(f.metadata["section"], f.metadata["key"] or f.name,
-                    f.metadata["parse"], f.metadata["default"])
-        for f in fields(ExperimentSpec) if "section" in f.metadata
-    }
+    values = {f.name: get(*where, f.metadata["parse"], f.metadata["default"])
+              for where, f in declared.items()}
     if parser.has_option("cell", "r_low_bps_hz"):
         r_low = get("cell", "r_low_bps_hz", float)
     else:
@@ -246,12 +253,9 @@ def _scheme_for(spec: ExperimentSpec) -> NormalizationScheme:
     )
 
 
-def normalize(
-    spec: ExperimentSpec,
-    zipf_exponent: float | None = None,
-    file_count: int | None = None,
-) -> tuple[FileCatalog, CellConfig, NormalizationScheme]:
-    """Build the normalized catalog and cell for a spec (or a variant of it).
+def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, NormalizationScheme]:
+    """Build the normalized catalog and cell for a spec. A sweep variant is
+    the spec with its ``zipf_exponent`` and ``file_count`` replaced.
 
     Deterministic for a fixed spec seed: the file sizes are drawn from a
     seed stream derived from it, and the delay tolerances are exact
@@ -259,8 +263,7 @@ def normalize(
     ``n_users=0``; sweeps substitute each user count via
     ``dataclasses.replace``.
     """
-    gamma = spec.zipf_exponent if zipf_exponent is None else zipf_exponent
-    m = spec.file_count if file_count is None else file_count
+    m = spec.file_count
     scheme = _scheme_for(spec)
 
     size_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xF11E5, m]))
@@ -279,7 +282,7 @@ def normalize(
     theta_hi = spec.theta_max_s / scheme.slot_seconds
     try:
         catalog = build_catalog(
-            ZipfParams(exponent=gamma, catalog_size=m),
+            ZipfParams(exponent=spec.zipf_exponent, catalog_size=m),
             sizes=sizes,
             delay_lo=theta_lo,
             delay_hi=theta_hi,
@@ -366,7 +369,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 
     for gamma in gammas:
         for m in counts:
-            catalog, base_cell, _ = normalize(spec, zipf_exponent=gamma, file_count=m)
+            catalog, base_cell, _ = normalize(replace(spec, zipf_exponent=gamma, file_count=m))
             for variant in variants:
                 for n in users:
                     row = {
@@ -376,9 +379,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                     try:
                         cell = replace(base_cell, n_users=n)
                         schedule = _variant_schedule(variant, catalog, cell)
-                        bandwidth, price, moment = operating_point(catalog, cell, schedule)
+                        bandwidth, price, _ = operating_point(catalog, cell, schedule)
                         bound = lower_bound_revenue(catalog, cell, price, bandwidth, schedule)
-                        gain = revenue_gain(catalog, cell, moment, schedule)
+                        gain = revenue_gain(catalog, cell, schedule)
                         seed = np.random.SeedSequence(
                             [spec.seed, int(round(gamma * 1e6)), m, n]
                         )

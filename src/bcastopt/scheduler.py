@@ -116,12 +116,19 @@ def bound_moments(catalog: FileCatalog, s) -> tuple[float, float]:
     return float(s @ tfp), float(s @ (tfp * catalog.sizes))
 
 
+def smith_cost_at(catalog: FileCatalog, s, price_unicast, price):
+    """Smith cost D - (Pu - Pb) E of completion sizes ``s`` (:func:`bound_moments`),
+    elementwise over an array of prices Pb. Requires (Pu - Pb) * f_i < 1."""
+    check_bound_hypothesis(catalog, price_unicast, price)
+    d, e = bound_moments(catalog, s)
+    return d - (price_unicast - price) * e
+
+
 def smith_cost(order, catalog: FileCatalog, price_unicast, price_broadcast) -> float:
-    """Weighted-completion objective sum_i s_i * theta_i * f_i * p_i * (1 - (Pu-Pb) f_i),
-    as D - (Pu - Pb) E (:func:`bound_moments`). Requires (Pu - Pb) * f_i < 1."""
-    check_bound_hypothesis(catalog, price_unicast, price_broadcast)
-    d, e = bound_moments(catalog, cumulative_sizes(order, catalog.sizes))
-    return d - (price_unicast - price_broadcast) * e
+    """Weighted-completion objective sum_i s_i * theta_i * f_i * p_i * (1 - (Pu-Pb) f_i)
+    of ``order``: its :func:`smith_cost_at`."""
+    return smith_cost_at(catalog, cumulative_sizes(order, catalog.sizes),
+                         price_unicast, price_broadcast)
 
 
 def _permutations(n: int) -> np.ndarray:
@@ -175,11 +182,6 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
         if best_cost is None or costs[k] < best_cost:
             best_order, best_cost = chunk[k].copy(), float(costs[k])
     return best_order, best_cost
-
-
-def scheduled_demand_moment(catalog: FileCatalog, schedule: Schedule) -> float:
-    """Schedule-weighted demand moment D = sum_i s_i * theta_i * f_i * p_i."""
-    return bound_moments(catalog, schedule.s)[0]
 
 
 def schedule_to_csv(schedule: Schedule, catalog: FileCatalog) -> str:

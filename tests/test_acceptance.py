@@ -25,9 +25,9 @@ from bcastopt.optimizer import (
 from bcastopt.payoff import PricePair, simulate_revenue
 from bcastopt.scenario import run_sweep
 from bcastopt.scheduler import (
+    bound_moments,
     brute_force_best_order,
     popularity_schedule,
-    scheduled_demand_moment,
     smith_cost,
     smith_schedule,
     suboptimal_schedule,
@@ -99,7 +99,7 @@ def _small_size_instance(rng, scale=1.0):
 
 def _grid_errors(catalog, cell, points=10_000):
     sched = suboptimal_schedule(catalog, cell.price_unicast)
-    moment = scheduled_demand_moment(catalog, sched)
+    moment = bound_moments(catalog, sched.s)[0]
     wb_hat = closed_form_bandwidth(catalog, cell)
     pb_hat = closed_form_price(catalog, cell, moment)
     wgrid = np.linspace(cell.bc_cap / points, cell.bc_cap, points)
@@ -172,7 +172,7 @@ def joint_optimize_runs(single_cell_setup):
         sub = suboptimal_schedule(cat, cell.price_unicast)
         floor = price_validity_floor(cat, cell)
         wb = closed_form_bandwidth(cat, cell)
-        pb = min(max(closed_form_price(cat, cell, scheduled_demand_moment(cat, sub)),
+        pb = min(max(closed_form_price(cat, cell, bound_moments(cat, sub.s)[0]),
                      floor), cell.price_unicast)
         closed = (lower_bound_revenue(cat, cell, pb, wb, sub)
                   if cell.n_users > 0 and wb > 0 else None)

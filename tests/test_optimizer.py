@@ -21,10 +21,11 @@ from bcastopt.optimizer import (
     revenue_gain,
 )
 from bcastopt.scheduler import (
+    bound_moments,
     cumulative_sizes,
     popularity_schedule,
-    scheduled_demand_moment,
     smith_cost,
+    smith_cost_at,
     smith_schedule,
     suboptimal_schedule,
 )
@@ -192,6 +193,13 @@ class TestMomentsForm:
                     assert smith_cost(order, catalog, pu, pb) == pytest.approx(
                         _per_file_smith_cost(order, catalog, pu, pb), rel=1e-12)
 
+    def test_smith_cost_on_a_price_grid_has_the_scalar_bits(self):
+        for catalog, cell, prices, _ in self._draws():
+            pu = cell.price_unicast
+            sched = suboptimal_schedule(catalog, pu)
+            assert smith_cost_at(catalog, sched.s, pu, prices).tolist() == [
+                smith_cost(sched.order, catalog, pu, pb) for pb in prices]
+
     def test_price_vertex(self):
         seen = set()
         for catalog, cell, prices, bandwidths in self._draws():
@@ -291,7 +299,7 @@ def _grid_check(values_at, grid, found):
 def _closed_form_bound(catalog, cell):
     sub = suboptimal_schedule(catalog, cell.price_unicast)
     floor = price_validity_floor(catalog, cell)
-    pb = min(max(closed_form_price(catalog, cell, scheduled_demand_moment(catalog, sub)),
+    pb = min(max(closed_form_price(catalog, cell, bound_moments(catalog, sub.s)[0]),
                  floor), cell.price_unicast)
     return lower_bound_revenue(catalog, cell, pb, closed_form_bandwidth(catalog, cell), sub)
 
@@ -423,7 +431,7 @@ class TestJointOptimize:
             floor = price_validity_floor(catalog, cell)
             wb = closed_form_bandwidth(catalog, cell)
             pb = min(max(closed_form_price(
-                catalog, cell, scheduled_demand_moment(catalog, sub)), floor),
+                catalog, cell, bound_moments(catalog, sub.s)[0]), floor),
                 cell.price_unicast)
             closed_bound = lower_bound_revenue(catalog, cell, pb, wb, sub)
             assert result.lower_bound >= closed_bound - 1e-9
@@ -448,7 +456,7 @@ class TestJointOptimize:
 class TestRevenueGain:
     def test_no_users_gives_unity(self):
         catalog, cell, sched = _single_file_setup(n_users=0)
-        assert revenue_gain(catalog, cell, 1.0, sched) == 1.0
+        assert revenue_gain(catalog, cell, sched) == 1.0
 
     def test_saturated_bracket_by_hand(self):
         # G == Pu makes the bracket collapse to the saturated term alone:
@@ -460,10 +468,9 @@ class TestRevenueGain:
         cell = CellConfig(bandwidth=5.0, slots=2, n_users=400, price_unicast=pu,
                           rate_model=point_rate(1.0))
         sched = popularity_schedule(catalog)
-        moment = scheduled_demand_moment(catalog, sched)
-        assert gain_offset(catalog, sched, moment) == pytest.approx(pu, abs=1e-12)
+        assert gain_offset(catalog, sched) == pytest.approx(pu, abs=1e-12)
         expected = 1.0 + cell.n_users * catalog.mean_size / (2.0 * 5.0 * 2)
-        assert revenue_gain(catalog, cell, moment, sched) == pytest.approx(expected, abs=1e-12)
+        assert revenue_gain(catalog, cell, sched) == pytest.approx(expected, abs=1e-12)
 
     def test_exceeds_unity_when_price_beats_offset(self):
         rng = np.random.default_rng(19)
@@ -471,16 +478,10 @@ class TestRevenueGain:
         for _ in range(200):
             catalog, cell = random_instance(rng)
             sched = suboptimal_schedule(catalog, cell.price_unicast)
-            moment = scheduled_demand_moment(catalog, sched)
-            if cell.price_unicast > gain_offset(catalog, sched, moment) and cell.n_users > 0:
-                assert revenue_gain(catalog, cell, moment, sched) > 1.0
+            if cell.price_unicast > gain_offset(catalog, sched) and cell.n_users > 0:
+                assert revenue_gain(catalog, cell, sched) > 1.0
                 checked += 1
         assert checked > 0
-
-    def test_degenerate_moment_rejected(self):
-        catalog, cell, sched = _single_file_setup()
-        with pytest.raises(InvalidParameterError):
-            revenue_gain(catalog, cell, 0.0, sched)
 
 
 class TestBoundShape:

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import bcastopt.cli as cli
 import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import build_parser, main
@@ -206,6 +207,26 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="magic"):
             load_spec(str(path))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("users = 0,5,10", "users = 1:5", "bad value for [sweep] users: '1:5'"),
+        ("users = 0,5,10", "users = 1:5:0", "bad value for [sweep] users: '1:5:0'"),
+        ("users = 0,5,10", "users = 1:5:-1", "bad value for [sweep] users: '1:5:-1'"),
+        ("users = 0,5,10", "users = 5:1:1", "sweep user range must be non-empty"),
+        ("size_min_mb = 160", "size_min_mb = 700", "size_min_mb must not exceed size_max_mb"),
+        ("theta_min_s = 0.6", "theta_min_s = 7", "theta_min_s must not exceed theta_max_s"),
+        ("bc_cap_fraction = 0.6", "bc_cap_fration = 0.6",
+         "unknown key [cell] bc_cap_fration in {path}"),
+        ("[simulation]", "[simulaton]", "unknown key [simulaton] trials in {path}"),
+    ], ids=["range-of-two", "zero-step", "negative-step", "empty-range", "sizes-reversed",
+            "thresholds-reversed", "misspelt-key", "unknown-section"])
+    def test_load_error_messages(self, tmp_path, old, new, message):
+        assert old in SMALL_CONFIG
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(str(path))
+        assert str(exc.value) == message.format(path=repr(str(path)))
+
     def test_optional_keys_take_their_defaults(self, tmp_path):
         path = tmp_path / "bare.cfg"
         text = SMALL_CONFIG
@@ -284,6 +305,16 @@ class TestNormalize:
         payload = json.loads(scheme.to_json())
         assert payload["slots_per_interval"] == 3
         assert payload["rate_scale"] > 0
+
+    def test_delay_sensitivity_violation_is_a_config_error(self, small_spec):
+        with pytest.raises(ConfigError) as exc:
+            normalize(dataclasses.replace(small_spec, theta_max_s=600.0))
+        assert str(exc.value) == (
+            "normalized parameters violate the delay-sensitivity condition: "
+            "delay-sensitivity condition fails for 3 file(s): "
+            "file 2 (size=0.524903, needs > 0.749527), "
+            "file 5 (size=0.390469, needs > 0.749527), "
+            "file 6 (size=0.325854, needs > 0.749527)")
 
     def test_operating_point_respects_floor_and_cap(self, small_spec):
         from dataclasses import replace
@@ -650,6 +681,28 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             f"error: cannot write output file {path!r}: {os.strerror(code)}\n")
+
+    def test_unwritable_output_fails_before_the_sweep(self, small_config, tmp_path, capsys,
+                                                      monkeypatch):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec)
+            return scenario.run_sweep(spec)
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        path = str(tmp_path / "missing" / "x.csv")
+        assert main(["sweep", small_config, "-o", path]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write output file {path!r}: {os.strerror(errno.ENOENT)}\n")
+
+    def test_failed_run_leaves_the_output_empty(self, small_config, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        assert main(["optimize", small_config, "--n", "-1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: user count must be >= 0, got --n -1\n"
+        assert out.read_text() == ""
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

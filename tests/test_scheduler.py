@@ -19,10 +19,10 @@ from bcastopt.optimizer import (
 from bcastopt.scheduler import (
     Schedule,
     _permutations,
+    bound_moments,
     brute_force_best_order,
     cumulative_sizes,
     popularity_schedule,
-    scheduled_demand_moment,
     schedule_to_csv,
     smith_cost,
     smith_schedule,
@@ -278,7 +278,7 @@ def unfloored_fixed_point(catalog, cell):
     iterated from the suboptimal order until the order repeats."""
     current = suboptimal_schedule(catalog, cell.price_unicast)
     while True:
-        price = closed_form_price(catalog, cell, scheduled_demand_moment(catalog, current))
+        price = closed_form_price(catalog, cell, bound_moments(catalog, current.s)[0])
         nxt = smith_schedule(catalog, cell.price_unicast, price)
         if np.array_equal(nxt.order, current.order):
             return nxt
@@ -296,17 +296,16 @@ class TestOptimalSchedule:
         catalog = catalog_from([0.3] * 5, [0.35, 0.25, 0.2, 0.15, 0.05],
                                [2.0, 5.0, 1.0, 7.0, 3.0])
         cell = self._cell(catalog)
-        sched, moment, iterations = optimal_schedule(catalog, cell)
+        sched, iterations = optimal_schedule(catalog, cell)
         assert iterations == 1
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
-        assert moment == pytest.approx(scheduled_demand_moment(catalog, sched))
 
     def test_fixed_point_is_self_consistent(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched, moment, _ = optimal_schedule(catalog, cell)
-            # re-sorting by the weights computed from the returned moment
+            sched = optimal_schedule(catalog, cell)[0]
+            # re-sorting by the weights computed from the order's moment
             # reproduces the returned order
             resorted = np.argsort(-sched.weights, kind="stable")
             assert np.array_equal(resorted, sched.order)
@@ -320,25 +319,26 @@ class TestOptimalSchedule:
         shipped, shipped_cell, _ = single_cell_setup
         for catalog, cell in ((catalog, cell),
                               (shipped, replace(shipped_cell, n_users=100_000, slots=1))):
-            sched, moment, _ = optimal_schedule(catalog, cell)
+            sched = optimal_schedule(catalog, cell)[0]
+            moment = bound_moments(catalog, sched.s)[0]
             assert closed_form_price(catalog, cell, moment) == cell.price_unicast
             assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
 
     def test_fixed_point_on_high_pressure_draws(self):
         for catalog, cell in high_pressure_instances(2024, 200):
-            sched, moment, _ = optimal_schedule(catalog, cell)
-            assert moment == scheduled_demand_moment(catalog, sched)
+            sched = optimal_schedule(catalog, cell)[0]
+            moment = bound_moments(catalog, sched.s)[0]
             assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
 
     def test_iteration_cap_raises_with_moment_trace(self, single_cell_setup, monkeypatch):
         catalog, cell, _ = single_cell_setup
         cell = replace(cell, n_users=200)
-        assert optimal_schedule(catalog, cell)[2] == 2
+        assert optimal_schedule(catalog, cell)[1] == 2
         monkeypatch.setattr(optimizer, "DEFAULT_FIXED_POINT_CAP", 1)
         with pytest.raises(ConvergenceError, match="no fixed point in 1 iterations") as err:
             optimal_schedule(catalog, cell)
         sub = suboptimal_schedule(catalog, cell.price_unicast)
-        assert err.value.trace == [scheduled_demand_moment(catalog, sub)]
+        assert err.value.trace == [bound_moments(catalog, sub.s)[0]]
 
     def test_no_worse_than_suboptimal_at_its_own_price(self):
         rng = np.random.default_rng(22)
@@ -357,9 +357,8 @@ class TestOptimalSchedule:
         catalog, cell0, _ = request.getfixturevalue(f"{setup}_setup")
         for n in spec.sweep_users:
             cell = replace(cell0, n_users=n)
-            sched, moment, _ = optimal_schedule(catalog, cell)
-            bandwidth, price, own_moment = operating_point(catalog, cell, sched)
-            assert own_moment == moment
+            sched = optimal_schedule(catalog, cell)[0]
+            bandwidth, price, _ = operating_point(catalog, cell, sched)
             assert np.array_equal(
                 sched.order, smith_schedule(catalog, cell.price_unicast, price).order)
             # the bound at the operating point is no lower than that of the
