@@ -12,20 +12,17 @@ import contextlib
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .demand import catalog_to_csv
 from .errors import ConfigError, ConvergenceError, PayoffDomainError
 from .optimizer import joint_optimize
-from .payoff import PricePair, simulate_revenue
 from .scenario import (
     SCHEDULER_VARIANTS,
-    _variant_schedule,
+    evaluate_point,
     load_spec,
     normalize,
-    operating_point,
     run_sweep,
     run_validation,
+    variant_schedule,
 )
 from .scheduler import schedule_to_csv
 
@@ -40,16 +37,11 @@ def _open_output(path: str | None):
 
 
 def _apply_overrides(spec, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "beta", None) is not None:
-        updates["bc_cap_fraction"] = args.beta
-    if getattr(args, "scheduler", None):
-        updates["schedulers"] = (args.scheduler,)
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    return replace(spec, **updates) if updates else spec
+    scheduler = getattr(args, "scheduler", None)
+    updates = dict(seed=args.seed, bc_cap_fraction=getattr(args, "beta", None),
+                   schedulers=(scheduler,) if scheduler else None,
+                   trials=getattr(args, "trials", None))
+    return replace(spec, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _resolved_cell(spec, args):
@@ -74,18 +66,13 @@ def cmd_sweep(spec, args) -> tuple[str, int]:
 
 def cmd_simulate(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
-    schedule = _variant_schedule(spec.schedulers[0], catalog, cell)
-    bandwidth, price, _ = operating_point(catalog, cell, schedule)
-    report = simulate_revenue(
-        catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule,
-        trials=spec.trials, seed=np.random.SeedSequence([spec.seed, cell.n_users]),
-    )
+    _, report = evaluate_point(spec, catalog, cell, spec.schedulers[0])
     return report.to_json() + "\n", 0
 
 
 def cmd_schedule(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
-    schedule = _variant_schedule(spec.schedulers[0], catalog, cell)
+    schedule = variant_schedule(spec.schedulers[0], catalog, cell)
     return (catalog_to_csv(catalog) if args.catalog else schedule_to_csv(schedule, catalog)), 0
 
 

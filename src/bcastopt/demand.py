@@ -131,25 +131,6 @@ class FileCatalog:
     def size(self) -> int:
         return len(self.sizes)
 
-    @classmethod
-    def from_arrays(cls, sizes, popularity, theta, rate_model,
-                    delay_lo=None, delay_hi=None) -> "FileCatalog":
-        """Build a catalog from explicit arrays (tests, hand-crafted cases).
-
-        The aggregate tolerances are taken as given; callers are trusted
-        to keep them consistent with the threshold bounds, which default
-        to a point mass recovering ``theta`` only loosely.
-        """
-        if delay_lo is None or delay_hi is None:
-            # Point mass consistent with theta under a single-rate model:
-            # theta = 1/(f - r*t)  =>  t = (f - 1/theta)/r.
-            r = rate_model.r_high
-            t = (np.asarray(sizes, dtype=np.float64)
-                 - 1.0 / np.asarray(theta, dtype=np.float64)) / r
-            delay_lo = delay_hi = np.maximum(t, 1e-12)
-        return cls(sizes=sizes, popularity=popularity, theta=theta,
-                   delay_lo=delay_lo, delay_hi=delay_hi, rate_model=rate_model)
-
 
 def build_catalog(
     zipf: ZipfParams,

@@ -109,6 +109,56 @@ def _expected_unrequested(popularity, n_users: int) -> float:
         return float(np.exp(n_users * np.log1p(-popularity)).sum())
 
 
+def _draw_block(gen, popularity, proc_order, ufile, u):
+    """Fill one block's draws in :func:`simulate_revenue`'s stream order:
+    trial j's users' files (in ``proc_order``) into ``ufile[j]``, then
+    its N rate and N threshold uniforms into ``u[j]``."""
+    n_users = ufile.shape[1]
+    for j in range(len(ufile)):
+        counts = gen.multinomial(n_users, popularity)
+        ufile[j] = np.repeat(proc_order, counts[proc_order])
+        gen.random(out=u[j])
+
+
+def _evaluate_block(catalog, prices, bc_delay, uc_pool, uc_revenue, ufile, u, start):
+    """One block's statistics, a pure function of its draws: the count of
+    trials whose unicast demand falls short of ``uc_pool``, and per trial
+    (rows of a (6, k) array) the revenue, the broadcast and unicast
+    fractions, the served users' mean policy and baseline payoffs, and the
+    broadcast group's realized rate. ``start`` is the block's first trial."""
+    rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
+    # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
+    lo = catalog.delay_lo
+    thr = lo[ufile] + (catalog.delay_hi - lo)[ufile] * u[:, 1]
+    f = catalog.sizes[ufile]
+    download = f / rate_u
+    payoff_uc = _payoff(f, download - thr, prices.unicast)
+    with np.errstate(divide="ignore"):  # Wb = 0: delay inf, payoff -inf
+        payoff_bc = _payoff(f, bc_delay[ufile] - thr, prices.broadcast)
+
+    demand = np.ceil(download)
+    shortfall = int(np.count_nonzero(demand.sum(axis=1) < uc_pool))
+    uc_mask = unicast_grants(demand, uc_pool)
+    eligible = payoff_bc >= payoff_uc
+    bc_mask = eligible & ~uc_mask
+    served = eligible | uc_mask
+    losers = bc_mask & (payoff_bc < payoff_uc)
+    if losers.any():
+        j, user = np.argwhere(losers)[0]
+        raise AssertionError(f"payoff guarantee broken in trial {start + j}: user {user}")
+
+    realized = np.where(bc_mask, payoff_bc, payoff_uc)
+    per_served = np.maximum(np.count_nonzero(served, axis=1), 1)  # 0/1 is masked out
+    return shortfall, np.stack([
+        uc_revenue + prices.broadcast * np.where(bc_mask, f, 0.0).sum(axis=1),
+        bc_mask.mean(axis=1),
+        uc_mask.mean(axis=1),
+        np.where(served, realized, 0.0).sum(axis=1) / per_served,
+        np.where(served, payoff_uc, 0.0).sum(axis=1) / per_served,
+        np.where(bc_mask, rate_u, np.inf).min(axis=1),
+    ])
+
+
 def simulate_revenue(
     catalog: FileCatalog,
     cell,
@@ -145,14 +195,15 @@ def simulate_revenue(
     a PayoffDomainError naming the file is raised exactly when some draw
     could leave the payoff's domain, for every seed and trial count.
 
-    Trials run in consecutive blocks of k = max(1, 2**13 // N), each one
-    pass over (k, N) arrays. Per-trial sums are row sums with the entries
-    outside the mask set to zero, so each equals the sum of that trial's
-    zero-padded N-vector bit for bit. With Wb = 0 the broadcast delay is
-    infinite, so the broadcast payoff is -inf and nobody is eligible.
-    Per-trial payoff means and realized rates fill (trials,) arrays; only
-    trials with a nonzero served (broadcast) fraction enter their means.
-    A user on broadcast below their unicast payoff raises AssertionError.
+    Trials run in consecutive blocks of k = max(1, 2**13 // N):
+    :func:`_draw_block` makes a block's draws and :func:`_evaluate_block`
+    computes its statistics in one pass over (k, N) arrays. Per-trial sums
+    are row sums with the entries outside the mask set to zero, so each
+    equals the sum of that trial's zero-padded N-vector bit for bit. With
+    Wb = 0 the broadcast delay is infinite, so the broadcast payoff is -inf
+    and nobody is eligible. Only trials with a nonzero served (broadcast)
+    fraction enter the payoff (realized rate) means. A user on broadcast
+    below their unicast payoff raises AssertionError.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -182,14 +233,12 @@ def simulate_revenue(
         )
 
     proc_order = np.argsort(-catalog.popularity, kind="stable")
-    lo = catalog.delay_lo
-    span = catalog.delay_hi - lo
     with np.errstate(divide="ignore"):
         # With no broadcast bandwidth the queue never completes: delay inf.
         bc_delay = schedule.s / (bc_bandwidth * cell.r_b)
-    # The domain check: the threshold expression below at Generator.random's
+    # The domain check: _evaluate_block's threshold at Generator.random's
     # largest value, and the fastest rate of positive probability.
-    t_max = lo + span * (1.0 - 2.0 ** -53)
+    t_max = catalog.delay_lo + (catalog.delay_hi - catalog.delay_lo) * (1.0 - 2.0 ** -53)
     top_rate = fastest_rate(catalog.rate_model)
     requested = catalog.popularity > 0
     for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
@@ -202,56 +251,20 @@ def simulate_revenue(
                 f"{name} - threshold = {float(term[i])!r}"
             )
 
-    revenues, bc_frac, uc_frac = (np.empty(trials) for _ in range(3))
-    # Per-trial means of the served users' policy and baseline payoffs and
-    # the broadcast group's realized rate; only the trials that serve (put
-    # on broadcast) somebody enter the final means.
-    policy_payoffs, baseline_payoffs, realized_rates = (np.empty(trials) for _ in range(3))
+    stats = np.empty((6, trials))
     shortfall_trials = 0
-
     gen = np.random.default_rng(seed)
     k = max(1, _BLOCK_USER_TRIALS // n_users)
     ufile_buf = np.empty((k, n_users), dtype=np.intp)
-    # Each trial draws its N rate uniforms, then its N threshold uniforms.
     u_buf = np.empty((k, 2, n_users))
     for start in range(0, trials, k):
-        block = slice(start, min(start + k, trials))
-        rows = block.stop - start
-        for j in range(rows):
-            counts = gen.multinomial(n_users, catalog.popularity)
-            ufile_buf[j] = np.repeat(proc_order, counts[proc_order])
-            gen.random(out=u_buf[j])
-        ufile, u = ufile_buf[:rows], u_buf[:rows]
-        rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
-        # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
-        thr = lo[ufile] + span[ufile] * u[:, 1]
-        f = catalog.sizes[ufile]
-        download = f / rate_u
-        payoff_uc = _payoff(f, download - thr, prices.unicast)
-        with np.errstate(divide="ignore"):  # Wb = 0: delay inf, payoff -inf
-            payoff_bc = _payoff(f, bc_delay[ufile] - thr, prices.broadcast)
-
-        demand = np.ceil(download)
-        shortfall_trials += int(np.count_nonzero(demand.sum(axis=1) < uc_pool))
-        uc_mask = unicast_grants(demand, uc_pool)
-        eligible = payoff_bc >= payoff_uc
-        bc_mask = eligible & ~uc_mask
-        served = eligible | uc_mask
-        losers = bc_mask & (payoff_bc < payoff_uc)
-        if losers.any():
-            j, user = np.argwhere(losers)[0]
-            raise AssertionError(f"payoff guarantee broken in trial {start + j}: user {user}")
-
-        n_bc = np.count_nonzero(bc_mask, axis=1)
-        n_served = np.count_nonzero(served, axis=1)
-        bc_frac[block] = n_bc / n_users
-        uc_frac[block] = np.count_nonzero(uc_mask, axis=1) / n_users
-        revenues[block] = uc_revenue + prices.broadcast * np.where(bc_mask, f, 0.0).sum(axis=1)
-        realized = np.where(bc_mask, payoff_bc, payoff_uc)
-        per_served = np.maximum(n_served, 1)  # 0/1 where nobody is served; masked out
-        policy_payoffs[block] = np.where(served, realized, 0.0).sum(axis=1) / per_served
-        baseline_payoffs[block] = np.where(served, payoff_uc, 0.0).sum(axis=1) / per_served
-        realized_rates[block] = np.where(bc_mask, rate_u, np.inf).min(axis=1)
+        stop = min(start + k, trials)
+        ufile, u = ufile_buf[:stop - start], u_buf[:stop - start]
+        _draw_block(gen, catalog.popularity, proc_order, ufile, u)
+        shortfall, stats[:, start:stop] = _evaluate_block(
+            catalog, prices, bc_delay, uc_pool, uc_revenue, ufile, u, start)
+        shortfall_trials += shortfall
+    revenues, bc_frac, uc_frac, policy_payoffs, baseline_payoffs, realized_rates = stats
 
     if shortfall_trials:
         warnings.warn(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -31,7 +32,7 @@ from .optimizer import (
     price_validity_floor,
     revenue_gain,
 )
-from .payoff import PricePair, simulate_revenue
+from .payoff import PricePair, SimulationReport, simulate_revenue
 from .scheduler import (
     brute_force_best_order,
     popularity_schedule,
@@ -189,6 +190,8 @@ def _read_spec(path: str) -> ExperimentSpec:
             raise ConfigError(f"missing [{section}] {key} in {path!r}") from None
         try:
             return conv(raw)
+        except ConfigError:  # the parser's own message
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -304,7 +307,8 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     return catalog, cell, scheme
 
 
-def _variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
+def variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
+    """The broadcast schedule a scheduler variant builds for the cell."""
     if variant == "suboptimal":
         return suboptimal_schedule(catalog, cell.price_unicast)
     if variant == "none":
@@ -312,6 +316,31 @@ def _variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
     if variant == "optimal":
         return optimal_schedule(catalog, cell)[0]
     raise ConfigError(f"unknown scheduler variant {variant!r}")
+
+
+def evaluate_point(spec: ExperimentSpec, catalog: FileCatalog, cell: CellConfig,
+                   variant: str) -> tuple[dict, SimulationReport]:
+    """One (variant, N = ``cell.n_users``) point of ``spec``, whose
+    ``normalize`` gave ``catalog`` and ``cell``: the variant's schedule,
+    its operating point (Wb*, Pb*), the analytic bound and gain there, and
+    ``spec.trials`` simulated trials from ``SeedSequence([seed,
+    round(γ·1e6), M, N])``. The seed does not depend on the variant, so
+    variants see identical draws and compare pairwise. Returns the sweep
+    row's numeric fields and the simulation report."""
+    schedule = variant_schedule(variant, catalog, cell)
+    bandwidth, price, _ = operating_point(catalog, cell, schedule)
+    row = dict(W_b_star=bandwidth, P_b_star=price,
+               L=lower_bound_revenue(catalog, cell, price, bandwidth, schedule),
+               R_analytic=revenue_gain(catalog, cell, schedule))
+    seed = np.random.SeedSequence(
+        [spec.seed, int(round(spec.zipf_exponent * 1e6)), spec.file_count, cell.n_users])
+    report = simulate_revenue(catalog, cell, PricePair(cell.price_unicast, price), bandwidth,
+                              schedule, trials=spec.trials, seed=seed)
+    # payoff_guarantee_violations is no CSV column, but kept on the row (and
+    # in the JSON form) so policy conformance is auditable.
+    return dict(row, L0_mc_mean=report.revenue_mean, L0_mc_stderr=report.revenue_stderr,
+                gain_mc=report.revenue_mean / cell.uc_only_revenue,
+                payoff_guarantee_violations=report.payoff_guarantee_violations), report
 
 
 @dataclass
@@ -351,59 +380,28 @@ class SweepResult:
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Sweep user counts (and any γ / catalog-size variants) and emit rows.
-
-    Every row carries the closed-form operating point, the analytic bound
-    and gain, and a Monte Carlo estimate of realized revenue at that
-    point. Simulation seeds derive from (spec seed, γ, M, N) only, so
-    scheduler variants see identical draws and compare pairwise.
-    A point that fails with one of the package's domain errors is
-    recorded in the error column and the sweep continues; any other
-    exception propagates.
-    """
+    """Sweep user counts (and any γ / catalog-size variants): one
+    :func:`evaluate_point` row per (variant, N) on the catalog normalized
+    once per (γ, M). A point that fails with one of the package's domain
+    errors is recorded in the error column and the sweep continues; any
+    other exception propagates."""
     gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
     counts = tuple(dict.fromkeys((spec.file_count,) + spec.file_count_variants))
     variants = tuple(dict.fromkeys(spec.schedulers))
     users = sorted(dict.fromkeys(spec.sweep_users))
     result = SweepResult(spec_name=spec.name, scheme=_scheme_for(spec))
 
-    for gamma in gammas:
-        for m in counts:
-            catalog, base_cell, _ = normalize(replace(spec, zipf_exponent=gamma, file_count=m))
-            for variant in variants:
-                for n in users:
-                    row = {
-                        "N": n, "scheduler_variant": variant,
-                        "gamma": gamma, "file_count": m, "error": "",
-                    }
-                    try:
-                        cell = replace(base_cell, n_users=n)
-                        schedule = _variant_schedule(variant, catalog, cell)
-                        bandwidth, price, _ = operating_point(catalog, cell, schedule)
-                        bound = lower_bound_revenue(catalog, cell, price, bandwidth, schedule)
-                        gain = revenue_gain(catalog, cell, schedule)
-                        seed = np.random.SeedSequence(
-                            [spec.seed, int(round(gamma * 1e6)), m, n]
-                        )
-                        report = simulate_revenue(
-                            catalog, cell, PricePair(cell.price_unicast, price),
-                            bandwidth, schedule, trials=spec.trials, seed=seed,
-                        )
-                        row.update(
-                            W_b_star=bandwidth,
-                            P_b_star=price,
-                            L=bound,
-                            R_analytic=gain,
-                            L0_mc_mean=report.revenue_mean,
-                            L0_mc_stderr=report.revenue_stderr,
-                            gain_mc=report.revenue_mean / cell.uc_only_revenue,
-                            # not a CSV column, but kept on the row (and in the
-                            # JSON form) so policy conformance is auditable
-                            payoff_guarantee_violations=report.payoff_guarantee_violations,
-                        )
-                    except _POINT_ERRORS as exc:  # recorded, sweep continues
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    result.rows.append(row)
+    for gamma, m in itertools.product(gammas, counts):
+        point_spec = replace(spec, zipf_exponent=gamma, file_count=m)
+        catalog, base_cell, _ = normalize(point_spec)
+        for variant, n in itertools.product(variants, users):
+            row = dict(N=n, scheduler_variant=variant, gamma=gamma, file_count=m, error="")
+            try:
+                cell = replace(base_cell, n_users=n)
+                row.update(evaluate_point(point_spec, catalog, cell, variant)[0])
+            except _POINT_ERRORS as exc:  # recorded, sweep continues
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            result.rows.append(row)
     return result
 
 

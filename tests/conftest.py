@@ -18,12 +18,22 @@ def point_rate(rate: float = 1.0) -> RateModel:
 
 
 def catalog_from(sizes, popularity, theta, rate_model=None, delay_lo=None, delay_hi=None):
-    """Hand-crafted catalog for analytic tests."""
+    """Hand-crafted catalog for analytic tests.
+
+    The aggregate tolerances are taken as given; callers are trusted to
+    keep them consistent with the threshold bounds, which default to a
+    point mass recovering ``theta`` only loosely.
+    """
     if rate_model is None:
         rate_model = point_rate(1.0)
-    return FileCatalog.from_arrays(
-        sizes, popularity, theta, rate_model, delay_lo=delay_lo, delay_hi=delay_hi
-    )
+    if delay_lo is None or delay_hi is None:
+        # Point mass consistent with theta under a single-rate model:
+        # theta = 1/(f - r*t)  =>  t = (f - 1/theta)/r.
+        t = (np.asarray(sizes, dtype=np.float64)
+             - 1.0 / np.asarray(theta, dtype=np.float64)) / rate_model.r_high
+        delay_lo = delay_hi = np.maximum(t, 1e-12)
+    return FileCatalog(sizes=sizes, popularity=popularity, theta=theta,
+                       delay_lo=delay_lo, delay_hi=delay_hi, rate_model=rate_model)
 
 
 def record_results(monkeypatch, module, name) -> list:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bcastopt.channel import RateModel, broadcast_rate, unicast_rate
-from bcastopt.demand import FileCatalog, ZipfParams, build_catalog, zipf_pmf
+from bcastopt.demand import ZipfParams, build_catalog, zipf_pmf
 from bcastopt.optimizer import (
     CellConfig,
     closed_form_bandwidth,
@@ -89,7 +89,7 @@ def _small_size_instance(rng, scale=1.0):
         n_users=int(rng.integers(20, 2001)), price_unicast=2.6, rate_model=model,
     )
     if scale != 1.0:
-        catalog = FileCatalog.from_arrays(
+        catalog = catalog_from(
             catalog.sizes * scale, catalog.popularity, catalog.theta / scale,
             model.scaled(scale), delay_lo=catalog.delay_lo, delay_hi=catalog.delay_hi,
         )

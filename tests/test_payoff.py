@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt import payoff
-from bcastopt.channel import RateModel
+from bcastopt.channel import RateModel, rates_from_uniforms
 from bcastopt.errors import InvalidParameterError, PayoffDomainError
 from bcastopt.optimizer import CellConfig, operating_point
 from bcastopt.payoff import PricePair, SimulationReport, simulate_revenue, unicast_grants
@@ -604,6 +604,48 @@ class TestSimulateBlocks:
         assert len(got_warned) == len(want_warned) == 1
         assert f"{got.uc_demand_shortfall_trials}/2000 trials" in got_warned[0]
         assert want_warned[0] in got_warned[0]
+
+
+@pytest.mark.parametrize("setup, n_users", [("single_cell_setup", 200),
+                                             ("seven_cell_setup", 700)])
+def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
+    # A user is eligible (payoff_bc >= payoff_uc) exactly when their threshold
+    # t <= t* = (f/r - e^-g a)/(1 - e^-g), g = (Pu - Pb) f, a = s/(Wb rb).
+    # Users with t within rounding of t* are counted apart, not passed.
+    catalog, cell, _ = request.getfixturevalue(setup)
+    cell = dataclasses.replace(cell, n_users=n_users)
+    schedule = suboptimal_schedule(catalog, cell.price_unicast)
+    bandwidth, price, _ = operating_point(catalog, cell, schedule)
+    prices = PricePair(cell.price_unicast, price)
+    trials = 100
+    ufile, u = np.empty((trials, n_users), dtype=np.intp), np.empty((trials, 2, n_users))
+    proc_order = np.argsort(-catalog.popularity, kind="stable")
+    payoff._draw_block(np.random.default_rng(21), catalog.popularity, proc_order, ufile, u)
+
+    bc_delay = schedule.s / (bandwidth * cell.r_b)
+    rate = rates_from_uniforms(catalog.rate_model, u[:, 0])
+    lo = catalog.delay_lo
+    t = lo[ufile] + (catalog.delay_hi - lo)[ufile] * u[:, 1]
+    f, a = catalog.sizes[ufile], bc_delay[ufile]
+    eligible = (payoff._payoff(f, a - t, prices.broadcast)
+                >= payoff._payoff(f, f / rate - t, prices.unicast))
+    g = (prices.unicast - prices.broadcast) * f
+    assert g.min() > 0
+    t_star = (f / rate - np.exp(-g) * a) / -np.expm1(-g)
+    scale = (f / rate + np.exp(-g) * a) / -np.expm1(-g)
+    near = np.abs(t - t_star) <= 1e-9 * scale
+    below = t <= t_star
+    assert np.count_nonzero(near) <= 1e-4 * near.size
+    assert np.array_equal(eligible[~near], below[~near])
+    # Not decided by the file alone: some files have users on both sides.
+    assert any(0 < below[ufile == i].mean() < 1 for i in np.unique(ufile))
+
+    # The simulator's own eligibility: with an empty unicast pool nobody is
+    # granted, so its broadcast fraction is the eligible fraction.
+    _, stats = payoff._evaluate_block(catalog, prices, bc_delay, 0.0, 0.0, ufile, u, 0)
+    clean = ~near.any(axis=1)
+    assert clean.any()
+    assert np.array_equal(stats[1][clean], below.mean(axis=1)[clean])
 
 
 # Generator.random's largest value, and the largest threshold it gives on

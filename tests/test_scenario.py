@@ -208,9 +208,9 @@ class TestLoadSpec:
             load_spec(str(path))
 
     @pytest.mark.parametrize("old, new, message", [
-        ("users = 0,5,10", "users = 1:5", "bad value for [sweep] users: '1:5'"),
-        ("users = 0,5,10", "users = 1:5:0", "bad value for [sweep] users: '1:5:0'"),
-        ("users = 0,5,10", "users = 1:5:-1", "bad value for [sweep] users: '1:5:-1'"),
+        ("users = 0,5,10", "users = 1:5", "user range must be start:stop:step, got '1:5'"),
+        ("users = 0,5,10", "users = 1:5:0", "user range step must be positive"),
+        ("users = 0,5,10", "users = 1:5:-1", "user range step must be positive"),
         ("users = 0,5,10", "users = 5:1:1", "sweep user range must be non-empty"),
         ("size_min_mb = 160", "size_min_mb = 700", "size_min_mb must not exceed size_max_mb"),
         ("theta_min_s = 0.6", "theta_min_s = 7", "theta_min_s must not exceed theta_max_s"),
@@ -505,7 +505,7 @@ def _simulate_args(config, n_users):
     spec = load_spec(config)
     catalog, cell, _ = normalize(spec)
     cell = dataclasses.replace(cell, n_users=n_users)
-    schedule = scenario._variant_schedule(spec.schedulers[0], catalog, cell)
+    schedule = scenario.variant_schedule(spec.schedulers[0], catalog, cell)
     bandwidth, price, _ = operating_point(catalog, cell, schedule)
     return catalog, cell, payoff.PricePair(cell.price_unicast, price), bandwidth, schedule
 
@@ -618,15 +618,33 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_simulate_report_names_its_stream(self, small_config, capsys):
-        # The report's seed is the entropy of the stream cmd_simulate builds,
-        # SeedSequence([seed, N]); it rebuilds that stream and the report.
+        # The report's seed is the entropy of the sweep's stream for the
+        # point, SeedSequence([seed, round(gamma * 1e6), M, N]); it rebuilds
+        # that stream and the report.
         assert main(["simulate", small_config, "--n", "10"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["seed"] == [7, 10]
+        assert json.loads(out)["seed"] == [7, 1_000_000, 6, 10]
         report = payoff.simulate_revenue(
             *_simulate_args(small_config, 10), trials=load_spec(small_config).trials,
             seed=np.random.SeedSequence(json.loads(out)["seed"]))
         assert report.to_json() + "\n" == out
+
+    @pytest.mark.parametrize("shipped", [False, True], ids=["small", "single_cell"])
+    def test_simulate_equals_the_sweep_row(self, small_config, capsys, shipped):
+        # One evaluator and one seed derivation: simulate --n N reports the
+        # sweep row's Monte Carlo numbers at N.
+        path = str(CONFIG_DIR / "single_cell.cfg") if shipped else small_config
+        seed = load_spec(path).seed
+        assert main(["sweep", path, "--trials", "40", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) > 1 and not any(row["error"] for row in rows)
+        for row in rows:
+            assert main(["simulate", path, "--n", str(row["N"]), "--trials", "40"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["seed"] == [seed, round(row["gamma"] * 1e6), row["file_count"],
+                                      row["N"]]
+            assert (report["revenue_mean"], report["revenue_stderr"]) == (
+                row["L0_mc_mean"], row["L0_mc_stderr"])
 
     @pytest.fixture
     def slow_users_config(self, tmp_path):
