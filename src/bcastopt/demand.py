@@ -133,33 +133,33 @@ class FileCatalog:
 
 
 def build_catalog(
-    zipf: ZipfParams,
+    zipf_exponent: float,
     sizes,
     delay_lo,
     delay_hi,
     rate_model: RateModel,
 ) -> FileCatalog:
-    """Construct a Zipf-popularity catalog with exact delay tolerances.
-
-    ``delay_lo``/``delay_hi`` may be scalars (shared bounds) or per-file
-    arrays. The delay-sensitivity condition is validated eagerly against
-    the worst case (the highest rate with positive probability, the
-    largest threshold); offending files are rejected rather than clipped.
-    Each tolerance is then the exact :func:`aggregate_delay_tolerance` of
-    its file, so the catalog is a deterministic function of the arguments.
+    """Construct a Zipf-popularity catalog of ``len(sizes)`` files with
+    exact delay tolerances. ``delay_lo``/``delay_hi`` may be scalars
+    (shared bounds) or per-file arrays. The delay-sensitivity condition
+    ``size / rate > hi + 1`` is validated eagerly at the highest rate with
+    positive probability, which decides for every rate (rounded division
+    is monotone in the divisor); offending files are rejected rather than
+    clipped. Each tolerance is then the exact :func:`aggregate_delay_tolerance`
+    of its file, so the catalog is a deterministic function of the arguments.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
+    zipf = ZipfParams(zipf_exponent, len(sizes))
     M = zipf.catalog_size
-    if len(sizes) != M:
-        raise InvalidParameterError(f"expected {M} sizes, got {len(sizes)}")
     lo = np.broadcast_to(np.asarray(delay_lo, dtype=np.float64), (M,))
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
 
-    worst = fastest_rate(rate_model) * (hi + 1.0)
-    bad = np.flatnonzero(sizes <= worst)
+    rate = fastest_rate(rate_model)
+    bad = np.flatnonzero(sizes / rate <= hi + 1.0)
     if bad.size:
         listing = ", ".join(
-            f"file {i + 1} (size={sizes[i]:.6g}, needs > {worst[i]:.6g})" for i in bad[:8]
+            f"file {i + 1} (size={sizes[i]:.6g}, needs > {rate * (hi[i] + 1.0):.6g})"
+            for i in bad[:8]
         )
         raise PreconditionError(
             f"delay-sensitivity condition fails for {bad.size} file(s): {listing}"

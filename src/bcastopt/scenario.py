@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
-from .demand import FileCatalog, ZipfParams, build_catalog
+from .demand import FileCatalog, build_catalog
 from .errors import ConfigError, ConvergenceError, PayoffDomainError, PreconditionError
 from .optimizer import (
     CellConfig,
@@ -92,8 +92,7 @@ class ExperimentSpec:
     Each config-read field declares its ``[section]`` key, parser,
     default and positivity once, through :func:`_key`; :func:`load_spec`
     reads those declarations. Only ``name`` (``[experiment] name``, else
-    the config file's stem) and ``r_low_bps_hz`` (``[cell] r_low_bps_hz``
-    or ``r_low_degradation``) are read by hand.
+    the config file's stem) is read by hand.
 
     ``theta_samples`` (config key ``[catalog] theta_samples``) is parsed
     and must be positive, but its value is ignored: the delay tolerances
@@ -106,7 +105,7 @@ class ExperimentSpec:
     interval_minutes: float = _key("cell", positive=True)
     slots_per_interval: int = _key("cell", int, positive=True)
     r_high_bps_hz: float = _key("cell", positive=True)
-    r_low_bps_hz: float = field(metadata=dict(positive=True))  # read by hand
+    r_low_degradation: float = _key("cell")
     area_ratio_low_to_high: float = _key("cell")
     bc_cap_fraction: float = _key("cell", default=1.0)
     file_count: int = _key("catalog", int, positive=True)
@@ -139,8 +138,8 @@ class ExperimentSpec:
             raise ConfigError("size_min_mb must not exceed size_max_mb")
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
-        if self.r_low_bps_hz > self.r_high_bps_hz:
-            raise ConfigError("r_low_bps_hz must not exceed r_high_bps_hz")
+        if not (0.0 <= self.r_low_degradation < 1.0):
+            raise ConfigError(f"r_low_degradation must be in [0, 1), got {self.r_low_degradation}")
         if not self.area_ratio_low_to_high >= 0:
             raise ConfigError(
                 f"area_ratio_low_to_high must be >= 0, got {self.area_ratio_low_to_high}"
@@ -163,6 +162,11 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"unknown scheduler variant {s!r}; expected one of {SCHEDULER_VARIANTS}"
                 )
+
+    @property
+    def r_low_bps_hz(self) -> float:
+        """The low-region rate: ``r_high_bps_hz`` degraded by ``r_low_degradation``."""
+        return self.r_high_bps_hz * (1.0 - self.r_low_degradation)
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -197,8 +201,7 @@ def _read_spec(path: str) -> ExperimentSpec:
 
     declared = {(f.metadata["section"], f.metadata["key"] or f.name): f
                 for f in fields(ExperimentSpec) if "section" in f.metadata}
-    known = declared.keys() | {
-        ("experiment", "name"), ("cell", "r_low_bps_hz"), ("cell", "r_low_degradation")}
+    known = declared.keys() | {("experiment", "name")}
     for section in parser.sections():
         for key in parser[section]:
             if (section, key) not in known:
@@ -210,14 +213,7 @@ def _read_spec(path: str) -> ExperimentSpec:
         name = stem.rsplit(".", 1)[0]
     values = {f.name: get(*where, f.metadata["parse"], f.metadata["default"])
               for where, f in declared.items()}
-    if parser.has_option("cell", "r_low_bps_hz"):
-        r_low = get("cell", "r_low_bps_hz", float)
-    else:
-        degradation = get("cell", "r_low_degradation", float)
-        if not (0.0 <= degradation < 1.0):
-            raise ConfigError(f"r_low_degradation must be in [0, 1), got {degradation}")
-        r_low = values["r_high_bps_hz"] * (1.0 - degradation)
-    return ExperimentSpec(name=name, r_low_bps_hz=r_low, **values)
+    return ExperimentSpec(name=name, **values)
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     theta_hi = spec.theta_max_s / scheme.slot_seconds
     try:
         catalog = build_catalog(
-            ZipfParams(exponent=spec.zipf_exponent, catalog_size=m),
+            spec.zipf_exponent,
             sizes=sizes,
             delay_lo=theta_lo,
             delay_hi=theta_hi,

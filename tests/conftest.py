@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bcastopt.channel import RateModel
-from bcastopt.demand import FileCatalog, ZipfParams, build_catalog, zipf_pmf
+from bcastopt.demand import FileCatalog, build_catalog, zipf_pmf
 from bcastopt.optimizer import CellConfig
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -78,7 +78,7 @@ def random_instance(rng, m_lo=3, m_hi=8, f_lo=0.05, f_hi=0.5):
     rate_model = RateModel(r_high=1.4 * r_low, r_low=r_low, prob_high=0.3)
     rng.integers(2**31)  # unused draw; keeps the stream, so every instance, fixed
     catalog = build_catalog(
-        ZipfParams(exponent=gamma, catalog_size=m),
+        gamma,
         sizes=sizes,
         delay_lo=delay_lo,
         delay_hi=delay_hi,

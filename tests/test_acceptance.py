@@ -79,10 +79,10 @@ def _small_size_instance(rng, scale=1.0):
     sizes = rng.uniform(0.005, 0.05, size=m)
     r_low = float(sizes.min()) / 1.3 / 3.0
     model = RateModel(r_high=1.4 * r_low, r_low=r_low, prob_high=0.3)
-    zipf = ZipfParams(float(rng.uniform(0.5, 1.5)), m)
+    gamma = float(rng.uniform(0.5, 1.5))
     rng.integers(2**31)  # unused draw; keeps the stream, so every instance, fixed
     catalog = build_catalog(
-        zipf, sizes=sizes, delay_lo=0.1, delay_hi=0.3, rate_model=model,
+        gamma, sizes=sizes, delay_lo=0.1, delay_hi=0.3, rate_model=model,
     )
     cell = CellConfig(
         bandwidth=float(rng.uniform(5, 50)), slots=int(rng.integers(5, 61)),

@@ -135,7 +135,7 @@ class TestBuildCatalog:
     def test_eager_delay_sensitivity_rejection_names_files(self):
         with pytest.raises(PreconditionError) as err:
             build_catalog(
-                ZipfParams(1.0, 2), sizes=[5.0, 1.2], delay_lo=1.0, delay_hi=2.0,
+                1.0, sizes=[5.0, 1.2], delay_lo=1.0, delay_hi=2.0,
                 rate_model=point_rate(1.0),
             )
         assert "file 2" in str(err.value)
@@ -143,19 +143,30 @@ class TestBuildCatalog:
     def test_zero_probability_rate_is_not_checked(self):
         # size / r_high = 1.5 < threshold + 1, but no user sees r_high.
         catalog = build_catalog(
-            ZipfParams(1.0, 1), sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
+            1.0, sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
             rate_model=RateModel(2.0, 0.5, 0.0),
         )
         assert catalog.theta.tolist() == [1.0 / 2.5]
         with pytest.raises(PreconditionError, match="file 1"):
             build_catalog(
-                ZipfParams(1.0, 1), sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
+                1.0, sizes=[3.0], delay_lo=1.0, delay_hi=1.0,
                 rate_model=RateModel(2.0, 0.5, 0.01),
             )
 
+    def test_boundary_file_is_named(self):
+        # size <= rate * (hi + 1) is false here while size / rate > hi + 1 is
+        # false too: the catalog check must use the tolerance's own division.
+        size, rate, hi = 5.560996632855533, 2.72268870741246, 1.0424650889085636
+        assert not size <= rate * (hi + 1.0) and not size / rate > hi + 1.0
+        with pytest.raises(PreconditionError) as err:
+            build_catalog(1.0, sizes=[size], delay_lo=0.5, delay_hi=hi,
+                          rate_model=point_rate(rate))
+        assert str(err.value) == ("delay-sensitivity condition fails for 1 file(s): "
+                                  "file 1 (size=5.561, needs > 5.561)")
+
     def test_catalog_invariants(self):
         catalog = build_catalog(
-            ZipfParams(0.8, 5), sizes=[6.0, 5.0, 7.0, 8.0, 5.5],
+            0.8, sizes=[6.0, 5.0, 7.0, 8.0, 5.5],
             delay_lo=0.5, delay_hi=1.5, rate_model=point_rate(1.0),
         )
         assert abs(catalog.popularity.sum() - 1.0) < 1e-12
@@ -168,7 +179,7 @@ class TestBuildCatalog:
         model = RateModel(r_high=1.0, r_low=0.5, prob_high=0.4)
         lo, hi = [0.5, 0.2, 1.0], [1.5, 0.2, 2.5]
         catalog = build_catalog(
-            ZipfParams(1.0, 3), sizes=[6.0, 5.0, 7.0], delay_lo=lo, delay_hi=hi,
+            1.0, sizes=[6.0, 5.0, 7.0], delay_lo=lo, delay_hi=hi,
             rate_model=model,
         )
         expected = [aggregate_delay_tolerance(f, a, b, model)
@@ -180,8 +191,8 @@ class TestBuildCatalog:
     def test_deterministic_for_fixed_seed(self):
         kw = dict(sizes=[6.0, 5.0], delay_lo=0.5, delay_hi=1.5,
                   rate_model=point_rate(1.0))
-        a = build_catalog(ZipfParams(1.0, 2), **kw)
-        b = build_catalog(ZipfParams(1.0, 2), **kw)
+        a = build_catalog(1.0, **kw)
+        b = build_catalog(1.0, **kw)
         assert np.array_equal(a.theta, b.theta)
 
     def test_bad_popularity_rejected(self):
@@ -204,7 +215,7 @@ class TestBuildCatalog:
 
     def test_invalid_delay_bounds_rejected_before_tolerances(self):
         with pytest.raises(InvalidParameterError, match="file 2: need 0 < delay_lo"):
-            build_catalog(ZipfParams(1.0, 2), sizes=[5.0, 5.0], delay_lo=[1.0, 2.5],
+            build_catalog(1.0, sizes=[5.0, 5.0], delay_lo=[1.0, 2.5],
                           delay_hi=2.0, rate_model=point_rate(1.0))
 
     def test_csv_export(self):

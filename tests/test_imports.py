@@ -1,14 +1,19 @@
 """Every name a package module imports is used in that module, so a
 deletion leaves no stale import behind, and no module imports another's
-private (underscore-prefixed) name. ``__init__.py`` re-exports and is
-exempt."""
+private (underscore-prefixed) name. The benchmark's import surface
+(``bench/*.py``, read as text) resolves against the package."""
 import ast
+import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import REPO
 
-MODULES = sorted(p for p in (REPO / "src" / "bcastopt").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((REPO / "src" / "bcastopt").glob("*.py"))
+BENCH_FILES = sorted((REPO / "bench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -34,3 +39,40 @@ def test_no_private_name_is_imported_from_another_module(path):
                and (node.level > 0 or (node.module or "").startswith("bcastopt"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _bench_imports():
+    for path in BENCH_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bcastopt"):
+                yield from ((path.name, node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((path.name, alias.name, None) for alias in node.names
+                            if alias.name.startswith("bcastopt"))
+
+
+def test_bench_imports_resolve():
+    imports = list(_bench_imports())
+    assert {file for file, _, _ in imports} == {"child.py", "test_checks.py"}
+    missing = []
+    for file, module, name in imports:
+        found = importlib.import_module(module)  # raises for a missing module
+        if name is not None and not hasattr(found, name):
+            missing.append(f"{file}: {module}.{name}")
+    assert missing == []
+
+
+def test_bench_child_patches_resolve():
+    # bench/child.py imports only bcastopt.cli, then patches functions by
+    # (module, name) through sys.modules; check in a fresh interpreter that
+    # the import loads each patched module and that it holds the function.
+    tree = ast.parse((REPO / "bench" / "child.py").read_text())
+    patched = [tuple(arg.value for arg in node.args[:2]) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch"]
+    assert ("scenario", "load_spec") in patched and ("scenario", "normalize") in patched
+    probe = ("import sys, bcastopt.cli; print(all(callable(getattr(sys.modules.get("
+             f"'bcastopt.' + m), f, None)) for m, f in {patched!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                         check=True)
+    assert out.stdout.strip() == "True"

@@ -183,23 +183,21 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec(str(path))
 
-    def _spec_with_rates(self, tmp_path, rates):
+    def test_low_rate_is_no_config_key(self, tmp_path):
+        # The low-region rate is derived from r_low_degradation only.
         path = tmp_path / "rates.cfg"
-        path.write_text(SMALL_CONFIG.replace("r_low_degradation = 0.45", rates))
-        return load_spec(str(path))
+        path.write_text(SMALL_CONFIG.replace("r_low_degradation = 0.45",
+                                             "r_low_degradation = 0.45\nr_low_bps_hz = 1.5"))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(str(path))
+        assert str(exc.value) == f"unknown key [cell] r_low_bps_hz in {str(path)!r}"
 
-    def test_low_rate_given_directly(self, tmp_path):
-        spec = self._spec_with_rates(tmp_path, "r_low_bps_hz = 1.5")
-        assert (spec.r_high_bps_hz, spec.r_low_bps_hz) == (2.4, 1.5)
-
-    def test_low_rate_wins_over_degradation(self, tmp_path):
-        # An out-of-range degradation is never read when the rate is given.
-        spec = self._spec_with_rates(tmp_path, "r_low_bps_hz = 1.5\nr_low_degradation = 7")
-        assert spec.r_low_bps_hz == 1.5
-
-    def test_low_rate_above_high_rate(self, tmp_path):
-        with pytest.raises(ConfigError, match="r_low_bps_hz must not exceed r_high_bps_hz"):
-            self._spec_with_rates(tmp_path, "r_low_bps_hz = 2.5")
+    def test_low_rate_derives_from_degradation(self, small_spec):
+        assert small_spec.r_low_bps_hz == 2.4 * (1.0 - 0.45)
+        for degradation in (1.0, -0.5, float("nan")):
+            with pytest.raises(ConfigError) as exc:
+                dataclasses.replace(small_spec, r_low_degradation=degradation)
+            assert str(exc.value) == f"r_low_degradation must be in [0, 1), got {degradation}"
 
     def test_unknown_scheduler(self, tmp_path):
         path = tmp_path / "sched.cfg"
@@ -250,8 +248,7 @@ class TestLoadSpec:
             listed |= {(section, key) for key in re.findall(r"\w+", line)}
         declared = {(f.metadata["section"], f.metadata["key"] or f.name)
                     for f in dataclasses.fields(ExperimentSpec) if "section" in f.metadata}
-        by_hand = {("experiment", "name"), ("cell", "r_low_bps_hz"),
-                   ("cell", "r_low_degradation")}
+        by_hand = {("experiment", "name")}
         assert listed == declared | by_hand
 
     @pytest.mark.parametrize("fault", FAULTS)
