@@ -21,26 +21,15 @@ from .errors import InvalidParameterError, PreconditionError
 _PMF_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ZipfParams:
-    """Truncated discrete power-law popularity: p_i proportional to i^-exponent."""
-
-    exponent: float
-    catalog_size: int
-
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise InvalidParameterError(f"Zipf exponent must be > 0, got {self.exponent}")
-        if self.catalog_size < 1:
-            raise InvalidParameterError(
-                f"catalog size must be >= 1, got {self.catalog_size}"
-            )
-
-
-def zipf_pmf(params: ZipfParams) -> np.ndarray:
-    """Popularity vector p_i = i^-gamma / H over ranks 1..M, H the normalizer."""
-    ranks = np.arange(1, params.catalog_size + 1, dtype=np.float64)
-    weights = ranks ** (-float(params.exponent))
+def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:
+    """Truncated discrete power law over ranks 1..M: p_i = i^-gamma / H, H
+    the normalizer, for an exponent gamma > 0 and M = ``catalog_size`` >= 1."""
+    if not exponent > 0:
+        raise InvalidParameterError(f"Zipf exponent must be > 0, got {exponent}")
+    if catalog_size < 1:
+        raise InvalidParameterError(f"catalog size must be >= 1, got {catalog_size}")
+    ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
+    weights = ranks ** (-float(exponent))
     return weights / weights.sum()
 
 
@@ -149,8 +138,8 @@ def build_catalog(
     of its file, so the catalog is a deterministic function of the arguments.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
-    zipf = ZipfParams(zipf_exponent, len(sizes))
-    M = zipf.catalog_size
+    M = len(sizes)
+    pop = zipf_pmf(zipf_exponent, M)
     lo = np.broadcast_to(np.asarray(delay_lo, dtype=np.float64), (M,))
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
 
@@ -158,7 +147,8 @@ def build_catalog(
     bad = np.flatnonzero(sizes / rate <= hi + 1.0)
     if bad.size:
         listing = ", ".join(
-            f"file {i + 1} (size={sizes[i]:.6g}, needs > {rate * (hi[i] + 1.0):.6g})"
+            f"file {i + 1} (size/rate={float(sizes[i] / rate)!r}, "
+            f"needs > {float(hi[i] + 1.0)!r})"
             for i in bad[:8]
         )
         raise PreconditionError(
@@ -170,7 +160,6 @@ def build_catalog(
         aggregate_delay_tolerance(f, a, b, rate_model)
         for f, a, b in zip(sizes.tolist(), lo.tolist(), hi.tolist())
     ])
-    pop = zipf_pmf(zipf)
     if M > 1 and not np.all(np.diff(pop) < 0):
         raise InvalidParameterError("Zipf popularity must be strictly decreasing")
     return FileCatalog(sizes=sizes, popularity=pop, theta=theta,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RateModel, unicast_rate
+from .channel import unicast_rate
 from .demand import FileCatalog
 from .errors import ConvergenceError, InvalidParameterError, PreconditionError
 from .scheduler import (
@@ -52,14 +52,15 @@ class CellConfig:
 
     ``bandwidth`` counts frequency units, ``slots`` the time slots per
     interval; ``bc_cap_fraction`` caps the share of bandwidth the
-    broadcast queue may take.
+    broadcast queue may take. The rates come from the catalog's
+    ``rate_model``: r_u is its :func:`~bcastopt.channel.unicast_rate`
+    and the broadcast plan rate r_b its low-region rate ``r_low``.
     """
 
     bandwidth: float
     slots: float
     n_users: int
     price_unicast: float
-    rate_model: RateModel
     bc_cap_fraction: float = 1.0
 
     def __post_init__(self):
@@ -77,17 +78,6 @@ class CellConfig:
             raise InvalidParameterError(
                 f"bc_cap_fraction must be in (0, 1], got {self.bc_cap_fraction}"
             )
-
-    @property
-    def r_u(self) -> float:
-        """Average unicast rate."""
-        return unicast_rate(self.rate_model)
-
-    @property
-    def r_b(self) -> float:
-        """Broadcast rate used in the analytic formulas: the large-group
-        limit, i.e. the low-region rate."""
-        return self.rate_model.r_low
 
     @property
     def bc_cap(self) -> float:
@@ -161,7 +151,7 @@ def lower_bound_revenue(
     if np.any(bandwidth <= 0):
         raise PreconditionError("broadcast bandwidth must be positive when users exist")
     cost = smith_cost_at(catalog, schedule.s, cell.price_unicast, price)
-    load = cell.r_u / (bandwidth * cell.r_b)
+    load = unicast_rate(catalog.rate_model) / (bandwidth * catalog.rate_model.r_low)
     value = price * cell.n_users * (catalog.mean_size - load * cost) + uc_term
     return value if value.ndim else float(value)
 
@@ -184,9 +174,10 @@ def price_pressure(catalog: FileCatalog, cell: CellConfig, demand_moment: float)
     Shared by the closed-form price (and through it the price-aware
     scheduler) and the revenue gain's saturation term.
     """
+    rates = catalog.rate_model
     return (
-        cell.n_users * cell.r_b * catalog.mean_size ** 2
-        / (4.0 * cell.price_unicast * cell.slots * cell.r_u * demand_moment)
+        cell.n_users * rates.r_low * catalog.mean_size ** 2
+        / (4.0 * cell.price_unicast * cell.slots * unicast_rate(rates) * demand_moment)
     )
 
 
@@ -264,9 +255,10 @@ def bound_argmax_bandwidth(
     if price <= 0:
         raise InvalidParameterError(f"price must be > 0, got {price}")
     cost = smith_cost_at(catalog, schedule.s, cell.price_unicast, price)
+    rates = catalog.rate_model
     raw = math.sqrt(
-        price * cell.n_users * cell.r_u * cost
-        / (cell.r_b * cell.price_unicast * cell.slots)
+        price * cell.n_users * unicast_rate(rates) * cost
+        / (rates.r_low * cell.price_unicast * cell.slots)
     )
     return min(raw, cell.bc_cap)
 
@@ -285,7 +277,7 @@ def bound_argmax_price(
     if bandwidth <= 0:
         raise InvalidParameterError(f"bandwidth must be > 0, got {bandwidth}")
     d, e = bound_moments(catalog, schedule.s)
-    k = cell.r_u / (bandwidth * cell.r_b)
+    k = unicast_rate(catalog.rate_model) / (bandwidth * catalog.rate_model.r_low)
     raw = (catalog.mean_size - k * (d - cell.price_unicast * e)) / (2.0 * k * e)
     return min(max(raw, price_validity_floor(catalog, cell)), cell.price_unicast)
 

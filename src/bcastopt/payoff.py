@@ -177,9 +177,9 @@ def simulate_revenue(
     grant is put on broadcast when eligible, that is when their broadcast
     payoff is at least their unicast payoff, and is left unserved
     otherwise. Broadcast payoffs are evaluated at the conservative plan
-    rate ``cell.r_b`` (the low-region rate); the rate the broadcast group
-    actually realizes, the lowest rate among its users, is reported
-    separately.
+    rate rb = ``catalog.rate_model.r_low``, the low-region rate; the
+    rate the broadcast group actually realizes, the lowest rate among
+    its users, is reported separately.
 
     Revenue decomposes exactly as Pb * sum_i f_i * (broadcast count of i)
     plus the fixed unicast term Pu * (W - Wb) * T. One generator,
@@ -235,7 +235,7 @@ def simulate_revenue(
     proc_order = np.argsort(-catalog.popularity, kind="stable")
     with np.errstate(divide="ignore"):
         # With no broadcast bandwidth the queue never completes: delay inf.
-        bc_delay = schedule.s / (bc_bandwidth * cell.r_b)
+        bc_delay = schedule.s / (bc_bandwidth * catalog.rate_model.r_low)
     # The domain check: _evaluate_block's threshold at Generator.random's
     # largest value, and the fastest rate of positive probability.
     t_max = catalog.delay_lo + (catalog.delay_hi - catalog.delay_lo) * (1.0 - 2.0 ** -53)

@@ -258,8 +258,9 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
 
     Deterministic for a fixed spec seed: the file sizes are drawn from a
     seed stream derived from it, and the delay tolerances are exact
-    functions of the sizes and the rate model. The returned cell has
-    ``n_users=0``; sweeps substitute each user count via
+    functions of the sizes and the rate model. The catalog alone holds
+    that model; the bound and the simulator read it there. The returned
+    cell has ``n_users=0``; sweeps substitute each user count via
     ``dataclasses.replace``.
     """
     m = spec.file_count
@@ -271,12 +272,6 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     if np.any(sizes >= 1.0) or np.any(sizes <= 0.0):
         raise ConfigError("normalization failed to place all file sizes in (0, 1)")
 
-    rate_model = RateModel(
-        r_high=spec.r_high_bps_hz,
-        r_low=spec.r_low_bps_hz,
-        prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high),
-    ).scaled(scheme.rate_scale)
-
     theta_lo = spec.theta_min_s / scheme.slot_seconds
     theta_hi = spec.theta_max_s / scheme.slot_seconds
     try:
@@ -285,7 +280,11 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
             sizes=sizes,
             delay_lo=theta_lo,
             delay_hi=theta_hi,
-            rate_model=rate_model,
+            rate_model=RateModel(
+                r_high=spec.r_high_bps_hz,
+                r_low=spec.r_low_bps_hz,
+                prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high),
+            ).scaled(scheme.rate_scale),
         )
     except PreconditionError as exc:
         raise ConfigError(
@@ -297,7 +296,6 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
         slots=spec.slots_per_interval,
         n_users=0,
         price_unicast=spec.unicast_price,
-        rate_model=rate_model,
         bc_cap_fraction=spec.bc_cap_fraction,
     )
     return catalog, cell, scheme

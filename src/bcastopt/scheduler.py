@@ -43,7 +43,7 @@ def cumulative_sizes(order, sizes) -> np.ndarray:
 @dataclass(frozen=True)
 class Schedule:
     """A broadcast order, the completion sizes it induces, and the
-    weights it was sorted by (if any).
+    weights it was sorted by.
 
     ``order[k]`` is the (0-based) file transmitted in slot position k;
     ``s[i]`` is file i's completion size.
@@ -51,13 +51,13 @@ class Schedule:
 
     order: np.ndarray
     s: np.ndarray
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "order", _validate_order(self.order, len(self.s)))
 
     @classmethod
-    def from_order(cls, order, catalog: FileCatalog, weights=None) -> "Schedule":
+    def from_order(cls, order, catalog: FileCatalog, weights) -> "Schedule":
         return cls(order=order, s=cumulative_sizes(order, catalog.sizes), weights=weights)
 
 
@@ -188,10 +188,9 @@ def schedule_to_csv(schedule: Schedule, catalog: FileCatalog) -> str:
     """Schedule export with columns (position, file, f_i, s_i, weight)."""
     buf = io.StringIO()
     buf.write("position,file,f_i,s_i,weight\n")
-    weights = schedule.weights
     for pos, fidx in enumerate(schedule.order):
-        w = "" if weights is None else f"{weights[fidx]:.12g}"
         buf.write(
-            f"{pos + 1},{fidx + 1},{catalog.sizes[fidx]:.12g},{schedule.s[fidx]:.12g},{w}\n"
+            f"{pos + 1},{fidx + 1},{catalog.sizes[fidx]:.12g},{schedule.s[fidx]:.12g},"
+            f"{schedule.weights[fidx]:.12g}\n"
         )
     return buf.getvalue()

@@ -89,7 +89,6 @@ def random_instance(rng, m_lo=3, m_hi=8, f_lo=0.05, f_hi=0.5):
         slots=int(rng.integers(5, 120)),
         n_users=int(rng.integers(5, 400)),
         price_unicast=pu,
-        rate_model=rate_model,
         bc_cap_fraction=float(rng.uniform(0.4, 1.0)),
     )
     return catalog, cell

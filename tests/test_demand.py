@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bcastopt.channel import RateModel
 from bcastopt.demand import (
     FileCatalog,
-    ZipfParams,
     aggregate_delay_tolerance,
     build_catalog,
     catalog_to_csv,
@@ -21,23 +20,23 @@ from conftest import catalog_from, point_rate
 
 class TestZipfPmf:
     def test_two_files_harmonic_by_hand(self):
-        p = zipf_pmf(ZipfParams(exponent=1.0, catalog_size=2))
+        p = zipf_pmf(1.0, 2)
         assert np.allclose(p, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_near_zero_exponent_is_uniform(self):
-        p = zipf_pmf(ZipfParams(exponent=1e-9, catalog_size=3))
+        p = zipf_pmf(1e-9, 3)
         assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
 
     def test_large_catalog_against_direct_summation(self):
         # Oracle: direct summation of the truncated harmonic series.
         harmonic = sum(1.0 / i for i in range(1, 2001))
         assert harmonic == pytest.approx(8.1784, abs=1e-3)
-        p = zipf_pmf(ZipfParams(exponent=1.0, catalog_size=2000))
+        p = zipf_pmf(1.0, 2000)
         assert p[0] == pytest.approx(1.0 / harmonic, abs=1e-12)
 
     @pytest.mark.parametrize("gamma,m", [(0.3, 11), (1.0, 999), (2.7, 40), (4.0, 100_000)])
     def test_normalization(self, gamma, m):
-        p = zipf_pmf(ZipfParams(exponent=gamma, catalog_size=m))
+        p = zipf_pmf(gamma, m)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(np.diff(p) < 0)
 
@@ -46,14 +45,16 @@ class TestZipfPmf:
         for _ in range(50):
             g1, g2 = sorted(rng.uniform(0.05, 4.0, size=2))
             m = int(rng.integers(2, 5000))
-            p1 = zipf_pmf(ZipfParams(g1, m))[0]
-            p2 = zipf_pmf(ZipfParams(g2, m))[0]
+            p1 = zipf_pmf(g1, m)[0]
+            p2 = zipf_pmf(g2, m)[0]
             assert p2 >= p1
 
     @pytest.mark.parametrize("gamma,m", [(0.0, 5), (-1.0, 5), (1.0, 0)])
     def test_invalid_parameters(self, gamma, m):
-        with pytest.raises(InvalidParameterError):
-            ZipfParams(exponent=gamma, catalog_size=m)
+        with pytest.raises(InvalidParameterError) as exc:
+            zipf_pmf(gamma, m)
+        assert str(exc.value) == (f"catalog size must be >= 1, got {m}" if gamma > 0
+                                  else f"Zipf exponent must be > 0, got {gamma}")
 
 
 def _midpoint_tolerance(size, lo, hi, model, points=200_000):
@@ -162,7 +163,8 @@ class TestBuildCatalog:
             build_catalog(1.0, sizes=[size], delay_lo=0.5, delay_hi=hi,
                           rate_model=point_rate(rate))
         assert str(err.value) == ("delay-sensitivity condition fails for 1 file(s): "
-                                  "file 1 (size=5.561, needs > 5.561)")
+                                  "file 1 (size/rate=2.0424650889085636, "
+                                  "needs > 2.0424650889085636)")
 
     def test_catalog_invariants(self):
         catalog = build_catalog(
@@ -236,6 +238,6 @@ class TestBuildCatalog:
 )
 @settings(max_examples=60, deadline=None)
 def test_zipf_pmf_is_distribution(gamma, m):
-    p = zipf_pmf(ZipfParams(exponent=gamma, catalog_size=m))
+    p = zipf_pmf(gamma, m)
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.all(p > 0)

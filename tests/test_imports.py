@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, so a
 deletion leaves no stale import behind, and no module imports another's
 private (underscore-prefixed) name. The benchmark's import surface
-(``bench/*.py``, read as text) resolves against the package."""
+(``bench/*.py``, read as text) resolves against the package and is
+listed in the README."""
 import ast
 import importlib
 import os
@@ -52,14 +53,20 @@ def _bench_imports():
 
 
 def test_bench_imports_resolve():
+    # Each name must also be on the README's list of the surface bench/ uses.
     imports = list(_bench_imports())
     assert {file for file, _, _ in imports} == {"child.py", "test_checks.py"}
-    missing = []
+    surface = ((REPO / "README.md").read_text().split("`bench/` uses this surface")[1]
+               .split("`tests/test_bench_contract.py` guards")[0])
+    missing, unlisted = [], []
     for file, module, name in imports:
         found = importlib.import_module(module)  # raises for a missing module
         if name is not None and not hasattr(found, name):
             missing.append(f"{file}: {module}.{name}")
+        if name is not None and f"`{name}`" not in surface:
+            unlisted.append(f"{file}: {module}.{name}")
     assert missing == []
+    assert unlisted == []
 
 
 def test_bench_child_patches_resolve():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcastopt.channel import RateModel
+from bcastopt.channel import RateModel, unicast_rate
 import bcastopt.optimizer as optimizer
 from bcastopt.errors import ConvergenceError, InvalidParameterError, PreconditionError
 from bcastopt.optimizer import (
@@ -37,7 +37,7 @@ def _single_file_setup(size=0.5, theta=2.0, price_unicast=1.0, n_users=10,
                        bandwidth=4.0, slots=3, rate=1.0):
     catalog = catalog_from([size], [1.0], [theta], rate_model=point_rate(rate))
     cell = CellConfig(bandwidth=bandwidth, slots=slots, n_users=n_users,
-                      price_unicast=price_unicast, rate_model=point_rate(rate))
+                      price_unicast=price_unicast)
     return catalog, cell, popularity_schedule(catalog)
 
 
@@ -104,8 +104,7 @@ class TestLowerBoundOnGrids:
 
     def test_one_invalid_grid_point_names_its_files(self):
         catalog = catalog_from([0.2, 0.6, 0.5], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
-        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.5,
-                          rate_model=point_rate(1.0))
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.5)
         sched = popularity_schedule(catalog)
         # (Pu - Pb) f_i >= 1 at Pb = 0.5 for files 2 and 3 only.
         grid = np.array([2.0, 1.5, 0.5, 2.5])
@@ -131,7 +130,8 @@ def _per_file_bound(catalog, cell, price, bandwidth, schedule):
     price = np.asarray(price, dtype=np.float64)
     bandwidth = np.asarray(bandwidth, dtype=np.float64)
     gap = (cell.price_unicast - price)[..., None]
-    load = schedule.s * catalog.theta * cell.r_u / (bandwidth[..., None] * cell.r_b)
+    rates = catalog.rate_model
+    load = schedule.s * catalog.theta * unicast_rate(rates) / (bandwidth[..., None] * rates.r_low)
     bracket = 1.0 - load * (1.0 - gap * catalog.sizes)
     bc_term = price * cell.n_users * (catalog.sizes * catalog.popularity * bracket).sum(axis=-1)
     return bc_term + cell.price_unicast * (cell.bandwidth - bandwidth) * cell.slots
@@ -144,7 +144,8 @@ def _per_file_smith_cost(order, catalog, pu, pb):
 
 
 def _per_file_price_vertex(catalog, cell, bandwidth, schedule):
-    a = schedule.s * catalog.theta * cell.r_u / (bandwidth * cell.r_b)
+    rates = catalog.rate_model
+    a = schedule.s * catalog.theta * unicast_rate(rates) / (bandwidth * rates.r_low)
     fp = catalog.sizes * catalog.popularity
     return float((fp * (1.0 - a * (1.0 - cell.price_unicast * catalog.sizes))).sum()) / (
         2.0 * float((a * catalog.sizes * fp).sum())
@@ -216,8 +217,7 @@ class TestMomentsForm:
 
     def test_floor_is_half_unicast_price_for_small_files(self):
         catalog = catalog_from([0.1, 0.3, 0.2], [0.5, 0.3, 0.2], [2.0, 2.0, 2.0])
-        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.6,
-                          rate_model=point_rate(1.0))
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.6)
         # Pu - 1/max f = 2.6 - 3.33 < 0, so only the Pu/2 floor is left
         assert price_validity_floor(catalog, cell) == 1.3
 
@@ -235,16 +235,14 @@ class TestClosedFormBandwidth:
     def test_cap_binds_for_large_populations(self):
         catalog = catalog_from([0.5], [1.0], [2.0])
         cell = CellConfig(bandwidth=4.0, slots=3, n_users=10**6, price_unicast=2.6,
-                          rate_model=point_rate(1.0), bc_cap_fraction=0.6)
+                          bc_cap_fraction=0.6)
         assert closed_form_bandwidth(catalog, cell) == pytest.approx(2.4)
 
     def test_exactly_linear_below_cap(self):
         catalog = catalog_from([0.37], [1.0], [2.0])
         for n in (1, 13, 250, 4096):
-            cell_n = CellConfig(bandwidth=1e9, slots=7, n_users=n, price_unicast=1.7,
-                                rate_model=point_rate(1.0))
-            cell_2n = CellConfig(bandwidth=1e9, slots=7, n_users=2 * n, price_unicast=1.7,
-                                 rate_model=point_rate(1.0))
+            cell_n = CellConfig(bandwidth=1e9, slots=7, n_users=n, price_unicast=1.7)
+            cell_2n = CellConfig(bandwidth=1e9, slots=7, n_users=2 * n, price_unicast=1.7)
             assert closed_form_bandwidth(catalog, cell_2n) == 2.0 * closed_form_bandwidth(catalog, cell_n)
 
 
@@ -256,26 +254,23 @@ class TestClosedFormPrice:
     def test_clamp_boundary_exact(self):
         # N rb F^2 == 4 Pu^2 T ru S  =>  price lands exactly on Pu.
         catalog = catalog_from([0.5], [1.0], [2.0])
-        cell = CellConfig(bandwidth=10.0, slots=5, n_users=4, price_unicast=2.0,
-                          rate_model=point_rate(1.0))
+        cell = CellConfig(bandwidth=10.0, slots=5, n_users=4, price_unicast=2.0)
         assert closed_form_price(catalog, cell, 0.0125) == pytest.approx(2.0, abs=1e-12)
 
     def test_arithmetic_with_two_region_rates(self):
         # hand value: 0.5 * (2.5 / 17.82144 + 2.6) ~= 1.37014
         model = RateModel(r_high=2.4, r_low=1.0, prob_high=0.428 / 1.4)
         catalog = catalog_from([0.5], [1.0], [2.0], rate_model=model)
-        cell = CellConfig(bandwidth=100.0, slots=120, n_users=10, price_unicast=2.6,
-                          rate_model=model)
-        assert cell.r_u == pytest.approx(1.428, abs=1e-12)
-        assert cell.r_b == 1.0
+        cell = CellConfig(bandwidth=100.0, slots=120, n_users=10, price_unicast=2.6)
+        assert unicast_rate(catalog.rate_model) == pytest.approx(1.428, abs=1e-12)
+        assert catalog.rate_model.r_low == 1.0
         assert closed_form_price(catalog, cell, 0.01) == pytest.approx(1.3701400, abs=1e-4)
 
     def test_non_decreasing_in_users(self):
         catalog = catalog_from([0.4], [1.0], [3.0])
         values = []
         for n in range(0, 2000, 50):
-            cell = CellConfig(bandwidth=10.0, slots=9, n_users=n, price_unicast=2.2,
-                              rate_model=point_rate(1.0))
+            cell = CellConfig(bandwidth=10.0, slots=9, n_users=n, price_unicast=2.2)
             values.append(closed_form_price(catalog, cell, 0.7))
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(1.1 <= v <= 2.2 for v in values)
@@ -465,8 +460,7 @@ class TestRevenueGain:
         pu = 2.6
         size = 1.0 / (pu - 0.5)
         catalog = catalog_from([size], [1.0], [3.0])
-        cell = CellConfig(bandwidth=5.0, slots=2, n_users=400, price_unicast=pu,
-                          rate_model=point_rate(1.0))
+        cell = CellConfig(bandwidth=5.0, slots=2, n_users=400, price_unicast=pu)
         sched = popularity_schedule(catalog)
         assert gain_offset(catalog, sched) == pytest.approx(pu, abs=1e-12)
         expected = 1.0 + cell.n_users * catalog.mean_size / (2.0 * 5.0 * 2)
@@ -518,12 +512,11 @@ class TestCellConfig:
     )
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(InvalidParameterError):
-            CellConfig(rate_model=point_rate(1.0), **kw)
+            CellConfig(**kw)
 
     def test_validity_floor(self):
         catalog = catalog_from([0.99], [1.0], [2.0])
-        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.6,
-                          rate_model=point_rate(1.0))
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=10, price_unicast=2.6)
         floor = price_validity_floor(catalog, cell)
         assert floor == pytest.approx(2.6 - 1.0 / 0.99, abs=1e-4)
         assert (2.6 - floor) * 0.99 < 1.0

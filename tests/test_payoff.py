@@ -216,10 +216,7 @@ def _check_against_reference(got, demand, eligible, pool):
 
 
 def _oracle_cell(n_users):
-    return CellConfig(
-        bandwidth=3.0, slots=4, n_users=n_users, price_unicast=0.4,
-        rate_model=point_rate(0.5),
-    )
+    return CellConfig(bandwidth=3.0, slots=4, n_users=n_users, price_unicast=0.4)
 
 
 def _oracle_catalog():
@@ -279,8 +276,7 @@ class TestSimulateRevenue:
     def test_revenue_decomposition_single_file(self):
         catalog = catalog_from([4.0], [1.0], [0.3], rate_model=point_rate(0.5),
                                delay_lo=[1.0], delay_hi=[1.0])
-        cell = CellConfig(bandwidth=3.0, slots=4, n_users=9, price_unicast=0.4,
-                          rate_model=point_rate(0.5))
+        cell = CellConfig(bandwidth=3.0, slots=4, n_users=9, price_unicast=0.4)
         prices = PricePair(0.4, 0.2)
         report = simulate_revenue(catalog, cell, prices, 1.0,
                                   popularity_schedule(catalog), trials=7, seed=3)
@@ -303,7 +299,7 @@ class TestSimulateRevenue:
         rate = 0.5
         threshold = 1.0
         u = np.log((1 + sizes) / (sizes / rate - threshold)) - prices.unicast * sizes
-        completion = schedule.s / (bandwidth * cell.r_b)
+        completion = schedule.s / (bandwidth * rate)
         b = np.log((1 + sizes) / (completion - threshold)) - prices.broadcast * sizes
         eligible = b >= u
         demand = np.ceil(sizes / rate)
@@ -365,8 +361,7 @@ class TestSimulateRevenue:
         # Wb * rb = 12.5, so file 1 (s = 5) completes at 0.4 slots, before
         # every user's threshold of 1 slot. No draw decides it.
         catalog = _oracle_catalog()
-        cell = CellConfig(bandwidth=30.0, slots=4, n_users=5, price_unicast=0.4,
-                          rate_model=point_rate(0.5))
+        cell = CellConfig(bandwidth=30.0, slots=4, n_users=5, price_unicast=0.4)
         for trials, seed in ((3, 0), (500, 9)):
             with pytest.raises(PayoffDomainError) as exc:
                 simulate_revenue(catalog, cell, PricePair(0.4, 0.1), 25.0,
@@ -432,7 +427,7 @@ def _reference_simulation(catalog, cell, prices, bc_bandwidth, schedule, trials,
         assert np.all(uc_term > 0), f"trial {t}: a drawn download ends before its threshold"
         payoff_uc = np.log((1.0 + f) / uc_term) - prices.unicast * f
         if bc_bandwidth > 0.0:
-            bc_term = schedule.s[ufile] / (bc_bandwidth * cell.r_b) - thr
+            bc_term = schedule.s[ufile] / (bc_bandwidth * model.r_low) - thr
             assert np.all(bc_term > 0), f"trial {t}: a drawn broadcast ends before its threshold"
             payoff_bc = np.log((1.0 + f) / bc_term) - prices.broadcast * f
             eligible = payoff_bc >= payoff_uc
@@ -622,7 +617,7 @@ def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
     proc_order = np.argsort(-catalog.popularity, kind="stable")
     payoff._draw_block(np.random.default_rng(21), catalog.popularity, proc_order, ufile, u)
 
-    bc_delay = schedule.s / (bandwidth * cell.r_b)
+    bc_delay = schedule.s / (bandwidth * catalog.rate_model.r_low)
     rate = rates_from_uniforms(catalog.rate_model, u[:, 0])
     lo = catalog.delay_lo
     t = lo[ufile] + (catalog.delay_hi - lo)[ufile] * u[:, 1]
@@ -654,13 +649,12 @@ _U_MAX = 1.0 - 2.0 ** -53
 assert 0.5 + 1.5 * _U_MAX == 2.0 - 2.0 ** -52
 
 
-def _boundary_case(size, user_rate, bc_bandwidth, n_users=40):
-    """One file on thresholds [0.5, 2], users at ``user_rate`` and a
-    broadcast slice with Wb * rb = ``bc_bandwidth`` * 0.5."""
-    catalog = catalog_from([size], [1.0], [0.3], rate_model=point_rate(user_rate),
+def _boundary_case(size, rate, bc_bandwidth, n_users=40):
+    """One file on thresholds [0.5, 2], users at ``rate`` and a broadcast
+    slice with Wb * rb = ``bc_bandwidth`` * ``rate``."""
+    catalog = catalog_from([size], [1.0], [0.3], rate_model=point_rate(rate),
                            delay_lo=[0.5], delay_hi=[2.0])
-    cell = CellConfig(bandwidth=3.0, slots=4, n_users=n_users, price_unicast=0.4,
-                      rate_model=point_rate(0.5))
+    cell = CellConfig(bandwidth=3.0, slots=4, n_users=n_users, price_unicast=0.4)
     return catalog, cell, PricePair(0.4, 0.1), bc_bandwidth, popularity_schedule(catalog)
 
 
@@ -668,21 +662,21 @@ class TestDomainCheck:
     """The payoff domain is checked once, at the largest threshold a draw
     can give and the fastest rate a user can draw."""
 
-    @pytest.mark.parametrize("user_rate, bc_bandwidth, term", [
-        (0.1, 1.0, "s/(Wb*rb)"),   # broadcast completes at s / 0.5 = 2 * size
+    @pytest.mark.parametrize("rate, bc_bandwidth, term", [
+        (0.25, 2.0, "s/(Wb*rb)"),  # broadcast completes at s / 0.5 = 2 * size
         (0.5, 0.1, "size/rate"),   # download takes size / 0.5 = 2 * size
     ])
-    def test_boundary_is_exact(self, user_rate, bc_bandwidth, term):
+    def test_boundary_is_exact(self, rate, bc_bandwidth, term):
         # size = 1: the delay is 2, one ulp above the largest threshold, so
         # the term is the smallest positive value it can take there.
-        args = _boundary_case(1.0, user_rate, bc_bandwidth)
+        args = _boundary_case(1.0, rate, bc_bandwidth)
         got = simulate_revenue(*args, trials=200, seed=4)
         _assert_same_report(got, _reference_simulation(*args, trials=200, seed=4))
         assert math.isfinite(got.mean_payoff_policy)
         assert math.isfinite(got.mean_payoff_uc_baseline)
         # One ulp less: the delay equals the largest threshold.
         with pytest.raises(PayoffDomainError) as exc:
-            simulate_revenue(*_boundary_case(_U_MAX, user_rate, bc_bandwidth),
+            simulate_revenue(*_boundary_case(_U_MAX, rate, bc_bandwidth),
                              trials=1, seed=0)
         assert str(exc.value) == (
             f"file 1: delay term non-positive at the largest threshold: "
@@ -728,7 +722,6 @@ class TestDomainCheck:
         r_low=st.floats(0.05, 2.0),
         r_ratio=st.floats(1.0, 3.0),
         prob_high=st.sampled_from([0.0, 0.5, 1.0]),
-        r_b=st.floats(0.05, 2.0),
         wb_share=st.sampled_from([0.0, 0.25, 1.0]),
         n_users=st.integers(1, 30),
         trials=st.integers(1, 4),
@@ -736,16 +729,17 @@ class TestDomainCheck:
     )
     @settings(max_examples=200, deadline=None)
     def test_check_raises_or_every_drawn_term_is_positive(
-            self, files, r_low, r_ratio, prob_high, r_b, wb_share, n_users, trials, seed):
+            self, files, r_low, r_ratio, prob_high, wb_share, n_users, trials, seed):
         sizes, weights, lo, span = (np.array(column) for column in zip(*files))
         catalog = catalog_from(
             sizes, weights / weights.sum(), np.ones(len(files)),
             rate_model=RateModel(r_high=r_low * r_ratio, r_low=r_low, prob_high=prob_high),
             delay_lo=lo, delay_hi=lo + span,
         )
-        cell = CellConfig(bandwidth=2.0, slots=3, n_users=n_users, price_unicast=0.4,
-                          rate_model=point_rate(r_b))
-        args = (catalog, cell, PricePair(0.4, 0.1), 2.0 * wb_share,
+        # rb = r_low is no user's rate above, so the broadcast term alone
+        # fails only with Wb > 1: the full share of the 4-unit cell.
+        cell = CellConfig(bandwidth=4.0, slots=3, n_users=n_users, price_unicast=0.4)
+        args = (catalog, cell, PricePair(0.4, 0.1), 4.0 * wb_share,
                 popularity_schedule(catalog))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # unsold unicast pool

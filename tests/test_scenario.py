@@ -309,9 +309,9 @@ class TestNormalize:
         assert str(exc.value) == (
             "normalized parameters violate the delay-sensitivity condition: "
             "delay-sensitivity condition fails for 3 file(s): "
-            "file 2 (size=0.524903, needs > 0.749527), "
-            "file 5 (size=0.390469, needs > 0.749527), "
-            "file 6 (size=0.325854, needs > 0.749527)")
+            "file 2 (size/rate=11.204996247998178, needs > 16.0), "
+            "file 5 (size/rate=8.335265216977765, needs > 16.0), "
+            "file 6 (size/rate=6.9559460757209965, needs > 16.0)")
 
     def test_operating_point_respects_floor_and_cap(self, small_spec):
         from dataclasses import replace
@@ -417,6 +417,37 @@ class TestRunSweep:
         result = run_sweep(load_spec(str(path)))
         gammas = {row["gamma"] for row in result.rows}
         assert gammas == {1.0, 0.5}
+
+    def test_readme_deviation_5_numbers_match_the_seven_cell_point(
+            self, seven_cell_spec, seven_cell_setup):
+        # Every number README deviation 5 quotes, recomputed to its printed
+        # digits from the point `bcastopt simulate` evaluates at that N.
+        text = (REPO / "README.md").read_text()
+        text = " ".join(text.split("5. **Terminal seven-cell gain.**")[1]
+                        .split("6. **")[0].split())
+
+        def quoted(pattern):
+            return re.search(pattern, text).group(1)
+
+        n = int(quoted(r"At N=(\d+) "))
+        assert quoted(r"--n (\d+)`") == str(n)
+        catalog, cell, _ = seven_cell_setup
+        cell = dataclasses.replace(cell, n_users=n)
+        row, report = scenario.evaluate_point(seven_cell_spec, catalog, cell,
+                                              seven_cell_spec.schedulers[0])
+        price = row["P_b_star"]
+        cap = (price * catalog.mean_size * n + report.uc_revenue) / cell.uc_only_revenue
+        for pattern, value in [
+            (r"`Pb = ([\d.]+)`", price),
+            (r"mean file size is ([\d.]+)\.", catalog.mean_size),
+            (r"allow a gain of ([\d.]+) over", cap),
+            (r"reports ([\d.]+) % of users on broadcast", 100 * report.bc_user_fraction),
+            (r"([\d.]+) % on unicast", 100 * report.uc_user_fraction),
+            (r"([\d.]+) % unserved", 100 * report.unserved_user_fraction),
+            (r"simulated gain of ([\d.]+)\.", row["gain_mc"]),
+        ]:
+            printed = quoted(pattern)
+            assert f"{value:.{len(printed.split('.')[1])}f}" == printed, pattern
 
 
 class TestRunValidation:

@@ -286,16 +286,14 @@ def unfloored_fixed_point(catalog, cell):
 
 
 class TestOptimalSchedule:
-    def _cell(self, catalog, n_users=50, slots=20, bandwidth=6.0, price=2.6):
-        return CellConfig(
-            bandwidth=bandwidth, slots=slots, n_users=n_users,
-            price_unicast=price, rate_model=catalog.rate_model,
-        )
+    def _cell(self, n_users=50, slots=20, bandwidth=6.0, price=2.6):
+        return CellConfig(bandwidth=bandwidth, slots=slots, n_users=n_users,
+                          price_unicast=price)
 
     def test_equal_sizes_match_suboptimal_in_one_pass(self):
         catalog = catalog_from([0.3] * 5, [0.35, 0.25, 0.2, 0.15, 0.05],
                                [2.0, 5.0, 1.0, 7.0, 3.0])
-        cell = self._cell(catalog)
+        cell = self._cell()
         sched, iterations = optimal_schedule(catalog, cell)
         assert iterations == 1
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
@@ -370,7 +368,7 @@ class TestOptimalSchedule:
 
     def test_zero_users_reduces_to_suboptimal(self):
         catalog = catalog_from([0.3, 0.2], [0.7, 0.3], [2.0, 3.0])
-        cell = self._cell(catalog, n_users=0)
+        cell = self._cell(n_users=0)
         sched = optimal_schedule(catalog, cell)[0]
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
 
@@ -388,7 +386,8 @@ class TestScheduleExport:
 
     def test_schedule_requires_valid_permutation(self):
         with pytest.raises(InvalidPermutationError):
-            Schedule(order=np.array([0, 0]), s=np.array([1.0, 2.0]))
+            Schedule(order=np.array([0, 0]), s=np.array([1.0, 2.0]),
+                     weights=np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("field", ["order", "s", "weights"])
     def test_schedule_is_frozen(self, field):
