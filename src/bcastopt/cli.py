@@ -12,11 +12,11 @@ import contextlib
 import sys
 from dataclasses import replace
 
-from .demand import catalog_to_csv
 from .errors import ConfigError, ConvergenceError, PayoffDomainError
 from .optimizer import joint_optimize
 from .scenario import (
     SCHEDULER_VARIANTS,
+    csv_text,
     evaluate_point,
     load_spec,
     normalize,
@@ -24,7 +24,6 @@ from .scenario import (
     run_validation,
     variant_schedule,
 )
-from .scheduler import schedule_to_csv
 
 
 def _open_output(path: str | None):
@@ -55,7 +54,7 @@ def _resolved_cell(spec, args):
 def cmd_optimize(spec, args) -> tuple[str, int]:
     catalog, cell, scheme = _resolved_cell(spec, args)
     result = joint_optimize(catalog, cell)
-    sys.stderr.write(f"normalization: {scheme.to_json(indent=None)}\n")
+    sys.stderr.write(f"normalization: {scheme.to_json()}\n")
     return result.to_json() + "\n", 0
 
 
@@ -72,8 +71,13 @@ def cmd_simulate(spec, args) -> tuple[str, int]:
 
 def cmd_schedule(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
+    if args.catalog:  # needs no schedule, so a failing scheduler cannot block it
+        rows = zip(range(1, catalog.size + 1), catalog.sizes, catalog.popularity, catalog.theta)
+        return csv_text(("i", "f_i", "p_i", "theta_i"), rows), 0
     schedule = variant_schedule(spec.schedulers[0], catalog, cell)
-    return (catalog_to_csv(catalog) if args.catalog else schedule_to_csv(schedule, catalog)), 0
+    rows = ((position, i + 1, catalog.sizes[i], schedule.s[i], schedule.weights[i])
+            for position, i in enumerate(schedule.order, start=1))
+    return csv_text(("position", "file", "f_i", "s_i", "weight"), rows), 0
 
 
 def cmd_validate(spec, args) -> tuple[str, int]:

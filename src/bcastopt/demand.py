@@ -9,7 +9,6 @@ in slots, rates are in size-units per slot per frequency unit (see
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -164,15 +163,3 @@ def build_catalog(
         raise InvalidParameterError("Zipf popularity must be strictly decreasing")
     return FileCatalog(sizes=sizes, popularity=pop, theta=theta,
                        delay_lo=lo, delay_hi=hi, rate_model=rate_model)
-
-
-def catalog_to_csv(catalog: FileCatalog) -> str:
-    """Catalog export with columns (i, f_i, p_i, theta_i)."""
-    buf = io.StringIO()
-    buf.write("i,f_i,p_i,theta_i\n")
-    for i in range(catalog.size):
-        buf.write(
-            f"{i + 1},{catalog.sizes[i]:.12g},{catalog.popularity[i]:.12g},"
-            f"{catalog.theta[i]:.12g}\n"
-        )
-    return buf.getvalue()

@@ -101,7 +101,7 @@ class OptimizationResult:
     gain: float
     iterations: int
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "bc_bandwidth": self.bc_bandwidth,
             "bc_price": self.bc_price,
@@ -112,7 +112,7 @@ class OptimizationResult:
             "gain": self.gain,
             "iterations": self.iterations,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
 def price_validity_floor(catalog: FileCatalog, cell: CellConfig) -> float:

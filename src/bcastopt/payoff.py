@@ -97,8 +97,8 @@ class SimulationReport:
     unrequested_scheduled_mean: float
     bc_rate_realized_mean: float
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _expected_unrequested(popularity, n_users: int) -> float:

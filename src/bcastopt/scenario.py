@@ -10,7 +10,6 @@ output so numbers stay reproducible.
 from __future__ import annotations
 
 import configparser
-import io
 import itertools
 import json
 import math
@@ -181,7 +180,11 @@ def load_spec(path: str) -> ExperimentSpec:
 
 def _read_spec(path: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config file {path!r} as UTF-8: "
+                          f"{exc.reason} at byte {exc.start}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
@@ -234,8 +237,8 @@ class NormalizationScheme:
     rate_scale: float
     normalized_bandwidth: float
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
 def _scheme_for(spec: ExperimentSpec) -> NormalizationScheme:
@@ -337,6 +340,16 @@ def evaluate_point(spec: ExperimentSpec, catalog: FileCatalog, cell: CellConfig,
                 payoff_guarantee_violations=report.payoff_guarantee_violations), report
 
 
+def csv_text(columns, rows) -> str:
+    """The CLI's CSV: a header line of ``columns``, then one comma-joined
+    line per row, floats (numpy's too) at 12 significant digits and any
+    other value as ``str``."""
+    lines = [",".join(columns)]
+    lines += [",".join(f"{value:.12g}" if isinstance(value, float) else str(value)
+                       for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class SweepResult:
     """Long-format sweep output, one row per (variant, N)."""
@@ -346,24 +359,15 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in self.rows:
-            cells = []
-            for col in SWEEP_COLUMNS:
-                value = row.get(col, "")
-                if isinstance(value, float):
-                    cells.append(f"{value:.12g}")
-                else:
-                    cells.append(str(value))
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        # an error row has no numeric fields; their cells stay empty
+        return csv_text(SWEEP_COLUMNS, ([row.get(col, "") for col in SWEEP_COLUMNS]
+                                        for row in self.rows))
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {"experiment": self.spec_name, "normalization": asdict(self.scheme),
              "rows": self.rows},
-            indent=indent,
+            indent=2,
         )
 
     def column(self, name: str, **filters):
@@ -419,9 +423,8 @@ class ValidationReport:
             lines.append(f"  [{e['status']:7s}] {e['check']}: {e['detail']}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps({"experiment": self.spec_name, "entries": self.entries},
-                          indent=indent)
+    def to_json(self) -> str:
+        return json.dumps({"experiment": self.spec_name, "entries": self.entries}, indent=2)
 
 
 def _grid_check(report: ValidationReport, check: str, closed_form: float, bound_on,

@@ -8,7 +8,6 @@ scheduler needs the revenue bound and lives in ``optimizer``.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +181,3 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
         if best_cost is None or costs[k] < best_cost:
             best_order, best_cost = chunk[k].copy(), float(costs[k])
     return best_order, best_cost
-
-
-def schedule_to_csv(schedule: Schedule, catalog: FileCatalog) -> str:
-    """Schedule export with columns (position, file, f_i, s_i, weight)."""
-    buf = io.StringIO()
-    buf.write("position,file,f_i,s_i,weight\n")
-    for pos, fidx in enumerate(schedule.order):
-        buf.write(
-            f"{pos + 1},{fidx + 1},{catalog.sizes[fidx]:.12g},{schedule.s[fidx]:.12g},"
-            f"{schedule.weights[fidx]:.12g}\n"
-        )
-    return buf.getvalue()

@@ -12,6 +12,50 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 
 
+# A six-file cell small enough for end-to-end CLI runs.
+SMALL_CONFIG = """
+[experiment]
+name = small
+
+[cell]
+bandwidth_mhz = 10
+uc_grant_mhz = 2.5
+interval_minutes = 2
+slots_per_interval = 3
+r_high_bps_hz = 2.4
+r_low_degradation = 0.45
+area_ratio_low_to_high = 9
+bc_cap_fraction = 0.6
+
+[catalog]
+file_count = 6
+zipf_exponent = 1.0
+size_min_mb = 160
+size_max_mb = 634
+theta_min_s = 0.6
+theta_max_s = 6.0
+theta_samples = 2000
+
+[pricing]
+unicast_price = 2.6
+
+[sweep]
+users = 0,5,10
+schedulers = suboptimal
+
+[simulation]
+trials = 30
+seed = 7
+"""
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "small.cfg"
+    path.write_text(SMALL_CONFIG)
+    return str(path)
+
+
 def point_rate(rate: float = 1.0) -> RateModel:
     """Degenerate single-region model: every user sees the same rate."""
     return RateModel(r_high=rate, r_low=rate, prob_high=1.0)

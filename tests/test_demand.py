@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt.channel import RateModel
+from bcastopt.cli import main
 from bcastopt.demand import (
     FileCatalog,
     aggregate_delay_tolerance,
     build_catalog,
-    catalog_to_csv,
     zipf_pmf,
 )
 from bcastopt.errors import InvalidParameterError, PreconditionError
+from bcastopt.scenario import load_spec, normalize
 
 from conftest import catalog_from, point_rate
 
@@ -220,16 +221,18 @@ class TestBuildCatalog:
             build_catalog(1.0, sizes=[5.0, 5.0], delay_lo=[1.0, 2.5],
                           delay_hi=2.0, rate_model=point_rate(1.0))
 
-    def test_csv_export(self):
-        catalog = catalog_from([0.5, 0.25], [0.6, 0.4], [2.5, 5.0])
-        text = catalog_to_csv(catalog)
-        lines = text.strip().splitlines()
+    def test_csv_export(self, small_config, capsys):
+        catalog = normalize(load_spec(small_config))[0]
+        assert main(["schedule", small_config, "--catalog"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "i,f_i,p_i,theta_i"
-        assert len(lines) == 3
+        assert len(lines) == catalog.size + 1 == 7
         row = lines[1].split(",")
         assert int(row[0]) == 1
-        assert float(row[1]) == 0.5
-        assert float(row[2]) == 0.6
+        # printed at 12 significant digits
+        assert float(row[1]) == pytest.approx(catalog.sizes[0], rel=1e-11)
+        assert float(row[2]) == pytest.approx(catalog.popularity[0], rel=1e-11)
+        assert float(row[3]) == pytest.approx(catalog.theta[0], rel=1e-11)
 
 
 @given(

@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -32,49 +33,7 @@ from bcastopt.scenario import (
 from bcastopt.optimizer import price_validity_floor
 from bcastopt.scheduler import suboptimal_schedule
 
-from conftest import CONFIG_DIR, REPO
-
-SMALL_CONFIG = """
-[experiment]
-name = small
-
-[cell]
-bandwidth_mhz = 10
-uc_grant_mhz = 2.5
-interval_minutes = 2
-slots_per_interval = 3
-r_high_bps_hz = 2.4
-r_low_degradation = 0.45
-area_ratio_low_to_high = 9
-bc_cap_fraction = 0.6
-
-[catalog]
-file_count = 6
-zipf_exponent = 1.0
-size_min_mb = 160
-size_max_mb = 634
-theta_min_s = 0.6
-theta_max_s = 6.0
-theta_samples = 2000
-
-[pricing]
-unicast_price = 2.6
-
-[sweep]
-users = 0,5,10
-schedulers = suboptimal
-
-[simulation]
-trials = 30
-seed = 7
-"""
-
-
-@pytest.fixture(scope="module")
-def small_config(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cfg") / "small.cfg"
-    path.write_text(SMALL_CONFIG)
-    return str(path)
+from conftest import CONFIG_DIR, REPO, SMALL_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -500,17 +459,33 @@ CLI_OPTIONS = {
 }
 
 
+def _declared_options():
+    """Each subcommand's options, mapped to their choices (None if free)."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt: action.choices for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help", "-o", "--output")}
+            for name, p in sub.choices.items()}
+
+
 class TestCliSurface:
     def test_each_subcommand_declares_exactly_its_options(self):
-        (sub,) = [a for a in build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        declared = {
-            name: {opt for action in p._actions for opt in action.option_strings
-                   if opt not in ("-h", "--help", "-o", "--output")}
-            for name, p in sub.choices.items()
-        }
+        declared = {name: set(options) for name, options in _declared_options().items()}
         assert declared == CLI_OPTIONS
         assert sum(len(opts) for opts in declared.values()) == 20
+
+    def test_readme_table_lists_exactly_the_parser_options(self):
+        table = (REPO / "README.md").read_text().split("| subcommand | options |")[1]
+        listed = {}
+        for name, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", table.split("\n\n")[0], re.M):
+            listed[name] = dict(re.findall(r"`(--[\w-]+)(?: \{([\w,]+)\})?`", cell))
+        declared = _declared_options()
+        assert {name: set(opts) for name, opts in listed.items()} == {
+            name: set(opts) for name, opts in declared.items()}
+        for name, opts in listed.items():
+            for opt, choices in opts.items():
+                # the table spells out the --format choices, whose first is the default
+                if choices or opt == "--format":
+                    assert choices.split(",") == list(declared[name][opt]), (name, opt)
 
     @pytest.mark.parametrize("command, option, value", [
         ("optimize", "--scheduler", "optimal"),
@@ -572,6 +547,17 @@ class TestCli:
         out2 = tmp_path / "catalog.csv"
         assert main(["schedule", small_config, "--catalog", "-o", str(out2)]) == 0
         assert out2.read_text().splitlines()[0] == "i,f_i,p_i,theta_i"
+
+    def test_catalog_export_builds_no_schedule(self, small_config, capsys, monkeypatch):
+        def no_schedule(*args):
+            raise ConvergenceError("no schedule expected")
+
+        monkeypatch.setattr(cli, "variant_schedule", no_schedule)
+        assert main(["schedule", small_config, "--scheduler", "optimal", "--catalog"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "i,f_i,p_i,theta_i" and len(lines) == 7
+        assert main(["schedule", small_config, "--scheduler", "optimal"]) == 1
+        assert capsys.readouterr().err == "error: no schedule expected\n"
 
     def test_validate_exit_code_tracks_report(self, small_config, capsys):
         rc = main(["validate", small_config])
@@ -716,6 +702,19 @@ class TestCli:
             failing.append([r["N"] for r in rows if r["error"]])
         assert failing[0] == failing[1] == list(range(500, 1500, 100))
 
+    @pytest.mark.parametrize("config, argv", [
+        ("slow_users_config", ["sweep", "--trials", "3"]),
+        ("small_config", ["schedule"]),
+        ("small_config", ["schedule", "--catalog"]),
+    ], ids=["sweep-with-error-rows", "schedule", "catalog"])
+    def test_every_csv_is_rectangular(self, request, capsys, config, argv):
+        command, *options = argv
+        assert main([command, request.getfixturevalue(config), *options]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert rows and all(len(row) == len(header) for row in rows)
+        if command == "sweep":
+            assert any(row[header.index("error")] for row in rows)
+
     @pytest.mark.parametrize("target, code", [("missing/out.csv", errno.ENOENT),
                                               (".", errno.EISDIR)],
                              ids=["missing-directory", "directory"])
@@ -755,3 +754,12 @@ class TestCli:
         path.write_text("[cell]\nbandwidth_mhz = 10\n")
         assert main(["sweep", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe[cell]\n")
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot decode config file {str(path)!r} as UTF-8: "
+                                "invalid start byte at byte 0\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcastopt import optimizer
+from bcastopt.cli import main
 from bcastopt.errors import ConvergenceError, InvalidPermutationError, PreconditionError
 from bcastopt.optimizer import (
     CellConfig,
@@ -16,6 +17,7 @@ from bcastopt.optimizer import (
     optimal_schedule,
     price_validity_floor,
 )
+from bcastopt.scenario import load_spec, normalize
 from bcastopt.scheduler import (
     Schedule,
     _permutations,
@@ -23,7 +25,6 @@ from bcastopt.scheduler import (
     brute_force_best_order,
     cumulative_sizes,
     popularity_schedule,
-    schedule_to_csv,
     smith_cost,
     smith_schedule,
     smith_weight_ratios,
@@ -374,15 +375,18 @@ class TestOptimalSchedule:
 
 
 class TestScheduleExport:
-    def test_csv_columns_and_rows(self):
-        catalog = catalog_from([0.3, 0.2], [0.4, 0.6], [2.0, 3.0])
-        sched = popularity_schedule(catalog)
-        text = schedule_to_csv(sched, catalog)
-        lines = text.strip().splitlines()
+    def test_csv_columns_and_rows(self, small_config, capsys):
+        catalog = normalize(load_spec(small_config))[0]
+        assert main(["schedule", small_config, "--scheduler", "none"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "position,file,f_i,s_i,weight"
-        assert len(lines) == 3
+        assert len(lines) == catalog.size + 1 == 7
         first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "2"  # file 2 is more popular
+        assert first[0] == "1" and first[1] == "1"  # Zipf: file 1 is the most popular
+        sched = popularity_schedule(catalog)
+        # printed at 12 significant digits
+        assert [float(v) for v in first[2:]] == pytest.approx(
+            [catalog.sizes[0], sched.s[0], sched.weights[0]], rel=1e-11)
 
     def test_schedule_requires_valid_permutation(self):
         with pytest.raises(InvalidPermutationError):
