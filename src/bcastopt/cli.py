@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import sys
 from dataclasses import replace
 
@@ -134,6 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.platform == "linux":
+        # glibc's M_TRIM_THRESHOLD (-1) at 64 MB: reuse the heap the simulator's
+        # blocks free rather than fault it back in (README, "Simulator blocks").
+        getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-1, 64 << 20)
     try:
         spec = _apply_overrides(load_spec(args.config), args)
         with _open_output(args.output) as out:

@@ -98,7 +98,10 @@ class SimulationReport:
     bc_rate_realized_mean: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # JSON has no NaN: an undefined mean (no trial to average) is null.
+        fields = {key: None if isinstance(value, float) and math.isnan(value) else value
+                  for key, value in asdict(self).items()}
+        return json.dumps(fields, indent=2, sort_keys=True)
 
 
 def _expected_unrequested(popularity, n_users: int) -> float:
@@ -107,6 +110,14 @@ def _expected_unrequested(popularity, n_users: int) -> float:
         return float(popularity.size)
     with np.errstate(divide="ignore"):  # p_i = 1: log1p(-1) = -inf, term 0
         return float(np.exp(n_users * np.log1p(-popularity)).sum())
+
+
+def _thresholds(catalog, files, u):
+    """Delay thresholds of users asking for ``files`` (an index, or ``...``
+    for every file) at uniforms ``u``: numpy's uniform(lo, hi) is
+    lo + (hi - lo) * u, element by element."""
+    lo = catalog.delay_lo
+    return lo[files] + (catalog.delay_hi - lo)[files] * u
 
 
 def _draw_block(gen, popularity, proc_order, ufile, u):
@@ -127,9 +138,7 @@ def _evaluate_block(catalog, prices, bc_delay, uc_pool, uc_revenue, ufile, u, st
     fractions, the served users' mean policy and baseline payoffs, and the
     broadcast group's realized rate. ``start`` is the block's first trial."""
     rate_u = rates_from_uniforms(catalog.rate_model, u[:, 0])
-    # numpy's uniform(lo, hi) is lo + (hi - lo) * u, element by element.
-    lo = catalog.delay_lo
-    thr = lo[ufile] + (catalog.delay_hi - lo)[ufile] * u[:, 1]
+    thr = _thresholds(catalog, ufile, u[:, 1])
     f = catalog.sizes[ufile]
     download = f / rate_u
     payoff_uc = _payoff(f, download - thr, prices.unicast)
@@ -236,9 +245,9 @@ def simulate_revenue(
     with np.errstate(divide="ignore"):
         # With no broadcast bandwidth the queue never completes: delay inf.
         bc_delay = schedule.s / (bc_bandwidth * catalog.rate_model.r_low)
-    # The domain check: _evaluate_block's threshold at Generator.random's
-    # largest value, and the fastest rate of positive probability.
-    t_max = catalog.delay_lo + (catalog.delay_hi - catalog.delay_lo) * (1.0 - 2.0 ** -53)
+    # The domain check: the threshold at Generator.random's largest value,
+    # and the fastest rate of positive probability.
+    t_max = _thresholds(catalog, ..., 1.0 - 2.0 ** -53)
     top_rate = fastest_rate(catalog.rate_model)
     requested = catalog.popularity > 0
     for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):

@@ -130,36 +130,18 @@ def smith_cost(order, catalog: FileCatalog, price_unicast, price_broadcast) -> f
                          price_unicast, price_broadcast)
 
 
-def _permutations(n: int) -> np.ndarray:
-    """All n! orders of range(n) as rows, in itertools.permutations order.
-
-    Lexicographic: the orders starting with file i are i followed by the
-    orders of the other files, which are the orders of range(n - 1) with
-    every index >= i shifted up by one.
-    """
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for m in range(1, n + 1):
-        first = np.arange(m)[:, None, None]
-        rest = perms + (perms >= first)
-        head = np.broadcast_to(first, (m, len(perms), 1))
-        perms = np.concatenate([head, rest], axis=2).reshape(-1, m)
-    return perms
-
-
 def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast):
-    """Exhaustive minimizer of :func:`smith_cost` over all orders.
+    """Exact minimizer of :func:`smith_cost` over all orders, found without
+    Smith's rule.
 
-    Independent oracle for small catalogs; cost grows factorially.
-    Returns (best order, minimal cost): the first minimizer in
-    itertools.permutations order.
-
-    The orders are enumerated one leading file at a time, so at most
-    (n - 1)! rows are held at once: the orders starting with file i are i
-    followed by the rows of ``_permutations(n - 1)`` with every index >= i
-    shifted up, the way ``_permutations`` builds its last level. A row's
-    cost depends on that row alone, so every cost has the same bits as in
-    one n!-row array; a later chunk replaces the best only when strictly
-    cheaper.
+    Independent oracle for small catalogs: a dynamic programme over the
+    set R of files still to send (Held and Karp), O(2^n n) steps. Sending
+    R starts at total - size(R), so
+    best(R) = min_j [c_j (total - size(R) + f_j) + best(R - {j})]
+    with c_j the file's Smith cost weight. Ties go to the smallest j, so of
+    the orders the programme finds equally cheap it returns the first in
+    itertools.permutations order. Returns (best order, its cost), the cost
+    summed along the order as :func:`numpy.cumsum` and one row sum give it.
     """
     n = catalog.size
     if n > 9:
@@ -167,17 +149,17 @@ def brute_force_best_order(catalog: FileCatalog, price_unicast, price_broadcast)
     check_bound_hypothesis(catalog, price_unicast, price_broadcast)
     gap = price_unicast - price_broadcast
     c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - gap * catalog.sizes)
-    rest = _permutations(n - 1)
-    chunk = np.empty((len(rest), n), dtype=np.int64)
-    completion = np.empty(chunk.shape)
-    best_order, best_cost = None, None
-    for first in range(n):
-        chunk[:, 0] = first
-        np.add(rest, rest >= first, out=chunk[:, 1:])
-        np.cumsum(catalog.sizes[chunk], axis=1, out=completion)
-        completion *= c[chunk]
-        costs = completion.sum(axis=1)
-        k = int(np.argmin(costs))
-        if best_cost is None or costs[k] < best_cost:
-            best_order, best_cost = chunk[k].copy(), float(costs[k])
-    return best_order, best_cost
+    f, w, total = catalog.sizes.tolist(), c.tolist(), float(catalog.sizes.sum())
+    best, head = [0.0], [0]  # indexed by the bit mask of R: least cost, first file
+    for rest in range(1, 1 << n):
+        files = [j for j in range(n) if rest >> j & 1]
+        start = total - sum(f[j] for j in files)
+        cost, j = min((w[j] * (start + f[j]) + best[rest ^ 1 << j], j) for j in files)
+        best.append(cost)
+        head.append(j)
+    order, rest = [], (1 << n) - 1
+    while rest:
+        order.append(head[rest])
+        rest ^= 1 << head[rest]
+    order = np.array(order, dtype=np.int64)
+    return order, float((np.cumsum(catalog.sizes[order]) * c[order]).sum())

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, so a
-deletion leaves no stale import behind, and no module imports another's
-private (underscore-prefixed) name. The benchmark's import surface
+deletion leaves no stale import behind; so is every private
+(underscore-prefixed) name it defines, and no module imports another's
+private name. The benchmark's import surface
 (``bench/*.py``, read as text) resolves against the package and is
 listed in the README."""
 import ast
@@ -28,6 +29,26 @@ def test_every_imported_name_is_used(path):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_used(path):
+    # A module-level function, class or constant whose name starts with one
+    # underscore serves only its own module, so one the module never reads
+    # is dead code.
+    tree = ast.parse(path.read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(private - read) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

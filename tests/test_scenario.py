@@ -540,6 +540,16 @@ class TestCli:
         assert payload["payoff_guarantee_violations"] == 0
         assert payload["trials"] == 30
 
+    def test_simulate_without_users_prints_strict_json(self, small_config, capsys):
+        # RFC 8259 has no NaN token: the means over no trial print as null.
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert main(["simulate", small_config, "--n", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [payload[key] for key in ("mean_payoff_policy", "mean_payoff_uc_baseline",
+                                         "bc_rate_realized_mean")] == [None] * 3
+
     def test_schedule_and_catalog_csv(self, small_config, tmp_path):
         out = tmp_path / "schedule.csv"
         assert main(["schedule", small_config, "-o", str(out)]) == 0

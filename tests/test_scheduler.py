@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from bcastopt.optimizer import (
 from bcastopt.scenario import load_spec, normalize
 from bcastopt.scheduler import (
     Schedule,
-    _permutations,
     bound_moments,
     brute_force_best_order,
     cumulative_sizes,
@@ -161,11 +161,16 @@ def _itertools_best_order(catalog, pu, pb):
 
 
 def _one_array_costs(catalog, pu, pb):
-    """All n! orders as one array and the Smith cost of each, summed the
-    way the oracle sums a row."""
-    perms = _permutations(catalog.size)
+    """All n! orders as rows, in itertools.permutations order, and the Smith
+    cost of each, summed along the row the way the oracle sums its order.
+    Row costs are taken one leading file at a time, which leaves their bits
+    as they are and keeps the float temporaries near 3 MB at n = 9."""
+    n = catalog.size
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
     c = catalog.theta * catalog.sizes * catalog.popularity * (1.0 - (pu - pb) * catalog.sizes)
-    return perms, (np.cumsum(catalog.sizes[perms], axis=1) * c[perms]).sum(axis=1)
+    return perms, np.concatenate([(np.cumsum(catalog.sizes[rows], axis=1) * c[rows]).sum(axis=1)
+                                  for rows in np.split(perms, n)])
 
 
 def _duplicated_catalog(n):
@@ -185,13 +190,6 @@ def _duplicated_catalog(n):
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_permutations_in_itertools_order(self, n):
-        want = np.array(list(itertools.permutations(range(n))))
-        got = _permutations(n)
-        assert got.shape == want.shape and got.dtype == np.int64
-        assert np.array_equal(got, want)
-
     def test_matches_itertools_search(self):
         rng = np.random.default_rng(41)
         sizes_seen = set()
@@ -209,6 +207,15 @@ class TestBruteForce:
             sizes_seen.add(catalog.size)
         assert 8 in sizes_seen
 
+    def test_matches_one_array_search_at_the_file_limit(self):
+        catalog, cell = random_instance(np.random.default_rng(9), m_lo=9, m_hi=9)
+        pu = cell.price_unicast
+        order, cost = brute_force_best_order(catalog, pu, 0.75 * pu)
+        perms, costs = _one_array_costs(catalog, pu, 0.75 * pu)
+        k = int(np.argmin(costs))
+        assert order.dtype == np.int64 and order.tolist() == perms[k].tolist()
+        assert cost == costs[k]
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ties_resolve_to_the_first_minimizer(self, n):
         # Swapping two equal files leaves the cost bit for bit, so for n > 1
@@ -223,8 +230,8 @@ class TestBruteForce:
         assert np.count_nonzero(costs == cost) >= (2 if n > 1 else 1)
 
     def test_memory_stays_below_one_chunk_per_copy(self):
-        # One n!-row array and its float copies took 7.7 MB at n = 8; one
-        # (n - 1)!-row chunk at a time takes about 1.3 MB.
+        # One n!-row array and its float copies take 7.7 MB at n = 8; the
+        # subset programme holds three lists of 2^n entries.
         catalog, cell = random_instance(np.random.default_rng(5), m_lo=8, m_hi=8)
         pu = cell.price_unicast
         brute_force_best_order(catalog, pu, 0.75 * pu)
