@@ -19,7 +19,13 @@ import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
 from .demand import FileCatalog, build_catalog
-from .errors import ConfigError, ConvergenceError, PayoffDomainError, PreconditionError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    InvalidParameterError,
+    PayoffDomainError,
+    PreconditionError,
+)
 from .optimizer import (
     CellConfig,
     closed_form_price,
@@ -75,46 +81,50 @@ def _csv(conv):
     return lambda raw: tuple(conv(x) for x in raw.split(","))
 
 
-def _key(section, parse=float, default=None, key=None, positive=False):
+_POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)  # NaN fails it too
+
+
+def _key(section, parse=float, default=None, key=None, rule=None):
     """Declare a field read from config key ``[section] key`` (the field
     name unless ``key`` is given) through ``parse``. The key is required
-    when ``default`` is None. A ``positive`` field must be positive and
-    finite, which :class:`ExperimentSpec` checks on every construction."""
+    when ``default`` is None. A ``rule`` is a ``(text, test)`` pair that
+    :class:`ExperimentSpec` checks on every construction: a value that
+    fails ``test`` is a ConfigError "<field> must be <text>, got <value>"."""
     return field(metadata=dict(section=section, parse=parse, default=default, key=key,
-                               positive=positive))
+                               rule=rule))
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Physical-unit description of one experiment.
 
-    Each config-read field declares its ``[section]`` key, parser,
-    default and positivity once, through :func:`_key`; :func:`load_spec`
-    reads those declarations. Only ``name`` (``[experiment] name``, else
-    the config file's stem) is read by hand.
+    Each field declares its ``[section]`` key, parser, default and rule
+    once, through :func:`_key`; :func:`load_spec` reads those
+    declarations. An empty ``name`` becomes the config file's stem.
 
     ``theta_samples`` (config key ``[catalog] theta_samples``) is parsed
     and must be positive, but its value is ignored: the delay tolerances
     are computed exactly (see ``demand.aggregate_delay_tolerance``).
     """
 
-    name: str
-    bandwidth_mhz: float = _key("cell", positive=True)
-    uc_grant_mhz: float = _key("cell", positive=True)
-    interval_minutes: float = _key("cell", positive=True)
-    slots_per_interval: int = _key("cell", int, positive=True)
-    r_high_bps_hz: float = _key("cell", positive=True)
-    r_low_degradation: float = _key("cell")
-    area_ratio_low_to_high: float = _key("cell")
-    bc_cap_fraction: float = _key("cell", default=1.0)
-    file_count: int = _key("catalog", int, positive=True)
-    zipf_exponent: float = _key("catalog", positive=True)
-    size_min_mb: float = _key("catalog", positive=True)
-    size_max_mb: float = _key("catalog", positive=True)
-    theta_min_s: float = _key("catalog", positive=True)
-    theta_max_s: float = _key("catalog", positive=True)
-    theta_samples: int = _key("catalog", int, default=100_000, positive=True)
-    unicast_price: float = _key("pricing", positive=True)
+    name: str = _key("experiment", str, default="")
+    bandwidth_mhz: float = _key("cell", rule=_POSITIVE)
+    uc_grant_mhz: float = _key("cell", rule=_POSITIVE)
+    interval_minutes: float = _key("cell", rule=_POSITIVE)
+    slots_per_interval: int = _key("cell", int, rule=_POSITIVE)
+    r_high_bps_hz: float = _key("cell", rule=_POSITIVE)
+    r_low_degradation: float = _key("cell", rule=("in [0, 1)", lambda v: 0 <= v < 1))
+    area_ratio_low_to_high: float = _key("cell", rule=(">= 0", lambda v: v >= 0))
+    bc_cap_fraction: float = _key("cell", default=1.0,
+                                  rule=("in (0, 1]", lambda v: 0 < v <= 1))
+    file_count: int = _key("catalog", int, rule=_POSITIVE)
+    zipf_exponent: float = _key("catalog", rule=_POSITIVE)
+    size_min_mb: float = _key("catalog", rule=_POSITIVE)
+    size_max_mb: float = _key("catalog", rule=_POSITIVE)
+    theta_min_s: float = _key("catalog", rule=_POSITIVE)
+    theta_max_s: float = _key("catalog", rule=_POSITIVE)
+    theta_samples: int = _key("catalog", int, default=100_000, rule=_POSITIVE)
+    unicast_price: float = _key("pricing", rule=_POSITIVE)
     sweep_users: tuple[int, ...] = _key("sweep", _parse_users, key="users")
     schedulers: tuple[str, ...] = _key(
         "sweep", lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
@@ -123,28 +133,18 @@ class ExperimentSpec:
         "sweep", _csv(float), default=(), key="zipf_exponents")
     file_count_variants: tuple[int, ...] = _key(
         "sweep", _csv(int), default=(), key="file_counts")
-    trials: int = _key("simulation", int, positive=True)
-    seed: int = _key("simulation", int)
+    trials: int = _key("simulation", int, rule=_POSITIVE)
+    seed: int = _key("simulation", int, rule=(">= 0", lambda v: v >= 0))
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.metadata.get("positive") and not 0 < value < math.inf:  # also rejects NaN
-                raise ConfigError(f"{f.name} must be positive and finite, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            rule, value = f.metadata["rule"], getattr(self, f.name)
+            if rule and not rule[1](value):
+                raise ConfigError(f"{f.name} must be {rule[0]}, got {value}")
         if self.size_min_mb > self.size_max_mb:
             raise ConfigError("size_min_mb must not exceed size_max_mb")
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
-        if not (0.0 <= self.r_low_degradation < 1.0):
-            raise ConfigError(f"r_low_degradation must be in [0, 1), got {self.r_low_degradation}")
-        if not self.area_ratio_low_to_high >= 0:
-            raise ConfigError(
-                f"area_ratio_low_to_high must be >= 0, got {self.area_ratio_low_to_high}"
-            )
-        if not (0.0 < self.bc_cap_fraction <= 1.0):
-            raise ConfigError(f"bc_cap_fraction must be in (0, 1], got {self.bc_cap_fraction}")
         if not self.sweep_users:
             raise ConfigError("sweep user range must be non-empty")
         if any(n < 0 for n in self.sweep_users):
@@ -170,7 +170,7 @@ class ExperimentSpec:
 
 def load_spec(path: str) -> ExperimentSpec:
     """Parse an experiment config file; raises ConfigError on problems,
-    among them a key that is neither declared nor read by hand."""
+    among them a key that no :class:`ExperimentSpec` field declares."""
     try:
         return _read_spec(path)
     except configparser.Error as exc:
@@ -203,20 +203,17 @@ def _read_spec(path: str) -> ExperimentSpec:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
     declared = {(f.metadata["section"], f.metadata["key"] or f.name): f
-                for f in fields(ExperimentSpec) if "section" in f.metadata}
-    known = declared.keys() | {("experiment", "name")}
+                for f in fields(ExperimentSpec)}
     for section in parser.sections():
         for key in parser[section]:
-            if (section, key) not in known:
+            if (section, key) not in declared:
                 raise ConfigError(f"unknown key [{section}] {key} in {path!r}")
 
-    name = get("experiment", "name", str, default="")
-    if not name:
-        stem = str(path).rsplit("/", 1)[-1]
-        name = stem.rsplit(".", 1)[0]
     values = {f.name: get(*where, f.metadata["parse"], f.metadata["default"])
               for where, f in declared.items()}
-    return ExperimentSpec(name=name, **values)
+    if not values["name"]:
+        values["name"] = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]  # the file's stem
+    return ExperimentSpec(**values)
 
 
 @dataclass(frozen=True)
@@ -275,24 +272,18 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     if np.any(sizes >= 1.0) or np.any(sizes <= 0.0):
         raise ConfigError("normalization failed to place all file sizes in (0, 1)")
 
-    theta_lo = spec.theta_min_s / scheme.slot_seconds
-    theta_hi = spec.theta_max_s / scheme.slot_seconds
+    rate_model = RateModel(r_high=spec.r_high_bps_hz, r_low=spec.r_low_bps_hz,
+                           prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high))
     try:
-        catalog = build_catalog(
-            spec.zipf_exponent,
-            sizes=sizes,
-            delay_lo=theta_lo,
-            delay_hi=theta_hi,
-            rate_model=RateModel(
-                r_high=spec.r_high_bps_hz,
-                r_low=spec.r_low_bps_hz,
-                prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high),
-            ).scaled(scheme.rate_scale),
-        )
+        catalog = build_catalog(spec.zipf_exponent, sizes=sizes,
+                                delay_lo=spec.theta_min_s / scheme.slot_seconds,
+                                delay_hi=spec.theta_max_s / scheme.slot_seconds,
+                                rate_model=rate_model.scaled(scheme.rate_scale))
     except PreconditionError as exc:
-        raise ConfigError(
-            f"normalized parameters violate the delay-sensitivity condition: {exc}"
-        ) from exc
+        raise ConfigError("normalized parameters violate the delay-sensitivity "
+                          f"condition: {exc}") from exc
+    except InvalidParameterError as exc:  # e.g. an exponent whose i^-γ underflows to 0
+        raise ConfigError(str(exc)) from exc
 
     cell = CellConfig(
         bandwidth=scheme.normalized_bandwidth,

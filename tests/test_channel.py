@@ -127,6 +127,14 @@ class TestModelValidation:
         with pytest.raises(InvalidParameterError):
             RateModel(**kw)
 
+    def test_non_positive_scale_factor_rejected(self):
+        with pytest.raises(InvalidParameterError, match="scale factor must be positive, got 0"):
+            REFERENCE.scaled(0)
+
+    def test_negative_area_ratio_rejected(self):
+        with pytest.raises(InvalidParameterError, match="area ratio must be >= 0, got -1"):
+            prob_high_from_area_ratio(-1)
+
     def test_scaled_preserves_ratio(self):
         scaled = REFERENCE.scaled(0.01)
         assert scaled.r_high / scaled.r_low == pytest.approx(REFERENCE.r_high / REFERENCE.r_low)

@@ -207,6 +207,7 @@ class TestBuildCatalog:
         ("delay_lo", [0.1, 0.1, 0.0], "file 3: need 0 < delay_lo <= delay_hi"),
         ("delay_lo", [0.5, 0.1, 0.1], "file 1: need 0 < delay_lo <= delay_hi"),
         ("theta", [3.0, 4.0], "catalog arrays must be non-empty and same length"),
+        ("theta", [3.0, 0.0, 6.0], "aggregate delay tolerances must be positive"),
     ])
     def test_invalid_files_rejected(self, field, values, message):
         kw = dict(sizes=[0.5, 0.3, 0.2], popularity=[0.5, 0.3, 0.2], theta=[3.0, 4.0, 6.0],

@@ -1,16 +1,22 @@
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bcastopt.cli as cli
 import bcastopt.payoff as payoff
@@ -206,9 +212,8 @@ class TestLoadSpec:
                 section, line = header.group(1), line[header.end():]
             listed |= {(section, key) for key in re.findall(r"\w+", line)}
         declared = {(f.metadata["section"], f.metadata["key"] or f.name)
-                    for f in dataclasses.fields(ExperimentSpec) if "section" in f.metadata}
-        by_hand = {("experiment", "name")}
-        assert listed == declared | by_hand
+                    for f in dataclasses.fields(ExperimentSpec)}
+        assert listed == declared
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("key", SHIPPED_KEYS)
@@ -287,6 +292,12 @@ class TestNormalize:
 
 
 class TestRunSweep:
+    def test_unknown_variant_has_no_schedule(self, small_spec):
+        catalog, cell, _ = normalize(small_spec)
+        with pytest.raises(ConfigError) as exc:
+            scenario.variant_schedule("magic", catalog, cell)
+        assert str(exc.value) == "unknown scheduler variant 'magic'"
+
     def test_byte_identical_reruns(self, small_spec):
         a = run_sweep(small_spec).to_csv()
         b = run_sweep(small_spec).to_csv()
@@ -441,6 +452,29 @@ class TestRunValidation:
             "1e7965bd4adf17fae752d501e30dca2cb64e37748470911f68a0eb1fc7cb0655",
             "d370ae050eb7ff907dbdcea2b88cd46d95b373049c3d771a962571eed39a4793",
         ]
+
+    def test_smith_above_the_oracle_minimum_fails(self, small_spec, monkeypatch):
+        real = scenario.brute_force_best_order
+
+        def cheaper(*args):
+            order, cost = real(*args)
+            return order, cost - 1.0
+
+        monkeypatch.setattr(scenario, "brute_force_best_order", cheaper)
+        report = run_validation(small_spec)
+        entry = next(e for e in report.entries if e["check"] == "smith_vs_bruteforce")
+        assert entry["status"] == "FAIL" and not report.all_passed
+        smith, best = map(float, re.fullmatch(r"smith (\S+) > brute force (\S+)",
+                                              entry["detail"]).groups())
+        assert smith - best == pytest.approx(1.0)
+
+    def test_fixed_point_residual_above_tolerance_fails(self, small_spec, monkeypatch):
+        monkeypatch.setattr(scenario, "fixed_point_residuals", lambda *args: (2e-9, 0.0))
+        report = run_validation(small_spec)
+        entry = next(e for e in report.entries if e["check"] == "fixed_point_consistency")
+        assert entry == {"check": "fixed_point_consistency", "status": "FAIL",
+                         "detail": "residuals (2.00e-09, 0.00e+00) exceed 1e-9"}
+        assert not report.all_passed
 
     def test_text_rendering(self, small_spec):
         report = run_validation(small_spec)
@@ -641,6 +675,57 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @staticmethod
+    def _single_cell_with(tmp_path, old, new):
+        text = (CONFIG_DIR / "single_cell.cfg").read_text()
+        assert old in text
+        path = tmp_path / "edited.cfg"
+        path.write_text(text.replace(old, new))
+        return str(path)
+
+    @pytest.mark.parametrize("old, new, argv", [
+        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["sweep", "--trials", "2"]),
+        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["schedule", "--catalog"]),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["sweep", "--trials", "2"]),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["schedule", "--catalog"]),
+        ("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = 300",
+         ["sweep", "--trials", "2"]),
+    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog", "variant-300-sweep"])
+    def test_flat_zipf_popularity_exits_with_one_error_line(self, tmp_path, capsys, old, new,
+                                                            argv):
+        # i^-gamma underflows to 0 (large gamma), or rounds to equal values
+        # (tiny gamma), within the 2000 files of the single-cell catalog.
+        assert main([*argv, self._single_cell_with(tmp_path, old, new)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: Zipf popularity must be strictly decreasing\n")
+
+    @pytest.mark.parametrize("exponent", ["200", "1e-13", "1000"])
+    def test_validate_judges_its_eight_file_catalog(self, tmp_path, capsys, exponent):
+        # The battery builds 8 files only: i^-gamma underflows from i = 3 on
+        # for gamma = 1000, from i = 42 on for 200, and 1e-13 keeps 8 ranks
+        # strictly decreasing.
+        path = self._single_cell_with(tmp_path, "zipf_exponent = 1.0",
+                                      f"zipf_exponent = {exponent}")
+        code = main(["validate", path])
+        out, err = capsys.readouterr()
+        if exponent == "1000":
+            assert (code, out, err) == (
+                1, "", "error: Zipf popularity must be strictly decreasing\n")
+        else:
+            assert code in (0, 2) and err == "" and out.startswith("validation report")
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader is gone before the CLI writes, so its write raises
+        # BrokenPipeError, which main answers with exit status 0.
+        with subprocess.Popen(
+                [sys.executable, "-m", "bcastopt.cli", "schedule", "--catalog",
+                 str(CONFIG_DIR / "single_cell.cfg")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(REPO / "src"))) as proc:
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+
     def test_simulate_report_names_its_stream(self, small_config, capsys):
         # The report's seed is the entropy of the sweep's stream for the
         # point, SeedSequence([seed, round(gamma * 1e6), M, N]); it rebuilds
@@ -773,3 +858,32 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: cannot decode config file {str(path)!r} as UTF-8: "
                                 "invalid start byte at byte 0\n")
+
+
+@pytest.fixture(scope="module")
+def drawn_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "drawn.cfg"
+
+
+@given(gamma=st.floats(min_value=-16.0, max_value=3.0).map(lambda e: 10.0 ** e),
+       file_count=st.integers(min_value=1, max_value=200))
+@example(gamma=200.0, file_count=200)
+@example(gamma=1e-13, file_count=200)
+@settings(max_examples=100, deadline=None)
+def test_accepted_catalog_config_prints_a_csv_or_one_error_line(drawn_config, gamma,
+                                                                file_count):
+    # gamma is log-uniform over [1e-16, 1e3]; a catalog the model cannot
+    # build is a config error, never a traceback.
+    text = (CONFIG_DIR / "single_cell.cfg").read_text()
+    text = re.sub(r"^zipf_exponent = .*$", f"zipf_exponent = {gamma!r}", text, flags=re.M)
+    text = re.sub(r"^file_count = .*$", f"file_count = {file_count}", text, flags=re.M)
+    drawn_config.write_text(text)
+    assert load_spec(str(drawn_config)).zipf_exponent == gamma
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["schedule", str(drawn_config), "--catalog"])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and len(out.getvalue().splitlines()) == file_count + 1
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from bcastopt import optimizer
 from bcastopt.cli import main
-from bcastopt.errors import ConvergenceError, InvalidPermutationError, PreconditionError
+from bcastopt.errors import (
+    ConvergenceError,
+    InvalidParameterError,
+    InvalidPermutationError,
+    PreconditionError,
+)
 from bcastopt.optimizer import (
     CellConfig,
     closed_form_price,
@@ -215,6 +220,11 @@ class TestBruteForce:
         k = int(np.argmin(costs))
         assert order.dtype == np.int64 and order.tolist() == perms[k].tolist()
         assert cost == costs[k]
+
+    def test_more_than_nine_files_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="brute force limited to 9 files, got 10"):
+            brute_force_best_order(_duplicated_catalog(10), 1.0, 0.5)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ties_resolve_to_the_first_minimizer(self, n):
