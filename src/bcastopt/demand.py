@@ -32,36 +32,49 @@ def zipf_pmf(exponent: float, catalog_size: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def aggregate_delay_tolerance(size: float, delay_lo: float, delay_hi: float,
-                              rate_model: RateModel) -> float:
-    """Exact mean of 1 / (size - rate * threshold) over the user population.
+def aggregate_delay_tolerance(size, delay_lo, delay_hi,
+                              rate_model: RateModel) -> float | np.ndarray:
+    """Exact mean of 1 / (size - rate * threshold) over the user population,
+    elementwise over scalars or 1-D arrays of files (a float for scalars).
 
     A user's rate is ``r_high`` with probability ``prob_high`` and ``r_low``
     otherwise; the threshold is uniform on [delay_lo, delay_hi]. For a
     region of rate r, with d = size - r * delay_hi and
     x = r * (delay_hi - delay_lo) / d, the mean over the threshold is
     log1p(x) / (x * d), and 1 / d for a point mass (x = 0). The regions
-    are mixed by their probabilities. Scalar on purpose: ``math.log1p``
-    and ``np.log1p`` can differ in the last bit.
+    are mixed by their probabilities. ``math.log1p`` is applied per
+    element because ``np.log1p`` can differ from it in the last bit.
 
-    Raises PreconditionError unless size / r > delay_hi + 1 for every rate
-    with positive probability: the worst case of the delay-sensitivity
-    condition, which keeps the unicast payoff defined for every user.
+    Raises PreconditionError, listing the offending files, unless
+    size / r > delay_hi + 1 at the highest rate with positive probability:
+    the delay-sensitivity condition, which keeps the unicast payoff
+    defined for every user. That rate decides for every rate, since
+    rounded division is monotone in the divisor.
     """
+    scalar = np.ndim(size) == np.ndim(delay_lo) == np.ndim(delay_hi) == 0
+    size, lo, hi = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (size, delay_lo, delay_hi)))
+    top = fastest_rate(rate_model)
+    bad = np.flatnonzero(~(size / top > hi + 1.0))
+    if bad.size:
+        listing = ", ".join(
+            f"file {i + 1} (size/rate={float(size[i] / top)!r}, "
+            f"needs > {float(hi[i] + 1.0)!r})"
+            for i in bad[:8]
+        )
+        raise PreconditionError(
+            f"delay-sensitivity condition fails for {bad.size} file(s): {listing}"
+        )
     total = 0.0
     for rate, weight in ((rate_model.r_high, rate_model.prob_high),
                          (rate_model.r_low, 1.0 - rate_model.prob_high)):
         if weight <= 0.0:
             continue
-        if not size / rate > delay_hi + 1.0:
-            raise PreconditionError(
-                f"delay-sensitivity violated: size={size}, rate={rate}, "
-                f"threshold={delay_hi} (need size/rate > threshold + 1)"
-            )
-        d = size - rate * delay_hi
-        x = rate * (delay_hi - delay_lo) / d
-        total += weight * (1.0 / d if x == 0.0 else math.log1p(x) / (x * d))
-    return total
+        d = size - rate * hi
+        x = rate * (hi - lo) / d
+        log1p_x = np.fromiter(map(math.log1p, x), np.float64, len(x))
+        total = total + weight * np.divide(log1p_x, x * d, out=1.0 / d, where=x != 0.0)
+    return float(total[0]) if scalar else total
 
 
 def _check_files(sizes: np.ndarray, delay_lo: np.ndarray, delay_hi: np.ndarray):
@@ -129,36 +142,18 @@ def build_catalog(
 ) -> FileCatalog:
     """Construct a Zipf-popularity catalog of ``len(sizes)`` files with
     exact delay tolerances. ``delay_lo``/``delay_hi`` may be scalars
-    (shared bounds) or per-file arrays. The delay-sensitivity condition
-    ``size / rate > hi + 1`` is validated eagerly at the highest rate with
-    positive probability, which decides for every rate (rounded division
-    is monotone in the divisor); offending files are rejected rather than
-    clipped. Each tolerance is then the exact :func:`aggregate_delay_tolerance`
-    of its file, so the catalog is a deterministic function of the arguments.
+    (shared bounds) or per-file arrays. The tolerances come from one
+    :func:`aggregate_delay_tolerance` call, which also rejects files that
+    break the delay-sensitivity condition rather than clipping them, so
+    the catalog is a deterministic function of the arguments.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     M = len(sizes)
     pop = zipf_pmf(zipf_exponent, M)
     lo = np.broadcast_to(np.asarray(delay_lo, dtype=np.float64), (M,))
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
-
-    rate = fastest_rate(rate_model)
-    bad = np.flatnonzero(sizes / rate <= hi + 1.0)
-    if bad.size:
-        listing = ", ".join(
-            f"file {i + 1} (size/rate={float(sizes[i] / rate)!r}, "
-            f"needs > {float(hi[i] + 1.0)!r})"
-            for i in bad[:8]
-        )
-        raise PreconditionError(
-            f"delay-sensitivity condition fails for {bad.size} file(s): {listing}"
-        )
     _check_files(sizes, lo, hi)  # before the tolerances, which need lo <= hi
-
-    theta = np.array([
-        aggregate_delay_tolerance(f, a, b, rate_model)
-        for f, a, b in zip(sizes.tolist(), lo.tolist(), hi.tolist())
-    ])
+    theta = aggregate_delay_tolerance(sizes, lo, hi, rate_model)
     if M > 1 and not np.all(np.diff(pop) < 0):
         raise InvalidParameterError("Zipf popularity must be strictly decreasing")
     return FileCatalog(sizes=sizes, popularity=pop, theta=theta,

@@ -447,6 +447,9 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
 
     small = replace(spec, file_count=min(spec.file_count, _PERMUTATION_FILES))
     catalog, cell0, _ = normalize(small)
+    # The config's own catalog, so validate rejects what the other commands
+    # reject; built second, because bench/child.py checks the first one built.
+    normalize(spec)
     n_ref = max(spec.sweep_users) if max(spec.sweep_users) > 0 else 10
     cell = replace(cell0, n_users=n_ref)
 

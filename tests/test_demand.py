@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from bcastopt.demand import (
 from bcastopt.errors import InvalidParameterError, PreconditionError
 from bcastopt.scenario import load_spec, normalize
 
-from conftest import catalog_from, point_rate
+from conftest import CONFIG_DIR, catalog_from, point_rate
 
 
 class TestZipfPmf:
@@ -67,6 +69,18 @@ def _midpoint_tolerance(size, lo, hi, model, points=200_000):
                          (model.r_low, 1.0 - model.prob_high)):
         if weight > 0:
             total += weight * float(np.mean(1.0 / (size - rate * t)))
+    return total
+
+
+def _scalar_tolerance(size, lo, hi, model):
+    """Reference: the closed form one file at a time, in Python floats."""
+    total = 0.0
+    for rate, weight in ((model.r_high, model.prob_high),
+                         (model.r_low, 1.0 - model.prob_high)):
+        if weight > 0.0:
+            d = size - rate * hi
+            x = rate * (hi - lo) / d
+            total += weight * (1.0 / d if x == 0.0 else math.log1p(x) / (x * d))
     return total
 
 
@@ -121,7 +135,8 @@ class TestAggregateDelayTolerance:
         theta = aggregate_delay_tolerance(
             3.0, 1.0, 1.0, RateModel(r_high=2.0, r_low=0.5, prob_high=0.0))
         assert theta == pytest.approx(1.0 / (3.0 - 0.5), rel=1e-15)
-        with pytest.raises(PreconditionError, match="rate=2.0"):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "fails for 1 file(s): file 1 (size/rate=1.5, needs > 2.0)")):
             aggregate_delay_tolerance(
                 3.0, 1.0, 1.0, RateModel(r_high=2.0, r_low=0.5, prob_high=0.01))
 
@@ -185,11 +200,41 @@ class TestBuildCatalog:
             1.0, sizes=[6.0, 5.0, 7.0], delay_lo=lo, delay_hi=hi,
             rate_model=model,
         )
-        expected = [aggregate_delay_tolerance(f, a, b, model)
+        expected = [_scalar_tolerance(f, a, b, model)
                     for f, a, b in zip([6.0, 5.0, 7.0], lo, hi)]
         assert catalog.theta.tolist() == expected
         assert catalog.delay_lo.tolist() == lo
         assert catalog.delay_hi.tolist() == hi
+
+    @pytest.mark.parametrize("config", ["single_cell", "seven_cell"])
+    @pytest.mark.parametrize("seed", [0, 11, 99251])
+    def test_shipped_theta_equals_the_scalar_reference(self, config, seed):
+        spec = replace(load_spec(str(CONFIG_DIR / f"{config}.cfg")), seed=seed)
+        catalog = normalize(spec)[0]
+        expected = [_scalar_tolerance(f, a, b, catalog.rate_model) for f, a, b in zip(
+            catalog.sizes.tolist(), catalog.delay_lo.tolist(), catalog.delay_hi.tolist())]
+        assert catalog.theta.tolist() == expected
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_random_theta_equals_the_scalar_reference(self, case):
+        # Point masses, prob_high 0 and 1, and per-file bounds.
+        rng = np.random.default_rng([case, 27])
+        r_high = rng.uniform(0.05, 3.0)
+        model = RateModel(r_high, r_high * rng.uniform(0.05, 1.0),
+                          (0.0, 1.0, rng.uniform())[case % 3])
+        m = int(rng.integers(1, 40))
+        hi = rng.uniform(0.01, 3.0, m)
+        lo = np.where(rng.uniform(size=m) < 0.3, hi, hi * rng.uniform(0.01, 1.0, m))
+        top = model.r_high if model.prob_high > 0 else model.r_low
+        sizes = top * (hi + 1.0) * rng.uniform(1.001, 5.0, m)
+        catalog = build_catalog(1.0, sizes=sizes, delay_lo=lo, delay_hi=hi,
+                                rate_model=model)
+        files = list(zip(sizes.tolist(), lo.tolist(), hi.tolist()))
+        assert catalog.theta.tolist() == [_scalar_tolerance(*f, model) for f in files]
+        # a scalar call is a Python float, equal to its element of the array call
+        scalars = [aggregate_delay_tolerance(*f, model) for f in files]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == catalog.theta.tolist()
 
     def test_deterministic_for_fixed_seed(self):
         kw = dict(sizes=[6.0, 5.0], delay_lo=0.5, delay_hi=1.5,

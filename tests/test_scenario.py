@@ -699,20 +699,22 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "error: Zipf popularity must be strictly decreasing\n")
 
-    @pytest.mark.parametrize("exponent", ["200", "1e-13", "1000"])
-    def test_validate_judges_its_eight_file_catalog(self, tmp_path, capsys, exponent):
-        # The battery builds 8 files only: i^-gamma underflows from i = 3 on
-        # for gamma = 1000, from i = 42 on for 200, and 1e-13 keeps 8 ranks
-        # strictly decreasing.
-        path = self._single_cell_with(tmp_path, "zipf_exponent = 1.0",
-                                      f"zipf_exponent = {exponent}")
-        code = main(["validate", path])
+    @pytest.mark.parametrize("old, new", [
+        ("size_min_mb = 160", "size_min_mb = 30"),
+        ("zipf_exponent = 1.0", "zipf_exponent = 200"),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13"),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1000"),
+    ], ids=["size-min-30", "200", "1e-13", "1000"])
+    def test_validate_rejects_what_the_full_catalog_rejects(self, tmp_path, capsys, old, new):
+        # The battery's 8-file catalog builds in the first three cases (at
+        # gamma = 1000, i^-gamma underflows from i = 3 on); the config's own
+        # 2000-file catalog fails a delay-sensitivity or Zipf check in all four.
+        path = self._single_cell_with(tmp_path, old, new)
+        assert main(["schedule", path, "--catalog"]) == 1
+        rejected = capsys.readouterr().err
+        assert main(["validate", path]) == 1
         out, err = capsys.readouterr()
-        if exponent == "1000":
-            assert (code, out, err) == (
-                1, "", "error: Zipf popularity must be strictly decreasing\n")
-        else:
-            assert code in (0, 2) and err == "" and out.startswith("validation report")
+        assert out == "" and err == rejected and err.count("error:") == 1
 
     def test_closed_pipe_exits_quietly(self):
         # The reader is gone before the CLI writes, so its write raises
