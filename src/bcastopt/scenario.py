@@ -69,10 +69,10 @@ def _parse_users(text: str) -> tuple[int, ...]:
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
         if len(parts) != 3:
-            raise ConfigError(f"user range must be start:stop:step, got {text!r}")
+            raise ConfigError(f"users range must be start:stop:step, got {text!r}")
         start, stop, step = parts
         if step <= 0:
-            raise ConfigError("user range step must be positive")
+            raise ConfigError(f"users range step must be positive, got {text!r}")
         return tuple(range(start, stop + 1, step))
     return tuple(int(p) for p in text.split(","))
 
@@ -89,7 +89,7 @@ def _key(section, parse=float, default=None, key=None, rule=None):
     name unless ``key`` is given) through ``parse``. The key is required
     when ``default`` is None. A ``rule`` is a ``(text, test)`` pair that
     :class:`ExperimentSpec` checks on every construction: a value that
-    fails ``test`` is a ConfigError "<field> must be <text>, got <value>"."""
+    fails ``test`` is a ConfigError "<key> must be <text>, got <value>"."""
     return field(metadata=dict(section=section, parse=parse, default=default, key=key,
                                rule=rule))
 
@@ -125,14 +125,20 @@ class ExperimentSpec:
     theta_max_s: float = _key("catalog", rule=_POSITIVE)
     theta_samples: int = _key("catalog", int, default=100_000, rule=_POSITIVE)
     unicast_price: float = _key("pricing", rule=_POSITIVE)
-    sweep_users: tuple[int, ...] = _key("sweep", _parse_users, key="users")
+    sweep_users: tuple[int, ...] = _key(
+        "sweep", _parse_users, key="users",
+        rule=("a non-empty list of counts >= 0", lambda v: v and min(v) >= 0))
     schedulers: tuple[str, ...] = _key(
         "sweep", lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
-        default=("suboptimal",))
+        default=("suboptimal",),
+        rule=(f"a non-empty list of {SCHEDULER_VARIANTS}",
+              lambda v: v and set(v) <= set(SCHEDULER_VARIANTS)))
     zipf_variants: tuple[float, ...] = _key(
-        "sweep", _csv(float), default=(), key="zipf_exponents")
+        "sweep", _csv(float), default=(), key="zipf_exponents",
+        rule=("a list of positive, finite exponents", lambda v: all(map(_POSITIVE[1], v))))
     file_count_variants: tuple[int, ...] = _key(
-        "sweep", _csv(int), default=(), key="file_counts")
+        "sweep", _csv(int), default=(), key="file_counts",
+        rule=("a list of counts >= 1", lambda v: all(m >= 1 for m in v)))
     trials: int = _key("simulation", int, rule=_POSITIVE)
     seed: int = _key("simulation", int, rule=(">= 0", lambda v: v >= 0))
 
@@ -140,27 +146,12 @@ class ExperimentSpec:
         for f in fields(self):
             rule, value = f.metadata["rule"], getattr(self, f.name)
             if rule and not rule[1](value):
-                raise ConfigError(f"{f.name} must be {rule[0]}, got {value}")
+                raise ConfigError(f"{f.metadata['key'] or f.name} must be {rule[0]}, "
+                                  f"got {value}")
         if self.size_min_mb > self.size_max_mb:
             raise ConfigError("size_min_mb must not exceed size_max_mb")
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
-        if not self.sweep_users:
-            raise ConfigError("sweep user range must be non-empty")
-        if any(n < 0 for n in self.sweep_users):
-            raise ConfigError("sweep user counts must be >= 0")
-        if not all(0 < g < math.inf for g in self.zipf_variants):
-            raise ConfigError(
-                f"sweep zipf exponents must be positive and finite, got {self.zipf_variants}")
-        if any(m < 1 for m in self.file_count_variants):
-            raise ConfigError(f"sweep file counts must be >= 1, got {self.file_count_variants}")
-        if not self.schedulers:
-            raise ConfigError("scheduler list must be non-empty")
-        for s in self.schedulers:
-            if s not in SCHEDULER_VARIANTS:
-                raise ConfigError(
-                    f"unknown scheduler variant {s!r}; expected one of {SCHEDULER_VARIANTS}"
-                )
 
     @property
     def r_low_bps_hz(self) -> float:
@@ -181,7 +172,7 @@ def load_spec(path: str) -> ExperimentSpec:
 def _read_spec(path: str) -> ExperimentSpec:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot decode config file {path!r} as UTF-8: "
                           f"{exc.reason} at byte {exc.start}") from exc
@@ -440,8 +431,10 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
     """Oracle battery: brute-force scheduling, grid-search optima,
     fixed-point residuals, and the Monte Carlo bound check.
 
-    Failures become FAIL entries with the measured deltas; only a broken
-    invariant (the simulator's payoff guarantee) raises.
+    A check whose result misses its oracle is a FAIL entry with the
+    measured deltas. A computation the model cannot carry out raises
+    instead: a ConfigError from ``normalize``, a PayoffDomainError from
+    check 4's simulation, a ConvergenceError from ``joint_optimize``.
     """
     report = ValidationReport(spec_name=spec.name)
 

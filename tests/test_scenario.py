@@ -75,9 +75,9 @@ def _positive_int(section, key):
                      f"bad value for [{section}] {key}: 'nan'")
 
 
-def _unknown_scheduler(value):
-    return (f"unknown scheduler variant {value!r}; "
-            "expected one of ('optimal', 'suboptimal', 'none')")
+def _not_a_scheduler(value):
+    return ("schedulers must be a non-empty list of ('optimal', 'suboptimal', 'none'), "
+            f"got ({value!r},)")
 
 
 # The ConfigError message of each fault in FAULTS order; "" means the
@@ -108,9 +108,10 @@ FAULT_MESSAGES = {
     "theta_max_s": _positive_float("catalog", "theta_max_s"),
     "theta_samples": ("",) + _positive_int("catalog", "theta_samples")[1:],
     "unicast_price": _positive_float("pricing", "unicast_price"),
-    "users": _messages("sweep", "users", "", "sweep user counts must be >= 0",
+    "users": _messages("sweep", "users", "",
+                       "users must be a non-empty list of counts >= 0, got (-1,)",
                        "bad value for [sweep] users: 'nan'"),
-    "schedulers": ("",) + tuple(_unknown_scheduler(v) for v in FAULTS[1:]),
+    "schedulers": ("",) + tuple(_not_a_scheduler(v) for v in FAULTS[1:]),
     "trials": _positive_int("simulation", "trials"),
     "seed": _messages("simulation", "seed", "", "seed must be >= 0, got -1",
                       "bad value for [simulation] seed: 'nan'"),
@@ -171,10 +172,12 @@ class TestLoadSpec:
             load_spec(str(path))
 
     @pytest.mark.parametrize("old, new, message", [
-        ("users = 0,5,10", "users = 1:5", "user range must be start:stop:step, got '1:5'"),
-        ("users = 0,5,10", "users = 1:5:0", "user range step must be positive"),
-        ("users = 0,5,10", "users = 1:5:-1", "user range step must be positive"),
-        ("users = 0,5,10", "users = 5:1:1", "sweep user range must be non-empty"),
+        ("users = 0,5,10", "users = 1:5", "users range must be start:stop:step, got '1:5'"),
+        ("users = 0,5,10", "users = 1:5:0", "users range step must be positive, got '1:5:0'"),
+        ("users = 0,5,10", "users = 1:5:-1",
+         "users range step must be positive, got '1:5:-1'"),
+        ("users = 0,5,10", "users = 5:1:1",
+         "users must be a non-empty list of counts >= 0, got ()"),
         ("size_min_mb = 160", "size_min_mb = 700", "size_min_mb must not exceed size_max_mb"),
         ("theta_min_s = 0.6", "theta_min_s = 7", "theta_min_s must not exceed theta_max_s"),
         ("bc_cap_fraction = 0.6", "bc_cap_fration = 0.6",
@@ -190,6 +193,12 @@ class TestLoadSpec:
             load_spec(str(path))
         assert str(exc.value) == message.format(path=repr(str(path)))
 
+    def test_byte_order_mark_is_no_text(self, tmp_path):
+        plain = CONFIG_DIR / "single_cell.cfg"
+        path = tmp_path / "single_cell.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_spec(str(path)) == load_spec(str(plain))
+
     def test_optional_keys_take_their_defaults(self, tmp_path):
         path = tmp_path / "bare.cfg"
         text = SMALL_CONFIG
@@ -203,17 +212,26 @@ class TestLoadSpec:
                     "bare", 1.0, 100_000, ("suboptimal",), (), ())
 
     def test_readme_lists_exactly_the_keys_load_spec_reads(self):
+        # Each key takes the parenthesized remark that closes its group; a
+        # remark ends at a ")" before a comma or the end of a line.
         block = (REPO / "README.md").read_text().split("### Config format")[1].split("```")[1]
-        listed, section = set(), None
-        for line in block.splitlines():
-            line = re.sub(r"\([^)]*\)|#.*", "", line)  # drop remarks and comments
-            header = re.match(r"\[(\w+)\]", line)
+        remarks, pending, section = {}, [], None
+        for header, remark, key in re.findall(
+                r"\[(\w+)\]|\(([^#]*?)\)(?=,|[ \t]*(?:#|$))|#.*|(\w+)", block, re.M):
             if header:
-                section, line = header.group(1), line[header.end():]
-            listed |= {(section, key) for key in re.findall(r"\w+", line)}
-        declared = {(f.metadata["section"], f.metadata["key"] or f.name)
+                section = header
+            elif remark:
+                remarks.update(dict.fromkeys(pending, " ".join(remark.split())))
+                pending = []
+            elif key:
+                pending.append((section, key))
+        declared = {(f.metadata["section"], f.metadata["key"] or f.name): f.metadata
                     for f in dataclasses.fields(ExperimentSpec)}
-        assert listed == declared
+        assert not pending and remarks.keys() == declared.keys()
+        for where, meta in declared.items():
+            remark = remarks[where]
+            assert meta["rule"] is None or meta["rule"][0] in remark, (where, remark)
+            assert ("optional" in remark) == (meta["default"] is not None), (where, remark)
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("key", SHIPPED_KEYS)
@@ -787,6 +805,17 @@ class TestCli:
                 payoff.simulate_revenue(*args, trials=trials, seed=seed)
             assert line == f"error: {exc.value}"
 
+    def test_validate_payoff_domain_error_exits_with_one_error_line(self, slow_users_config,
+                                                                    capsys):
+        # Check 4 simulates at the largest user count, whose payoff domain
+        # fails: validate reports no FAIL entry but the error.
+        assert main(["validate", slow_users_config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: file ")
+        assert "at the largest threshold: s/(Wb*rb) - threshold = -" in line
+
     def test_sweep_records_domain_errors_in_the_same_rows_at_two_seeds(self, slow_users_config,
                                                                        capsys):
         failing = []
@@ -889,3 +918,29 @@ def test_accepted_catalog_config_prints_a_csv_or_one_error_line(drawn_config, ga
         assert lines == [] and len(out.getvalue().splitlines()) == file_count + 1
     else:
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Words of a [sweep] value: integers (bounded, as a range "a:b:1" holds
+# b - a + 1 counts), floats with nan and inf, variant names and junk. A
+# separator follows each word, so that no two integers merge.
+_SWEEP_WORDS = st.one_of(
+    st.integers(-10_000, 10_000).map(str), st.floats().map(repr),
+    st.sampled_from(scenario.SCHEDULER_VARIANTS + ("magic", "xx", "", "1e", "0x10", " ")))
+
+
+@given(key=st.sampled_from(("users", "schedulers", "zipf_exponents", "file_counts")),
+       words=st.lists(st.tuples(_SWEEP_WORDS, st.sampled_from(",:")), max_size=5))
+@example(key="users", words=[("-1", ",")])
+@example(key="users", words=[("5", ":"), ("1", ":"), ("1", ",")])
+@example(key="schedulers", words=[("magic", ",")])
+@example(key="zipf_exponents", words=[("inf", ",")])
+@example(key="file_counts", words=[("0", ",")])
+@settings(max_examples=200, deadline=None)
+def test_sweep_key_errors_name_the_key(drawn_config, key, words):
+    value = "".join(word + sep for word, sep in words)[:-1]
+    text = re.sub(rf"^{key} = .*\n", "", SMALL_CONFIG, flags=re.M)
+    drawn_config.write_text(text.replace("[sweep]\n", f"[sweep]\n{key} = {value}\n"))
+    try:
+        load_spec(str(drawn_config))
+    except ConfigError as exc:
+        assert str(exc).startswith((f"{key} ", f"bad value for [sweep] {key}:")), str(exc)
