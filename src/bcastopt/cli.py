@@ -45,7 +45,7 @@ def _apply_overrides(spec, args):
 
 
 def _resolved_cell(spec, args):
-    n = args.n if args.n is not None else max(spec.sweep_users)
+    n = args.n if args.n is not None else spec.sweep_users[-1]
     if n < 0:
         raise ConfigError(f"user count must be >= 0, got --n {n}")
     catalog, cell, scheme = normalize(spec)

@@ -93,7 +93,8 @@ def _check_files(sizes: np.ndarray, delay_lo: np.ndarray, delay_hi: np.ndarray):
 
 @dataclass(frozen=True)
 class FileCatalog:
-    """Immutable catalog, one array entry per file in popularity-rank order.
+    """Immutable catalog, one array entry per file, in any order (``build_catalog``
+    ranks by popularity; readers sort by descending popularity, ties by index).
 
     ``delay_lo``/``delay_hi`` bound the per-user delay threshold
     distribution (uniform; a point mass when the bounds coincide), and

@@ -20,8 +20,9 @@ from .channel import fastest_rate, rates_from_uniforms
 from .demand import FileCatalog
 from .errors import InvalidParameterError, PayoffDomainError
 
-# User-trials :func:`simulate_revenue` evaluates in one vectorized block;
-# keeps the block's (k, N) temporaries near one megabyte.
+# User-trials :func:`simulate_revenue` evaluates in one vectorized block. A float64
+# (k, N) temporary is then 64 KiB, under the 128 KiB mmap threshold that cli.main's
+# mallopt pins, so blocks reuse the heap (README, "Simulator blocks").
 _BLOCK_USER_TRIALS = 2 ** 13
 
 

@@ -51,6 +51,7 @@ _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
 _PERMUTATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
+_MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is a full simulation
 
 # Failures a sweep point of a valid spec may meet: recorded in the row's
 # error column. Anything else (a PreconditionError, a TypeError) is a bug
@@ -64,17 +65,13 @@ SWEEP_COLUMNS = (
 )
 
 
-def _parse_users(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"users range must be start:stop:step, got {text!r}")
-        start, stop, step = parts
-        if step <= 0:
-            raise ConfigError(f"users range step must be positive, got {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+def _parse_users(text: str) -> tuple[int, ...] | range:
+    """Listed counts, or ``start:stop:step`` as an unbuilt range through ``stop``."""
+    if ":" not in text:
+        return tuple(int(p) for p in text.split(","))
+    start, stop, step = (int(p) for p in text.split(":"))
+    users = range(start, stop + 1, step)
+    return users if step > 0 else ()  # step 0 raised; a negative one counts nothing
 
 
 def _csv(conv):
@@ -127,7 +124,9 @@ class ExperimentSpec:
     unicast_price: float = _key("pricing", rule=_POSITIVE)
     sweep_users: tuple[int, ...] = _key(
         "sweep", _parse_users, key="users",
-        rule=("a non-empty list of counts >= 0", lambda v: v and min(v) >= 0))
+        rule=(f"a non-empty list of at most {_MAX_SWEEP_USERS} counts >= 0",
+              # sliced, not len(): a range past sys.maxsize has no len
+              lambda v: v and not v[_MAX_SWEEP_USERS:] and min(v) >= 0))
     schedulers: tuple[str, ...] = _key(
         "sweep", lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
         default=("suboptimal",),
@@ -152,6 +151,7 @@ class ExperimentSpec:
             raise ConfigError("size_min_mb must not exceed size_max_mb")
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
+        object.__setattr__(self, "sweep_users", tuple(sorted(set(self.sweep_users))))
 
     @property
     def r_low_bps_hz(self) -> float:
@@ -188,8 +188,6 @@ def _read_spec(path: str) -> ExperimentSpec:
             raise ConfigError(f"missing [{section}] {key} in {path!r}") from None
         try:
             return conv(raw)
-        except ConfigError:  # the parser's own message
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -368,13 +366,12 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
     counts = tuple(dict.fromkeys((spec.file_count,) + spec.file_count_variants))
     variants = tuple(dict.fromkeys(spec.schedulers))
-    users = sorted(dict.fromkeys(spec.sweep_users))
     result = SweepResult(spec_name=spec.name, scheme=_scheme_for(spec))
 
     for gamma, m in itertools.product(gammas, counts):
         point_spec = replace(spec, zipf_exponent=gamma, file_count=m)
         catalog, base_cell, _ = normalize(point_spec)
-        for variant, n in itertools.product(variants, users):
+        for variant, n in itertools.product(variants, spec.sweep_users):
             row = dict(N=n, scheduler_variant=variant, gamma=gamma, file_count=m, error="")
             try:
                 cell = replace(base_cell, n_users=n)
@@ -443,7 +440,7 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
     # The config's own catalog, so validate rejects what the other commands
     # reject; built second, because bench/child.py checks the first one built.
     normalize(spec)
-    n_ref = max(spec.sweep_users) if max(spec.sweep_users) > 0 else 10
+    n_ref = spec.sweep_users[-1] or 10
     cell = replace(cell0, n_users=n_ref)
 
     # 1. Smith order vs exhaustive permutation search.

@@ -533,6 +533,28 @@ class TestSimulateBlocks:
             assert min(got.bc_user_fraction, got.uc_user_fraction,
                        got.unserved_user_fraction) > 0
 
+    @pytest.mark.filterwarnings("ignore:unicast demand fell below capacity")
+    @pytest.mark.parametrize("n_users", [1, 50, 300, 1400, 8192])
+    def test_block_temporaries_stay_under_the_mmap_threshold(self, single_cell_setup,
+                                                              monkeypatch, n_users):
+        # cli.main's mallopt pins glibc's mmap threshold at 128 KiB; a float64
+        # (k, N) temporary at or above it would be mapped and faulted in
+        # afresh for every block (README, "Simulator blocks").
+        catalog, cell, _ = single_cell_setup
+        cell = dataclasses.replace(cell, n_users=n_users)
+        schedule = suboptimal_schedule(catalog, cell.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, cell, schedule)
+        real, shapes = payoff._evaluate_block, []
+
+        def spy(*args):
+            shapes.append(args[5].shape)  # ufile, one row of N users per trial
+            return real(*args)
+
+        monkeypatch.setattr(payoff, "_evaluate_block", spy)
+        simulate_revenue(catalog, cell, PricePair(cell.price_unicast, price), bandwidth,
+                         schedule, trials=payoff._BLOCK_USER_TRIALS // n_users + 1, seed=3)
+        assert max(k * n for k, n in shapes) * np.dtype(np.float64).itemsize < 128 << 10
+
     def test_memory_per_trial_is_a_few_slots(self, single_cell_setup):
         # Per trial the simulator keeps six 8-byte statistics, and two mask
         # bytes after the last block; one stream serves every trial.

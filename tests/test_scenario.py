@@ -39,7 +39,7 @@ from bcastopt.scenario import (
 from bcastopt.optimizer import price_validity_floor
 from bcastopt.scheduler import suboptimal_schedule
 
-from conftest import CONFIG_DIR, REPO, SMALL_CONFIG
+from conftest import CONFIG_DIR, REPO, SMALL_CONFIG, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,8 @@ FAULT_MESSAGES = {
     "theta_samples": ("",) + _positive_int("catalog", "theta_samples")[1:],
     "unicast_price": _positive_float("pricing", "unicast_price"),
     "users": _messages("sweep", "users", "",
-                       "users must be a non-empty list of counts >= 0, got (-1,)",
+                       "users must be a non-empty list of at most 10000 counts >= 0, "
+                       "got (-1,)",
                        "bad value for [sweep] users: 'nan'"),
     "schedulers": ("",) + tuple(_not_a_scheduler(v) for v in FAULTS[1:]),
     "trials": _positive_int("simulation", "trials"),
@@ -128,10 +129,34 @@ class TestLoadSpec:
         assert spec.r_low_bps_hz == pytest.approx(1.32)
 
     def test_range_and_list_user_syntax(self, tmp_path):
-        for users, expected in (("100:300:100", (100, 200, 300)), ("4,2", (4, 2))):
+        for users, expected in (("100:300:100", (100, 200, 300)), ("4,2", (2, 4))):
             path = tmp_path / "u.cfg"
             path.write_text(SMALL_CONFIG.replace("users = 0,5,10", f"users = {users}"))
             assert load_spec(str(path)).sweep_users == expected
+
+    def test_users_are_one_sorted_axis(self, tmp_path):
+        specs = []
+        for users in ("200,50,50", "50,200"):
+            path = tmp_path / "u.cfg"
+            path.write_text(SMALL_CONFIG.replace("users = 0,5,10", f"users = {users}"))
+            specs.append(load_spec(str(path)))
+        assert specs[0].sweep_users == specs[1].sweep_users == (50, 200)
+        assert run_sweep(specs[0]).rows == run_sweep(specs[1]).rows
+        assert dataclasses.replace(specs[0], sweep_users=(10, 0, 10)).sweep_users == (0, 10)
+
+    @pytest.mark.parametrize("stop", ["100000000000", "10000000000000000000"])
+    def test_huge_user_range_is_a_config_error_that_builds_nothing(self, tmp_path, stop):
+        # 10**11 counts would take terabytes if built; 10**19 has no len().
+        path = tmp_path / "u.cfg"
+        path.write_text(SMALL_CONFIG.replace("users = 0,5,10", f"users = 0:{stop}:1"))
+        message = ("users must be a non-empty list of at most 10000 counts >= 0, "
+                   f"got range(0, {int(stop) + 1})")
+
+        def load():
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_spec(str(path))
+
+        assert traced_peak(load) < 1 << 20
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -172,18 +197,21 @@ class TestLoadSpec:
             load_spec(str(path))
 
     @pytest.mark.parametrize("old, new, message", [
-        ("users = 0,5,10", "users = 1:5", "users range must be start:stop:step, got '1:5'"),
-        ("users = 0,5,10", "users = 1:5:0", "users range step must be positive, got '1:5:0'"),
+        ("users = 0,5,10", "users = 1:5", "bad value for [sweep] users: '1:5'"),
+        ("users = 0,5,10", "users = 1:5:0", "bad value for [sweep] users: '1:5:0'"),
         ("users = 0,5,10", "users = 1:5:-1",
-         "users range step must be positive, got '1:5:-1'"),
+         "users must be a non-empty list of at most 10000 counts >= 0, got ()"),
+        ("users = 0,5,10", "users = 5:1:-1",
+         "users must be a non-empty list of at most 10000 counts >= 0, got ()"),
         ("users = 0,5,10", "users = 5:1:1",
-         "users must be a non-empty list of counts >= 0, got ()"),
+         "users must be a non-empty list of at most 10000 counts >= 0, got range(5, 2)"),
         ("size_min_mb = 160", "size_min_mb = 700", "size_min_mb must not exceed size_max_mb"),
         ("theta_min_s = 0.6", "theta_min_s = 7", "theta_min_s must not exceed theta_max_s"),
         ("bc_cap_fraction = 0.6", "bc_cap_fration = 0.6",
          "unknown key [cell] bc_cap_fration in {path}"),
         ("[simulation]", "[simulaton]", "unknown key [simulaton] trials in {path}"),
-    ], ids=["range-of-two", "zero-step", "negative-step", "empty-range", "sizes-reversed",
+    ], ids=["range-of-two", "zero-step", "negative-step", "descending-range", "empty-range",
+            "sizes-reversed",
             "thresholds-reversed", "misspelt-key", "unknown-section"])
     def test_load_error_messages(self, tmp_path, old, new, message):
         assert old in SMALL_CONFIG
@@ -881,6 +909,19 @@ class TestCli:
         assert main(["sweep", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["schedule", "--catalog"], ["sweep"], ["validate"]])
+    @pytest.mark.parametrize("stop", ["10000", "100000000000", "10000000000000000000"])
+    def test_too_many_user_counts_exit_with_one_error_line(self, tmp_path, capsys, command,
+                                                            stop):
+        # 0:10000:1 holds 10001 counts, one past the cap.
+        path = tmp_path / "users.cfg"
+        path.write_text(SMALL_CONFIG.replace("users = 0,5,10", f"users = 0:{stop}:1"))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: users must be a non-empty list of at most 10000 "
+                                f"counts >= 0, got range(0, {int(stop) + 1})\n")
+
     def test_undecodable_config_exits_with_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"\xff\xfe[cell]\n")
@@ -920,11 +961,11 @@ def test_accepted_catalog_config_prints_a_csv_or_one_error_line(drawn_config, ga
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
-# Words of a [sweep] value: integers (bounded, as a range "a:b:1" holds
-# b - a + 1 counts), floats with nan and inf, variant names and junk. A
-# separator follows each word, so that no two integers merge.
+# Words of a [sweep] value: integers of any size (a range is never built),
+# floats with nan and inf, variant names and junk. A separator follows
+# each word, so that no two integers merge.
 _SWEEP_WORDS = st.one_of(
-    st.integers(-10_000, 10_000).map(str), st.floats().map(repr),
+    st.integers().map(str), st.floats().map(repr),
     st.sampled_from(scenario.SCHEDULER_VARIANTS + ("magic", "xx", "", "1e", "0x10", " ")))
 
 
@@ -932,6 +973,8 @@ _SWEEP_WORDS = st.one_of(
        words=st.lists(st.tuples(_SWEEP_WORDS, st.sampled_from(",:")), max_size=5))
 @example(key="users", words=[("-1", ",")])
 @example(key="users", words=[("5", ":"), ("1", ":"), ("1", ",")])
+@example(key="users", words=[("0", ":"), ("100000000000", ":"), ("1", ",")])
+@example(key="users", words=[("0", ":"), ("10000000000000000000", ":"), ("1", ",")])
 @example(key="schedulers", words=[("magic", ",")])
 @example(key="zipf_exponents", words=[("inf", ",")])
 @example(key="file_counts", words=[("0", ",")])
