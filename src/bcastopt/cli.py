@@ -2,8 +2,8 @@
 
 Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
-success, 1 on configuration, convergence or payoff-domain errors, 2 on
-validation failures.
+success, 1 on a configuration error, one of ``errors.POINT_ERRORS`` or
+an output file that cannot be written, 2 on validation failures.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import ctypes
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, ConvergenceError, PayoffDomainError
+from .errors import POINT_ERRORS, ConfigError
 from .optimizer import joint_optimize
 from .scenario import (
     SCHEDULER_VARIANTS,
@@ -30,8 +30,15 @@ from .scenario import (
 def _open_output(path: str | None):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    try:
+    with _unwritable(path):
         return open(path, "w")
+
+
+@contextlib.contextmanager
+def _unwritable(path: str):
+    """A failed open, write or close of the output file is one error line."""
+    try:
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
@@ -143,9 +150,13 @@ def main(argv=None) -> int:
         spec = _apply_overrides(load_spec(args.config), args)
         with _open_output(args.output) as out:
             text, code = args.func(spec, args)
-            out.write(text)
+            if out is sys.stdout:
+                out.write(text)  # a closed pipe raises BrokenPipeError, answered below
+            else:
+                with _unwritable(args.output), out:  # closes the file, so a failed flush is caught
+                    out.write(text)
         return code
-    except (ConfigError, ConvergenceError, PayoffDomainError) as exc:
+    except (ConfigError, *POINT_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except BrokenPipeError:

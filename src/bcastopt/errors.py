@@ -2,7 +2,7 @@
 
 
 class InvalidParameterError(ValueError):
-    """A scalar argument is outside its admissible range."""
+    """An argument is outside its admissible range."""
 
 
 class PayoffDomainError(ValueError):
@@ -13,10 +13,6 @@ class PayoffDomainError(ValueError):
 class PreconditionError(ValueError):
     """A model precondition does not hold for the given inputs (e.g. the
     delay-sensitivity condition or the revenue-bound hypothesis)."""
-
-
-class InvalidPermutationError(ValueError):
-    """A schedule order is not a permutation of the catalog indices."""
 
 
 class ConvergenceError(RuntimeError):
@@ -33,3 +29,8 @@ class ConvergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
+
+
+# The failures a run of a valid config may meet: a sweep records them in the
+# point's error column, every other command exits 1. Anything else is a bug.
+POINT_ERRORS = (ConvergenceError, PayoffDomainError)

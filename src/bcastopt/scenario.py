@@ -19,13 +19,7 @@ import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
 from .demand import FileCatalog, build_catalog
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    InvalidParameterError,
-    PayoffDomainError,
-    PreconditionError,
-)
+from .errors import POINT_ERRORS, ConfigError, InvalidParameterError, PreconditionError
 from .optimizer import (
     CellConfig,
     closed_form_price,
@@ -52,11 +46,6 @@ MB_TO_BITS = 8e6
 _PERMUTATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
 _MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is a full simulation
-
-# Failures a sweep point of a valid spec may meet: recorded in the row's
-# error column. Anything else (a PreconditionError, a TypeError) is a bug
-# and propagates.
-_POINT_ERRORS = (ConvergenceError, PayoffDomainError)
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -258,8 +247,6 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     size_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xF11E5, m]))
     sizes_mb = size_rng.uniform(spec.size_min_mb, spec.size_max_mb, size=m)
     sizes = sizes_mb / scheme.size_unit_mb
-    if np.any(sizes >= 1.0) or np.any(sizes <= 0.0):
-        raise ConfigError("normalization failed to place all file sizes in (0, 1)")
 
     rate_model = RateModel(r_high=spec.r_high_bps_hz, r_low=spec.r_low_bps_hz,
                            prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high))
@@ -376,7 +363,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             try:
                 cell = replace(base_cell, n_users=n)
                 row.update(evaluate_point(point_spec, catalog, cell, variant)[0])
-            except _POINT_ERRORS as exc:  # recorded, sweep continues
+            except POINT_ERRORS as exc:  # recorded, sweep continues
                 row["error"] = f"{type(exc).__name__}: {exc}"
             result.rows.append(row)
     return result

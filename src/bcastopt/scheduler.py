@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import FileCatalog
-from .errors import InvalidParameterError, InvalidPermutationError, PreconditionError
+from .errors import InvalidParameterError, PreconditionError
 
 
 def _validate_order(order, n) -> np.ndarray:
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise InvalidPermutationError(
+        raise InvalidParameterError(
             f"order must be a permutation of 0..{n - 1}, got {order!r}"
         )
     return order

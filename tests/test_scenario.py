@@ -19,10 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcastopt.cli as cli
+import bcastopt.optimizer as optimizer
 import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import build_parser, main
 from bcastopt.errors import (
+    POINT_ERRORS,
     ConfigError,
     ConvergenceError,
     PayoffDomainError,
@@ -337,6 +339,27 @@ class TestNormalize:
         assert (cell.price_unicast - price) * catalog.sizes.max() < 1.0
 
 
+_SIZE_BOUNDS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(a=_SIZE_BOUNDS, b=_SIZE_BOUNDS)
+@example(a=160.0, b=160.0)
+@example(a=5e-324, b=5e-324)
+@example(a=5e-324, b=634.0)
+@example(a=1e-300, b=1e300)
+@example(a=1.0, b=1.7976931348623157e308)
+@settings(max_examples=200, deadline=None)
+def test_normalized_sizes_lie_in_the_unit_interval(small_spec, a, b):
+    # Positive, finite bounds, equal ones and tiny minimums included: every
+    # normalized size is in (0, 1), or normalize names the fault.
+    spec = dataclasses.replace(small_spec, size_min_mb=min(a, b), size_max_mb=max(a, b))
+    try:
+        catalog, _, _ = normalize(spec)
+    except ConfigError:
+        return
+    assert np.all((0.0 < catalog.sizes) & (catalog.sizes < 1.0))
+
+
 class TestRunSweep:
     def test_unknown_variant_has_no_schedule(self, small_spec):
         catalog, cell, _ = normalize(small_spec)
@@ -370,20 +393,6 @@ class TestRunSweep:
                 continue
             mhz = row["W_b_star"] * result.scheme.frequency_unit_mhz
             assert mhz <= small_spec.bc_cap_fraction * small_spec.bandwidth_mhz + 1e-9
-
-    def test_failed_point_is_recorded_and_sweep_continues(self, small_spec, monkeypatch):
-        real = scenario.simulate_revenue
-
-        def flaky(catalog, cell, *args, **kwargs):
-            if cell.n_users == 5:
-                raise ConvergenceError("injected failure")
-            return real(catalog, cell, *args, **kwargs)
-
-        monkeypatch.setattr(scenario, "simulate_revenue", flaky)
-        result = run_sweep(small_spec)
-        by_n = {r["N"]: r for r in result.rows}
-        assert "injected failure" in by_n[5]["error"]
-        assert by_n[0]["error"] == "" and by_n[10]["error"] == ""
 
     def test_programming_error_propagates(self, small_spec, monkeypatch):
         def broken(*args, **kwargs):
@@ -464,6 +473,37 @@ class TestRunSweep:
         ]:
             printed = quoted(pattern)
             assert f"{value:.{len(printed.split('.')[1])}f}" == printed, pattern
+
+
+@pytest.mark.parametrize("error", POINT_ERRORS, ids=lambda error: error.__name__)
+class TestPointErrors:
+    """Each reportable failure, raised at N = 5 only: a sweep records it in
+    that row and goes on, and a one-point command exits 1 with one line."""
+
+    @pytest.fixture(autouse=True)
+    def fail_at_five(self, monkeypatch, error):
+        real = optimizer.operating_point
+
+        def failing(catalog, cell, schedule):
+            if cell.n_users == 5:
+                raise error("injected at N=5")
+            return real(catalog, cell, schedule)
+
+        # the sweep's evaluate_point and joint_optimize both take this step
+        monkeypatch.setattr(scenario, "operating_point", failing)
+        monkeypatch.setattr(optimizer, "operating_point", failing)
+
+    def test_sweep_records_it_in_the_row(self, small_spec, error):
+        errors = {row["N"]: row["error"] for row in run_sweep(small_spec).rows}
+        assert errors == {0: "", 5: f"{error.__name__}: injected at N=5", 10: ""}
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_one_point_command_exits_with_one_error_line(self, small_config, capsys, command,
+                                                         error):
+        assert main([command, small_config, "--n", "10"]) == 0
+        capsys.readouterr()
+        assert main([command, small_config, "--n", "5"]) == 1
+        assert capsys.readouterr() == ("", "error: injected at N=5\n")
 
 
 class TestRunValidation:
@@ -774,6 +814,22 @@ class TestCli:
             assert proc.wait(timeout=60) == 0
             assert proc.stderr.read() == b""
 
+    def test_pipe_closed_mid_output_exits_quietly(self):
+        # The seven-cell catalog CSV is larger than a pipe's buffer, so the
+        # CLI is still writing when the reader closes the pipe after 20 bytes.
+        # The read is unbuffered, or it would drain the pipe; the CLI's stdout
+        # is buffered, as by default: an unbuffered one drops a short write.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+                [sys.executable, "-m", "bcastopt.cli", "schedule",
+                 str(CONFIG_DIR / "seven_cell.cfg"), "--catalog"],
+                bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(env, PYTHONPATH=str(REPO / "src"))) as proc:
+            assert proc.stdout.read(20) == b"i,f_i,p_i,theta_i\n1,"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+
     def test_simulate_report_names_its_stream(self, small_config, capsys):
         # The report's seed is the entropy of the sweep's stream for the
         # point, SeedSequence([seed, round(gamma * 1e6), M, N]); it rebuilds
@@ -901,6 +957,28 @@ class TestCli:
         out.write_text("old\n")
         assert main(["optimize", small_config, "--n", "-1", "-o", str(out)]) == 1
         assert capsys.readouterr().err == "error: user count must be >= 0, got --n -1\n"
+        assert out.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["schedule", "--catalog"], ["simulate"]],
+                             ids=["write-fails", "close-fails"])
+    def test_failed_write_exits_with_one_error_line(self, capsys, argv):
+        # The 2000-row catalog overflows the file's buffer, so its write
+        # fails; the simulation report fits, so the flush at close fails.
+        command, *options = argv
+        config = str(CONFIG_DIR / "single_cell.cfg")
+        assert main([command, config, *options, "-o", "/dev/full"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write output file '/dev/full': {os.strerror(errno.ENOSPC)}\n")
+
+    def test_command_os_error_is_not_relabelled(self, small_config, tmp_path, monkeypatch):
+        def broken(spec):
+            raise OSError(errno.EIO, "injected")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        out = tmp_path / "out.csv"
+        with pytest.raises(OSError, match="injected"):
+            main(["sweep", small_config, "-o", str(out)])
         assert out.read_text() == ""
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):

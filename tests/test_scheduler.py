@@ -12,7 +12,6 @@ from bcastopt.cli import main
 from bcastopt.errors import (
     ConvergenceError,
     InvalidParameterError,
-    InvalidPermutationError,
     PreconditionError,
 )
 from bcastopt.optimizer import (
@@ -53,7 +52,7 @@ class TestCumulativeSizes:
 
     @pytest.mark.parametrize("order", [[0, 0], [0, 2], [0], [1, 2, 0, 1]])
     def test_invalid_permutations_rejected(self, order):
-        with pytest.raises(InvalidPermutationError):
+        with pytest.raises(InvalidParameterError):
             cumulative_sizes(order, [1.0, 1.0])
 
     def test_strictly_increasing_along_order(self):
@@ -406,7 +405,7 @@ class TestScheduleExport:
             [catalog.sizes[0], sched.s[0], sched.weights[0]], rel=1e-11)
 
     def test_schedule_requires_valid_permutation(self):
-        with pytest.raises(InvalidPermutationError):
+        with pytest.raises(InvalidParameterError):
             Schedule(order=np.array([0, 0]), s=np.array([1.0, 2.0]),
                      weights=np.array([1.0, 1.0]))
 
