@@ -3,13 +3,14 @@
 Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
 success, 1 on a configuration error, one of ``errors.POINT_ERRORS`` or
-an output file that cannot be written, 2 on validation failures.
+an output file or stdout that cannot be written, 2 on validation failures.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import ctypes
+import os
 import sys
 from dataclasses import replace
 
@@ -28,19 +29,27 @@ from .scenario import (
 
 
 def _open_output(path: str | None):
-    if path is None or path == "-":
+    if path is None:
         return contextlib.nullcontext(sys.stdout)
     with _unwritable(path):
         return open(path, "w")
 
 
 @contextlib.contextmanager
-def _unwritable(path: str):
-    """A failed open, write or close of the output file is one error line."""
+def _unwritable(path: str | None):
+    """A failed open, write or close of the output file, or write or flush
+    of stdout (``path`` None), is one error line. Stdout is then pointed at
+    the null device, so the exit flush of what it could not take is quiet;
+    a closed pipe there is no error, and main answers it."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from exc
+        if path is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise
+        target = "stdout" if path is None else f"output file {path!r}"
+        raise ConfigError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _apply_overrides(spec, args):
@@ -146,24 +155,21 @@ def main(argv=None) -> int:
         # glibc's M_TRIM_THRESHOLD (-1) at 64 MB: reuse the heap the simulator's
         # blocks free rather than fault it back in (README, "Simulator blocks").
         getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-1, 64 << 20)
+    path = None if args.output in (None, "-") else args.output
     try:
         spec = _apply_overrides(load_spec(args.config), args)
-        with _open_output(args.output) as out:
+        output = _open_output(path)
+        with output as out:
             text, code = args.func(spec, args)
-            if out is sys.stdout:
-                out.write(text)  # a closed pipe raises BrokenPipeError, answered below
-            else:
-                with _unwritable(args.output), out:  # closes the file, so a failed flush is caught
-                    out.write(text)
+            with _unwritable(path), output:  # closes a file, so a failed flush is caught
+                out.write(text)
+                out.flush()  # stdout too, so a full device fails here and not at exit
         return code
     except (ConfigError, *POINT_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; not an error
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
 

@@ -16,8 +16,7 @@ class PreconditionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to converge, or an ascent step
-    lowered the objective it is meant to raise.
+    """The joint ascent did not settle within its iteration limit.
 
     Carries the iterate trace so callers can inspect the trajectory.
     """

@@ -13,8 +13,8 @@ closed-form maximizer: the Smith order for the schedule,
 ``bound_argmax_bandwidth`` for the bandwidth and ``bound_argmax_price``
 for the price. ``joint_optimize`` alternates these three, so no step
 lowers the bound. ``optimal_schedule`` is the Smith order at the
-operating-point price of its own demand moment, a fixed point the
-iteration always reaches because that price stays in [floor, Pu].
+operating-point price of its own demand moment, reached by re-sorting
+while that price rises, which it does at most finitely often.
 Grid-search oracles in the validation suite measure how far each
 approximation sits from the bound's true argmax; the measured gaps are
 reported rather than hidden.
@@ -40,7 +40,6 @@ from .scheduler import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
-DEFAULT_FIXED_POINT_CAP = 1000
 _VALIDITY_MARGIN = 1e-6
 # A bound drop larger than this share of the revenue scale is not rounding.
 _ASCENT_RTOL = 1e-12
@@ -205,40 +204,28 @@ def operating_point(catalog: FileCatalog, cell: CellConfig, schedule: Schedule):
     return bandwidth, price, moment
 
 
-def optimal_schedule(catalog: FileCatalog, cell: CellConfig) -> tuple[Schedule, int]:
+def optimal_schedule(catalog: FileCatalog, cell: CellConfig) -> Schedule:
     """Price-aware scheduler: the Smith order at its own operating price.
 
     The weights w_i = theta_i p_i (1 - (Pu - Pb) f_i) are the Smith
     ratios at the :func:`operating_point` price Pb of the order they
-    generate: the closed-form price of its demand moment S, floored to
-    the bound's validity region. Starting from the suboptimal order,
-    re-sort until the order repeats.
+    generate. From the suboptimal order (the Smith order at Pu/2),
+    re-sort at the current order's price while that price rises.
 
-    The loop ends. With g = Pu - Pb the Smith order minimizes D - g E
-    (:func:`bound_moments`), so a larger g >= 0 gives an order with no
-    smaller E and hence no smaller D = S. The price lies in [floor, Pu]
-    and is non-increasing in S, so g >= 0 is non-decreasing in S and the
-    moments of successive orders move one way; an unchanged moment
-    repeats the price and hence the order. ``DEFAULT_FIXED_POINT_CAP``
-    only guards against near-ties at rounding level: reaching it raises
-    ConvergenceError with the trace of moments.
-
-    Returns (schedule, iterations); the order's moment S is the third
-    value of its :func:`operating_point`.
+    With g = Pu - Pb the Smith order minimizes D - g E
+    (:func:`bound_moments`), so a higher price gives an order with no
+    larger E, hence no larger S = D and no lower operating price: the
+    loop climbs a monotone map from its least point Pu/2 (Tarski, 1955).
+    Its prices are those of finitely many orders and strictly rise, so
+    it ends, at a repeated price: the fixed point. Should rounding make
+    the price fall, the Smith order at the highest price is returned.
     """
+    price = cell.price_unicast / 2.0
     current = suboptimal_schedule(catalog, cell.price_unicast)
-    trace = []
-    for it in range(1, DEFAULT_FIXED_POINT_CAP + 1):
-        _, price, moment = operating_point(catalog, cell, current)
-        trace.append(moment)
-        nxt = smith_schedule(catalog, cell.price_unicast, price)
-        if np.array_equal(nxt.order, current.order):
-            return nxt, it
-        current = nxt
-    raise ConvergenceError(
-        f"price-aware scheduler found no fixed point in {DEFAULT_FIXED_POINT_CAP} iterations",
-        trace=trace,
-    )
+    while (next_price := operating_point(catalog, cell, current)[1]) > price:
+        price = next_price
+        current = smith_schedule(catalog, cell.price_unicast, price)
+    return current
 
 
 def bound_argmax_bandwidth(
@@ -331,13 +318,13 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
 
     The bound is evaluated after every iteration; a drop beyond rounding
     (relative ``_ASCENT_RTOL`` of the larger of the bound and the
-    unicast-only revenue) raises ConvergenceError naming the iteration.
-    Stops when consecutive (bandwidth, price) moves fall below
-    ``DEFAULT_TOL``; raises ConvergenceError after ``DEFAULT_MAX_ITERS``
-    iterations otherwise. Both errors carry the iterate trace
-    of (bandwidth, price, bound) triples. With no users the starting point
-    is returned after 0 iterations: its bound is the unicast-only revenue
-    and its gain 1.
+    unicast-only revenue) breaks that invariant and raises AssertionError
+    naming the iteration and both bounds. Stops when consecutive
+    (bandwidth, price) moves fall below ``DEFAULT_TOL``; raises
+    ConvergenceError, carrying the iterate trace of (bandwidth, price,
+    bound) triples, after ``DEFAULT_MAX_ITERS`` iterations otherwise.
+    With no users the starting point is returned after 0 iterations: its
+    bound is the unicast-only revenue and its gain 1.
     """
     sched = suboptimal_schedule(catalog, cell.price_unicast)
     bandwidth, price, _ = operating_point(catalog, cell, sched)
@@ -353,10 +340,9 @@ def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult
             new_bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
             trace.append((new_bandwidth, new_price, new_bound))
             if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):
-                raise ConvergenceError(
-                    f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}",
-                    trace=trace,
-                )
+                # every step is an exact coordinate maximizer, so a drop is a bug
+                raise AssertionError(
+                    f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}")
             bound = new_bound
             if (
                 bandwidth is not None

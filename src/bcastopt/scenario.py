@@ -4,8 +4,9 @@ the validation battery.
 Config files are flat INI-style text with sections [cell], [catalog],
 [pricing], [sweep], [simulation]. All physical quantities (MHz, seconds,
 MBytes) are mapped to the normalized units the model works in by
-:func:`normalize`; the resulting scheme is serialized next to every
-output so numbers stay reproducible.
+:func:`normalize`. ``sweep --format json`` embeds the resulting scheme
+and ``optimize`` writes it to stderr, so their numbers stay
+reproducible; the other outputs do not carry it.
 """
 from __future__ import annotations
 
@@ -278,7 +279,7 @@ def variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
     if variant == "none":
         return popularity_schedule(catalog)
     if variant == "optimal":
-        return optimal_schedule(catalog, cell)[0]
+        return optimal_schedule(catalog, cell)
     raise ConfigError(f"unknown scheduler variant {variant!r}")
 
 
@@ -418,7 +419,8 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
     A check whose result misses its oracle is a FAIL entry with the
     measured deltas. A computation the model cannot carry out raises
     instead: a ConfigError from ``normalize``, a PayoffDomainError from
-    check 4's simulation, a ConvergenceError from ``joint_optimize``.
+    check 4's simulation, a ConvergenceError if ``joint_optimize`` reaches
+    its iteration limit.
     """
     report = ValidationReport(spec_name=spec.name)
 

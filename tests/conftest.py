@@ -1,5 +1,6 @@
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,3 +165,15 @@ def seven_cell_setup(seven_cell_spec):
     from bcastopt.scenario import normalize
 
     return normalize(seven_cell_spec)
+
+
+@pytest.fixture(scope="session")
+def seven_cell_terminal_point(seven_cell_spec, seven_cell_setup):
+    """The seven-cell sweep's last point (N = 1400) as ``bcastopt simulate``
+    evaluates it: the cell, the sweep row and the simulation report."""
+    from bcastopt.scenario import evaluate_point
+
+    catalog, cell, _ = seven_cell_setup
+    cell = replace(cell, n_users=seven_cell_spec.sweep_users[-1])
+    row, report = evaluate_point(seven_cell_spec, catalog, cell, seven_cell_spec.schedulers[0])
+    return cell, row, report

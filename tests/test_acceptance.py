@@ -297,16 +297,18 @@ def test_criterion_07_price_trajectory(seven_cell_sweep, seven_cell_setup):
     )
 
 
-def test_criterion_07_terminal_gain(seven_cell_sweep):
+def test_criterion_07_terminal_gain(seven_cell_sweep, seven_cell_terminal_point):
     gains = seven_cell_sweep.column("gain_mc", scheduler_variant="suboptimal")
     ns = seven_cell_sweep.column("N", scheduler_variant="suboptimal")
     terminal = gains[ns.index(1400)]
+    _, _, report = seven_cell_terminal_point
     _report(
         "7 (terminal gain)", terminal >= 5.0,
         f"simulated revenue gain at N=1400 is {terminal:.2f} (needs >= 5). "
-        "Eligibility binds, not revenue: 28.7% of users are on broadcast and "
-        "71.3% are unserved, their broadcast payoff below their unicast "
-        "payoff; see README 'Known deviations'.",
+        f"Eligibility binds, not revenue: {100 * report.bc_user_fraction:.1f}% of "
+        f"users are on broadcast and {100 * report.unserved_user_fraction:.1f}% are "
+        "unserved, their broadcast payoff below their unicast payoff; see README "
+        "'Known deviations'.",
     )
 
 

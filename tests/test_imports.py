@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, so a
 deletion leaves no stale import behind; so is every private
 (underscore-prefixed) name it defines, and no module imports another's
-private name. The benchmark's import surface
+private name, and every public UPPER_CASE constant is read somewhere in
+``src``, ``tests`` or ``bench``. The benchmark's import surface
 (``bench/*.py``, read as text) resolves against the package and is
 listed in the README, and so do the functions it traces."""
 import ast
@@ -49,6 +50,38 @@ def test_every_private_definition_is_used(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(private - read) == []
+
+
+def _public_constants():
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (f"{path.stem}.{name.id}" for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)
+                            and name.id.isupper() and not name.id.startswith("_"))
+
+
+def _read_names():
+    # Every name a load or an import reads, across the package, its tests
+    # and the benchmark; an assignment stores its target and reads nothing.
+    read = set()
+    for path in [*MODULES, *sorted((REPO / "tests").glob("*.py")), *BENCH_FILES]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+@pytest.mark.parametrize("constant", sorted(_public_constants()))
+def test_every_public_constant_is_read(constant):
+    # A public knob nothing reads is dead code; so is one that only a test
+    # patches, by its name as a string.
+    assert constant.split(".")[1] in _read_names()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

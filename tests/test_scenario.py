@@ -444,7 +444,7 @@ class TestRunSweep:
         assert gammas == {1.0, 0.5}
 
     def test_readme_deviation_5_numbers_match_the_seven_cell_point(
-            self, seven_cell_spec, seven_cell_setup):
+            self, seven_cell_setup, seven_cell_terminal_point):
         # Every number README deviation 5 quotes, recomputed to its printed
         # digits from the point `bcastopt simulate` evaluates at that N.
         text = (REPO / "README.md").read_text()
@@ -454,14 +454,12 @@ class TestRunSweep:
         def quoted(pattern):
             return re.search(pattern, text).group(1)
 
-        n = int(quoted(r"At N=(\d+) "))
-        assert quoted(r"--n (\d+)`") == str(n)
-        catalog, cell, _ = seven_cell_setup
-        cell = dataclasses.replace(cell, n_users=n)
-        row, report = scenario.evaluate_point(seven_cell_spec, catalog, cell,
-                                              seven_cell_spec.schedulers[0])
+        cell, row, report = seven_cell_terminal_point
+        assert quoted(r"At N=(\d+) ") == quoted(r"--n (\d+)`") == str(cell.n_users)
+        catalog = seven_cell_setup[0]
         price = row["P_b_star"]
-        cap = (price * catalog.mean_size * n + report.uc_revenue) / cell.uc_only_revenue
+        cap = ((price * catalog.mean_size * cell.n_users + report.uc_revenue)
+               / cell.uc_only_revenue)
         for pattern, value in [
             (r"`Pb = ([\d.]+)`", price),
             (r"mean file size is ([\d.]+)\.", catalog.mean_size),
@@ -970,6 +968,29 @@ class TestCli:
         assert main([command, config, *options, "-o", "/dev/full"]) == 1
         assert capsys.readouterr() == (
             "", f"error: cannot write output file '/dev/full': {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "single_cell.cfg", "--n", "10", "--trials", "20"],
+        ["schedule", "seven_cell.cfg", "--catalog"],
+    ], ids=["small", "larger-than-buffer"])
+    def test_failed_stdout_write_exits_with_one_error_line(self, argv, unbuffered):
+        # A small report fails only at the flush, the catalog CSV already in
+        # its write; with or without a buffer, one line and exit status 1.
+        command, config, *options = argv
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bcastopt.cli", command, str(CONFIG_DIR / config),
+                 *options],
+                stdout=full, stderr=subprocess.PIPE, timeout=60,
+                env=dict(env, PYTHONPATH=str(REPO / "src")))
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
     def test_command_os_error_is_not_relabelled(self, small_config, tmp_path, monkeypatch):
         def broken(spec):

@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 
 from bcastopt import optimizer
 from bcastopt.cli import main
-from bcastopt.errors import (
-    ConvergenceError,
-    InvalidParameterError,
-    PreconditionError,
-)
+from bcastopt.errors import InvalidParameterError, PreconditionError
 from bcastopt.optimizer import (
     CellConfig,
     closed_form_price,
@@ -290,6 +286,20 @@ def smith_order_at_own_price(catalog, cell, moment):
     return smith_schedule(catalog, cell.price_unicast, price).order
 
 
+def capped_fixed_point(catalog, cell):
+    """The scheduler's reference: from the suboptimal order, the Smith
+    order at the current order's operating price until the order
+    repeats, at most 1000 times."""
+    current = suboptimal_schedule(catalog, cell.price_unicast)
+    for _ in range(1000):
+        price = operating_point(catalog, cell, current)[1]
+        nxt = smith_schedule(catalog, cell.price_unicast, price)
+        if np.array_equal(nxt.order, current.order):
+            return nxt
+        current = nxt
+    raise AssertionError("no fixed point in 1000 re-sorts")
+
+
 def unfloored_fixed_point(catalog, cell):
     """Smith orders at the closed-form price without the validity floor,
     iterated from the suboptimal order until the order repeats."""
@@ -311,15 +321,14 @@ class TestOptimalSchedule:
         catalog = catalog_from([0.3] * 5, [0.35, 0.25, 0.2, 0.15, 0.05],
                                [2.0, 5.0, 1.0, 7.0, 3.0])
         cell = self._cell()
-        sched, iterations = optimal_schedule(catalog, cell)
-        assert iterations == 1
+        sched = optimal_schedule(catalog, cell)
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
 
     def test_fixed_point_is_self_consistent(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched = optimal_schedule(catalog, cell)[0]
+            sched = optimal_schedule(catalog, cell)
             # re-sorting by the weights computed from the order's moment
             # reproduces the returned order
             resorted = np.argsort(-sched.weights, kind="stable")
@@ -334,32 +343,71 @@ class TestOptimalSchedule:
         shipped, shipped_cell, _ = single_cell_setup
         for catalog, cell in ((catalog, cell),
                               (shipped, replace(shipped_cell, n_users=100_000, slots=1))):
-            sched = optimal_schedule(catalog, cell)[0]
+            sched = optimal_schedule(catalog, cell)
             moment = bound_moments(catalog, sched.s)[0]
             assert closed_form_price(catalog, cell, moment) == cell.price_unicast
             assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
 
     def test_fixed_point_on_high_pressure_draws(self):
         for catalog, cell in high_pressure_instances(2024, 200):
-            sched = optimal_schedule(catalog, cell)[0]
+            sched = optimal_schedule(catalog, cell)
             moment = bound_moments(catalog, sched.s)[0]
             assert np.array_equal(sched.order, smith_order_at_own_price(catalog, cell, moment))
 
-    def test_iteration_cap_raises_with_moment_trace(self, single_cell_setup, monkeypatch):
-        catalog, cell, _ = single_cell_setup
-        cell = replace(cell, n_users=200)
-        assert optimal_schedule(catalog, cell)[1] == 2
-        monkeypatch.setattr(optimizer, "DEFAULT_FIXED_POINT_CAP", 1)
-        with pytest.raises(ConvergenceError, match="no fixed point in 1 iterations") as err:
-            optimal_schedule(catalog, cell)
-        sub = suboptimal_schedule(catalog, cell.price_unicast)
-        assert err.value.trace == [bound_moments(catalog, sub.s)[0]]
+    def test_matches_the_capped_loop_while_the_price_rises(self, request, monkeypatch):
+        # A few hundred draws of the high-pressure generator and the shipped
+        # catalogs at every sweep N and N = 10^4 to 10^6, at T = 1, 3 and 30.
+        instances = [inst for seed in range(1000, 1004)
+                     for inst in high_pressure_instances(seed, 75)]
+        for setup in ("single_cell", "seven_cell"):
+            spec = request.getfixturevalue(f"{setup}_spec")
+            catalog, cell0, _ = request.getfixturevalue(f"{setup}_setup")
+            instances += [(catalog, replace(cell0, n_users=n, slots=t))
+                          for n in (*spec.sweep_users, 10**4, 10**5, 10**6)
+                          for t in (1, 3, 30)]
+        prices = []
+
+        def spy(catalog, cell, schedule):
+            point = operating_point(catalog, cell, schedule)
+            prices.append(point[1])
+            return point
+
+        monkeypatch.setattr(optimizer, "operating_point", spy)
+        for catalog, cell in instances:
+            prices[:] = [cell.price_unicast / 2.0]
+            sched = optimal_schedule(catalog, cell)
+            reference = capped_fixed_point(catalog, cell)
+            for field in ("order", "s", "weights"):
+                assert np.array_equal(getattr(sched, field), getattr(reference, field))
+            # each re-sort raises the price, and the last one repeats it
+            assert all(a < b for a, b in zip(prices[:-2], prices[1:-1]))
+            assert prices[-1] == prices[-2]
+
+    def test_falling_price_returns_the_order_at_the_highest_price(self, monkeypatch):
+        # The order of the two files flips between the last two prices, so
+        # the result tells the highest price from the last one.
+        catalog = catalog_from([0.9, 0.1], [0.6, 0.4], [1.0 / 0.6, 1.1])
+        cell = self._cell(price=2.0)
+        prices = iter([1.2, 1.4, 1.3])
+        calls = []
+
+        def rising_twice_then_falling(catalog, cell, schedule):
+            calls.append(schedule)
+            return 1.0, next(prices), 1.0
+
+        monkeypatch.setattr(optimizer, "operating_point", rising_twice_then_falling)
+        sched = optimal_schedule(catalog, cell)
+        assert len(calls) == 3
+        highest = smith_schedule(catalog, 2.0, 1.4)
+        for field in ("order", "s", "weights"):
+            assert np.array_equal(getattr(sched, field), getattr(highest, field))
+        assert not np.array_equal(sched.order, smith_schedule(catalog, 2.0, 1.3).order)
 
     def test_no_worse_than_suboptimal_at_its_own_price(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            sched = optimal_schedule(catalog, cell)[0]
+            sched = optimal_schedule(catalog, cell)
             price = operating_point(catalog, cell, sched)[1]
             sub = suboptimal_schedule(catalog, cell.price_unicast)
             cost_opt = smith_cost(sched.order, catalog, cell.price_unicast, price)
@@ -372,7 +420,7 @@ class TestOptimalSchedule:
         catalog, cell0, _ = request.getfixturevalue(f"{setup}_setup")
         for n in spec.sweep_users:
             cell = replace(cell0, n_users=n)
-            sched = optimal_schedule(catalog, cell)[0]
+            sched = optimal_schedule(catalog, cell)
             bandwidth, price, _ = operating_point(catalog, cell, sched)
             assert np.array_equal(
                 sched.order, smith_schedule(catalog, cell.price_unicast, price).order)
@@ -386,7 +434,7 @@ class TestOptimalSchedule:
     def test_zero_users_reduces_to_suboptimal(self):
         catalog = catalog_from([0.3, 0.2], [0.7, 0.3], [2.0, 3.0])
         cell = self._cell(n_users=0)
-        sched = optimal_schedule(catalog, cell)[0]
+        sched = optimal_schedule(catalog, cell)
         assert np.array_equal(sched.order, suboptimal_schedule(catalog, 2.6).order)
 
 
