@@ -1,5 +1,7 @@
-"""Per-user payoffs, the unicast grants, and the Monte Carlo revenue
-estimator.
+"""Per-user payoffs, the unicast grants, and two Monte Carlo estimators of
+the same expected revenue: the full simulator, and one that computes the
+eligible users' share exactly and samples only the unicast grants that
+can take some of them.
 
 A user's payoff grows with file size, falls logarithmically with the
 delay beyond their threshold, and falls linearly with the bill. The
@@ -24,6 +26,10 @@ from .errors import InvalidParameterError, PayoffDomainError
 # (k, N) temporary is then 64 KiB, under the 128 KiB mmap threshold that cli.main's
 # mallopt pins, so blocks reuse the heap (README, "Simulator blocks").
 _BLOCK_USER_TRIALS = 2 ** 13
+_U_MAX = 1.0 - 2.0 ** -53  # Generator.random's largest value
+# Below t*, the band of eligibility thresholds within rounding of t*, relative to the
+# scale of the terms t* is computed from (payoff_guarantee_gaps).
+_T_STAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,73 @@ def _thresholds(catalog, files, u):
     return lo[files] + (catalog.delay_hi - lo)[files] * u
 
 
+def _broadcast_delay(catalog, bc_bandwidth, schedule) -> np.ndarray:
+    """Each file's broadcast completion delay s_i/(Wb*rb), after the payoff
+    domain check that both revenue estimators and the guarantee check make
+    before anything else.
+
+    Both delay terms f_i/r - t and s_i/(Wb*rb) - t of every file with
+    p_i > 0 are checked at the fastest rate of positive probability and the
+    largest threshold a draw can give, at u = 1 - 2**-53. Rounding is
+    monotone, so every drawn term is at least the checked one: a
+    PayoffDomainError naming the file is raised exactly when some draw
+    could leave the payoff's domain. With Wb = 0 the queue never
+    completes, and the delay is inf.
+    """
+    with np.errstate(divide="ignore"):
+        bc_delay = schedule.s / (bc_bandwidth * catalog.rate_model.r_low)
+    t_max = _thresholds(catalog, ..., _U_MAX)
+    top_rate = fastest_rate(catalog.rate_model)
+    requested = catalog.popularity > 0
+    for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
+        term = delay - t_max
+        bad = np.flatnonzero(requested & (term <= 0))
+        if bad.size:
+            i = bad[0]
+            raise PayoffDomainError(
+                f"file {i + 1}: delay term non-positive at the largest threshold: "
+                f"{name} - threshold = {float(term[i])!r}"
+            )
+    return bc_delay
+
+
+def _rate_classes(model):
+    """The rates a user can draw, as a column (r_high, r_low), and their
+    probabilities: row 0 is the class of a rate uniform below ``prob_high``."""
+    return (np.array([[model.r_high], [model.r_low]]),
+            np.array([model.prob_high, 1.0 - model.prob_high]))
+
+
+def eligibility_threshold(catalog, prices: PricePair, bc_delay) -> np.ndarray:
+    """The largest threshold t* at which a user is eligible for broadcast,
+    per rate class (rows r_high, r_low) and file (columns).
+
+    A user of file i at rate r with threshold t is eligible when their
+    broadcast payoff is at least their unicast payoff. With g = (Pu - Pb) f_i
+    and a = s_i/(Wb*rb) = ``bc_delay[i]``, that is exactly t <= t* =
+    (f_i/r - e^-g a)/(1 - e^-g) for g > 0. At g = 0 the threshold cancels:
+    t* is inf when f_i/r >= a and -inf otherwise. With Wb = 0 (a = inf)
+    nobody is eligible, t* = -inf.
+    """
+    rates, _ = _rate_classes(catalog.rate_model)
+    download = catalog.sizes / rates
+    g = (prices.unicast - prices.broadcast) * catalog.sizes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(g > 0, (download - np.exp(-g) * bc_delay) / -np.expm1(-g),
+                          np.where(download >= bc_delay, np.inf, -np.inf))
+    return np.where(bc_delay < np.inf, t_star, -np.inf)
+
+
+def _eligible_share(catalog, t_star) -> np.ndarray:
+    """q = P(t <= t*) per class: clip((t* - lo)/(hi - lo), 0, 1) for the
+    uniform threshold, and 1[t* >= lo] for a point mass (lo = hi)."""
+    lo, hi = catalog.delay_lo, catalog.delay_hi
+    span = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.clip((t_star - lo) / span, 0.0, 1.0)
+    return np.where(span > 0, share, t_star >= lo)
+
+
 def _draw_block(gen, popularity, proc_order, ufile, u):
     """Fill one block's draws in :func:`simulate_revenue`'s stream order:
     trial j's users' files (in ``proc_order``) into ``ufile[j]``, then
@@ -169,6 +242,15 @@ def _evaluate_block(catalog, prices, bc_delay, uc_pool, uc_revenue, ufile, u, st
     ])
 
 
+def _check_arguments(cell, bc_bandwidth, trials):
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if not (0.0 <= bc_bandwidth <= cell.bandwidth):
+        raise InvalidParameterError(
+            f"broadcast bandwidth must lie in [0, W], got {bc_bandwidth}"
+        )
+
+
 def simulate_revenue(
     catalog: FileCatalog,
     cell,
@@ -198,12 +280,9 @@ def simulate_revenue(
     one call. A report thus depends on the seed and N, not on the blocks.
     The unrequested-file count is its exact mean sum_i (1 - p_i)^N.
 
-    Before any draw, both delay terms f_i/r - t and s_i/(Wb*rb) - t of
-    every file with p_i > 0 are checked at the fastest rate of positive
-    probability and the largest threshold a draw can give, u = 1 - 2**-53.
-    Rounding is monotone, so every drawn term is at least the checked one:
-    a PayoffDomainError naming the file is raised exactly when some draw
-    could leave the payoff's domain, for every seed and trial count.
+    Before any draw, :func:`_broadcast_delay` checks the payoff domain: a
+    PayoffDomainError naming the file is raised exactly when some draw
+    could leave it, for every seed and trial count.
 
     Trials run in consecutive blocks of k = max(1, 2**13 // N):
     :func:`_draw_block` makes a block's draws and :func:`_evaluate_block`
@@ -215,12 +294,7 @@ def simulate_revenue(
     fraction enter the payoff (realized rate) means. A user on broadcast
     below their unicast payoff raises AssertionError.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if not (0.0 <= bc_bandwidth <= cell.bandwidth):
-        raise InvalidParameterError(
-            f"broadcast bandwidth must lie in [0, W], got {bc_bandwidth}"
-        )
+    _check_arguments(cell, bc_bandwidth, trials)
     n_users = cell.n_users
     uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
     uc_pool = (cell.bandwidth - bc_bandwidth) * cell.slots
@@ -243,24 +317,7 @@ def simulate_revenue(
         )
 
     proc_order = np.argsort(-catalog.popularity, kind="stable")
-    with np.errstate(divide="ignore"):
-        # With no broadcast bandwidth the queue never completes: delay inf.
-        bc_delay = schedule.s / (bc_bandwidth * catalog.rate_model.r_low)
-    # The domain check: the threshold at Generator.random's largest value,
-    # and the fastest rate of positive probability.
-    t_max = _thresholds(catalog, ..., 1.0 - 2.0 ** -53)
-    top_rate = fastest_rate(catalog.rate_model)
-    requested = catalog.popularity > 0
-    for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
-        term = delay - t_max
-        bad = np.flatnonzero(requested & (term <= 0))
-        if bad.size:
-            i = bad[0]
-            raise PayoffDomainError(
-                f"file {i + 1}: delay term non-positive at the largest threshold: "
-                f"{name} - threshold = {float(term[i])!r}"
-            )
-
+    bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
     stats = np.empty((6, trials))
     shortfall_trials = 0
     gen = np.random.default_rng(seed)
@@ -307,3 +364,152 @@ def simulate_revenue(
         unrequested_scheduled_mean=unrequested,
         bc_rate_realized_mean=mean_rate,
     )
+
+
+def payoff_guarantee_gaps(catalog: FileCatalog, prices: PricePair, bc_bandwidth: float,
+                          schedule) -> np.ndarray:
+    """Broadcast minus unicast payoff of each class's worst eligible user.
+
+    A class is a (rate, file) pair with P(r) > 0, p_i > 0 and an eligible
+    share q > 0 (see :func:`eligibility_threshold`). Where eligibility is
+    partial (lo < t* < hi), the broadcast delay exceeds the download time,
+    so the payoff gap falls as the threshold grows, and the class's worst
+    eligible user has the marginal threshold. Each gap is evaluated with
+    :func:`_payoff` at min(t*, t_max). t_max is the largest threshold a
+    draw can give, where :func:`_broadcast_delay` (which raises
+    PayoffDomainError first) has checked both delay terms. t* is taken
+    ``_T_STAR_RTOL`` * (f/r + e^-g a)/(1 - e^-g) lower: t* is the rounded
+    difference of those two terms over 1 - e^-g, so its error is a few
+    ulps of that scale, and the payoffs of a user within it of t* tie to
+    rounding. Every gap is >= 0 exactly when the closed-form eligibility
+    puts no user beyond that rounding on broadcast below their unicast
+    payoff.
+    """
+    bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
+    rates, rate_prob = _rate_classes(catalog.rate_model)
+    t_star = eligibility_threshold(catalog, prices, bc_delay)
+    classes = ((rate_prob[:, None] > 0) & (catalog.popularity > 0)
+               & (_eligible_share(catalog, t_star) > 0))
+    f = catalog.sizes
+    download = f / rates
+    with np.errstate(divide="ignore", invalid="ignore"):  # outside the classes only
+        g = (prices.unicast - prices.broadcast) * f
+        scale = (download + np.exp(-g) * bc_delay) / -np.expm1(-g)
+        t = np.where(np.isfinite(t_star), t_star - _T_STAR_RTOL * scale, t_star)
+        t = np.minimum(t, _thresholds(catalog, ..., _U_MAX))
+        gap = (_payoff(f, bc_delay - t, prices.broadcast)
+               - _payoff(f, download - t, prices.unicast))
+    return gap[classes]
+
+
+@dataclass(frozen=True)
+class RevenueEstimate:
+    """Expected realized revenue E[R] = E[Y] + E[R - Y] (:func:`expected_revenue`).
+
+    ``expected_y`` is exact; ``residual_mean`` and ``residual_stderr``
+    estimate E[R - Y] from ``files_visited`` files' users. A certified point
+    visits no file, and its residual and standard error are exactly 0.
+    """
+
+    expected_y: float
+    residual_mean: float
+    residual_stderr: float
+    files_visited: int
+
+    @property
+    def revenue_mean(self) -> float:
+        return self.expected_y + self.residual_mean
+
+
+def _file_counts(gen, n_users: int, trials: int, popularity):
+    """Each file's user counts in ``trials`` multinomial(``n_users``,
+    ``popularity``) draws, yielded file by file in the given order as
+    conditional binomials Bin(n_left, p_j / sum_{i >= j} p_i) (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. XI). The last file of
+    positive popularity takes every user left."""
+    tail = np.cumsum(popularity[::-1])[::-1]
+    share = np.divide(popularity, tail, out=np.zeros_like(tail), where=tail > 0)
+    left = np.full(trials, n_users)
+    for p in np.minimum(share, 1.0):
+        count = gen.binomial(left, p)
+        left -= count
+        yield count
+
+
+def expected_revenue(
+    catalog: FileCatalog,
+    cell,
+    prices: PricePair,
+    bc_bandwidth: float,
+    schedule,
+    trials: int,
+    seed=None,
+) -> RevenueEstimate:
+    """Estimate :func:`simulate_revenue`'s expected revenue by conditional
+    Monte Carlo (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V).
+
+    Let Y = Pu (W - Wb) T + Pb sum_{eligible} f, the revenue if no eligible
+    user were granted unicast. Eligibility depends on the user's own file,
+    rate and threshold only, so E[Y] = Pu (W - Wb) T + Pb N sum_i p_i f_i
+    sum_r P(r) q_i(r) exactly, with q from :func:`eligibility_threshold`.
+    The residual R - Y = -Pb sum_{eligible and granted} f needs only users
+    who can be granted, that is whose demand d = ceil(f/r) fits floor(pool).
+    When no (rate, file) class is both eligible (q > 0) and fitting, R = Y
+    in every trial: the point is certified and nothing is drawn.
+
+    Otherwise the residual is sampled, vectorized over trials, from
+    ``default_rng(seed)``. Files are visited in processing order up to K,
+    the last one with an eligible and fitting class. Each file's user count
+    comes from :func:`_file_counts`; each of its users draws a rate uniform,
+    then an eligibility uniform (eligible below q). A user is granted when
+    d <= l, the pool left, which then loses d. A trial leaves a file when l
+    is below the file's smallest demand or its users run out, and the loop
+    stops once every trial's l is below every demand left among files <= K.
+    The standard error is the residual's alone. Arguments are checked as
+    :func:`simulate_revenue` checks them, and with N = 0 the exact unicast
+    term is returned, as there.
+    """
+    _check_arguments(cell, bc_bandwidth, trials)
+    uc_revenue = prices.unicast * (cell.bandwidth - bc_bandwidth) * cell.slots
+    pool = np.floor((cell.bandwidth - bc_bandwidth) * cell.slots)
+    n_users = cell.n_users
+    if n_users == 0:
+        return RevenueEstimate(uc_revenue, 0.0, 0.0, 0)
+
+    bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
+    rates, rate_prob = _rate_classes(catalog.rate_model)
+    share = _eligible_share(catalog, eligibility_threshold(catalog, prices, bc_delay))
+    sizes, popularity = catalog.sizes, catalog.popularity
+    expected_y = uc_revenue + prices.broadcast * n_users * float(
+        (popularity * sizes) @ (rate_prob @ share))
+
+    proc_order = np.argsort(-popularity, kind="stable")
+    demand = np.ceil(sizes / rates)
+    possible = (rate_prob[:, None] > 0) & (popularity > 0)
+    smallest = np.where(possible, demand, np.inf).min(axis=0)[proc_order]
+    hits = np.flatnonzero((possible & (share > 0) & (demand <= pool)).any(axis=0)[proc_order])
+    if not hits.size:
+        return RevenueEstimate(expected_y, 0.0, 0.0, 0)
+    last = hits[-1]
+    reach = np.minimum.accumulate(smallest[last::-1])[::-1]  # smallest demand left
+
+    gen = np.random.default_rng(seed)
+    counts = _file_counts(gen, n_users, trials, popularity[proc_order])
+    left = np.full(trials, pool)
+    residual = np.zeros(trials)
+    visited = 0
+    for pos, i in enumerate(proc_order[:last + 1]):
+        if not (left >= reach[pos]).any():
+            break
+        visited += 1
+        count = next(counts)
+        while (active := (count > 0) & (left >= smallest[pos])).any():
+            row = (gen.random(trials) >= catalog.rate_model.prob_high).astype(np.intp)
+            need = demand[row, i]
+            granted = active & (need <= left)
+            left -= np.where(granted, need, 0.0)
+            eligible = gen.random(trials) < share[row, i]
+            residual -= np.where(granted & eligible, prices.broadcast * sizes[i], 0.0)
+            count -= active
+    stderr = float(residual.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return RevenueEstimate(expected_y, float(residual.mean()), stderr, visited)

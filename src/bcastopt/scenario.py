@@ -32,7 +32,13 @@ from .optimizer import (
     price_validity_floor,
     revenue_gain,
 )
-from .payoff import PricePair, SimulationReport, simulate_revenue
+from .payoff import (
+    PricePair,
+    SimulationReport,
+    expected_revenue,
+    payoff_guarantee_gaps,
+    simulate_revenue,
+)
 from .scheduler import (
     brute_force_best_order,
     popularity_schedule,
@@ -414,13 +420,21 @@ def _grid_check(report: ValidationReport, check: str, closed_form: float, bound_
 
 def run_validation(spec: ExperimentSpec) -> ValidationReport:
     """Oracle battery: brute-force scheduling, grid-search optima,
-    fixed-point residuals, and the Monte Carlo bound check.
+    fixed-point residuals, the bound against expected revenue, and the
+    payoff guarantee.
+
+    Check 4 compares the bound with E[R] from ``payoff.expected_revenue``:
+    the exact E[Y] plus a residual sampled only from the users who can
+    still be granted unicast, with 3 standard errors of slack; a certified
+    point draws nothing and its standard error is 0. Check 5 is exact and
+    draws nothing: ``payoff.payoff_guarantee_gaps`` evaluates each eligible
+    (rate, file) class's worst eligible user, and a negative gap FAILs.
 
     A check whose result misses its oracle is a FAIL entry with the
     measured deltas. A computation the model cannot carry out raises
-    instead: a ConfigError from ``normalize``, a PayoffDomainError from
-    check 4's simulation, a ConvergenceError if ``joint_optimize`` reaches
-    its iteration limit.
+    instead: a ConfigError from ``normalize``, a PayoffDomainError from the
+    domain check of check 4 or 5, a ConvergenceError if ``joint_optimize``
+    reaches its iteration limit.
     """
     report = ValidationReport(spec_name=spec.name)
 
@@ -469,19 +483,14 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
         report.add("fixed_point_consistency", "FAIL",
                    f"residuals ({res_w:.2e}, {res_p:.2e}) exceed 1e-9")
 
-    # 4. Monte Carlo revenue vs the analytic bound, at the raw closed-form
-    #    price (skipped when the bound hypothesis fails there; the
-    #    simulation then runs at the floored price for check 5).
+    # 4. Expected revenue vs the analytic bound, at the raw closed-form
+    #    price (skipped when the bound hypothesis fails there; check 5 then
+    #    takes the floored price).
     try:
         bound = lower_bound_revenue(catalog, cell, raw_price, bandwidth, sched)
     except PreconditionError:
         bound = None
-    mc = simulate_revenue(
-        catalog, cell, PricePair(cell.price_unicast, price if bound is None else raw_price),
-        bandwidth, sched,
-        trials=max(400, min(spec.trials, 2000)),
-        seed=np.random.SeedSequence([spec.seed, 0xA11D]),
-    )
+    prices = PricePair(cell.price_unicast, price if bound is None else raw_price)
     if bound is None:
         excess = (cell.price_unicast - raw_price) * catalog.sizes.max()
         report.add(
@@ -490,18 +499,26 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
             f"closed-form price {raw_price:.4g}; bound undefined there",
         )
     else:
-        slack = mc.revenue_mean + 3.0 * mc.revenue_stderr - bound
+        est = expected_revenue(catalog, cell, prices, bandwidth, sched,
+                               trials=max(400, min(spec.trials, 2000)),
+                               seed=np.random.SeedSequence([spec.seed, 0xA11D]))
+        slack = est.revenue_mean + 3.0 * est.residual_stderr - bound
         report.add(
             "lower_bound_mc",
             "PASS" if slack >= 0 else "FAIL",
-            f"MC revenue {mc.revenue_mean:.6g} (+3se) vs bound {bound:.6g} "
-            f"(slack {slack:.4g})",
+            f"E[R] {est.revenue_mean:.6g} = exact E[Y] {est.expected_y:.6g} + residual "
+            f"{est.residual_mean:.4g} (se {est.residual_stderr:.2g}, {est.files_visited} "
+            f"files sampled) vs bound {bound:.6g} (slack {slack:.4g} at +3se)",
         )
 
-    # 5. Policy payoff guarantee.
+    # 5. Policy payoff guarantee, exact: each eligible class's worst user.
+    gaps = payoff_guarantee_gaps(catalog, prices, bandwidth, sched)
+    broken = int(np.count_nonzero(gaps < 0))
+    smallest = f"; smallest gap {gaps.min():.4g}" if gaps.size else ""
     report.add(
         "payoff_guarantee",
-        "PASS" if mc.payoff_guarantee_violations == 0 else "FAIL",
-        f"{mc.payoff_guarantee_violations} violations in {mc.trials} trials",
+        "FAIL" if broken else "PASS",
+        f"{broken} of {gaps.size} eligible (rate, file) classes below their unicast "
+        f"payoff at the marginal threshold{smallest}",
     )
     return report

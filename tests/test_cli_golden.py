@@ -43,8 +43,16 @@ sweep row's at the same N. ``seed`` became ``[99251, 1000000, 2000,
 100]``, and the draws changed, so the simulated means, standard errors
 and fractions moved within their sampling error (``revenue_mean`` by
 z = 1.35 single-cell and 1.39 seven-cell). The other 15 digests did not
-move. A change that alters the output on purpose updates them and says
-why in CHANGES.md.
+move.
+
+The four ``validate`` and ``validate-text`` digests were re-recorded when
+check 4 began to compare the bound with E[R] as the exact E[Y] plus a
+residual sampled only from the users who can still be granted unicast
+(``payoff.expected_revenue``), instead of a full simulation, and check 5
+became the exact per-class check ``payoff.payoff_guarantee_gaps`` instead
+of a count of simulated violations. Only those two lines moved; the exit
+codes and the other 13 digests did not. A change that alters the output
+on purpose updates them and says why in CHANGES.md.
 """
 import hashlib
 import warnings
@@ -59,15 +67,15 @@ GOLDEN = {
     ("single_cell", "sweep"): (
         0, "6eeeb1fa3820750872255c567c43da511b59cc109ad0876ec4fbbdc8a102dc6a"),
     ("single_cell", "validate"): (
-        2, "4e66850659e378e00a6248a279e5d71fbfc3af9f0e76be8cdc857ce9da046150"),
+        2, "a65976e33f4b55f503db3a9420358c745954e6552280a67ff659af2cffbc01cc"),
     ("seven_cell", "sweep"): (
         0, "444563a998e0e8447d4aec4725b82dc40c0f3cc7024c5140ad7a6f0fa49ff7d3"),
     ("seven_cell", "validate"): (
-        0, "0c17693b524e6039fe3d5d46c1873c4352749d2bf98e5d0b2b3bc78fbd16c20a"),
+        0, "a68e7ec3bf3b6ed78fbdfdc399379847fc8a1146a053e761f24b186ba88ccf03"),
     ("single_cell", "validate-text"): (
-        2, "20832737936da36d98a0ead5d5b6a712c91ab222aa1584c1320d69dcc53d3da8"),
+        2, "b04b46db564d6e1632f456e8836615767f85a6a833f09d597fba1f6553a8811f"),
     ("seven_cell", "validate-text"): (
-        0, "584abf72b2d8f5402cd2b743228c23badc95a99959e1a3ffee59b2a72809a469"),
+        0, "3269e859a74dd446f979a66e36e3e2f96548368b77d1a6204f6c6613796ff675"),
     ("single_cell", "simulate"): (
         0, "fa3c965cddf63561630ac9d4f6853f0a3aa23430ba3a999e8be2a811399e1269"),
     ("seven_cell", "simulate"): (

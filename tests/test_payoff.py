@@ -627,7 +627,8 @@ class TestSimulateBlocks:
                                              ("seven_cell_setup", 700)])
 def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
     # A user is eligible (payoff_bc >= payoff_uc) exactly when their threshold
-    # t <= t* = (f/r - e^-g a)/(1 - e^-g), g = (Pu - Pb) f, a = s/(Wb rb).
+    # t <= t* = (f/r - e^-g a)/(1 - e^-g), g = (Pu - Pb) f, a = s/(Wb rb):
+    # t* is read from payoff.eligibility_threshold's (rate, file) table.
     # Users with t within rounding of t* are counted apart, not passed.
     catalog, cell, _ = request.getfixturevalue(setup)
     cell = dataclasses.replace(cell, n_users=n_users)
@@ -648,7 +649,8 @@ def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
                 >= payoff._payoff(f, f / rate - t, prices.unicast))
     g = (prices.unicast - prices.broadcast) * f
     assert g.min() > 0
-    t_star = (f / rate - np.exp(-g) * a) / -np.expm1(-g)
+    row = (u[:, 0] >= catalog.rate_model.prob_high).astype(np.intp)  # 0: r_high
+    t_star = payoff.eligibility_threshold(catalog, prices, bc_delay)[row, ufile]
     scale = (f / rate + np.exp(-g) * a) / -np.expm1(-g)
     near = np.abs(t - t_star) <= 1e-9 * scale
     below = t <= t_star

@@ -528,13 +528,14 @@ class TestRunValidation:
 
     def test_skipped_report_is_byte_stable(self, small_spec):
         # SHA-256 of both renderings of the SKIPPED report above, which no
-        # shipped config reaches; recorded before check 4 was rewritten.
+        # shipped config reaches; re-recorded when check 5 became the exact
+        # per-class payoff check (its detail line is the only change).
         report = run_validation(small_spec)
         digests = [hashlib.sha256(text.encode()).hexdigest()
                    for text in (report.to_text(), report.to_json())]
         assert digests == [
-            "1e7965bd4adf17fae752d501e30dca2cb64e37748470911f68a0eb1fc7cb0655",
-            "d370ae050eb7ff907dbdcea2b88cd46d95b373049c3d771a962571eed39a4793",
+            "e498ede28f2faa71c6bfaf184313ff69d2783c8c5d15a74c7affef847090b154",
+            "66b52e6436e7d45846fa1600778050507c75f513fb14b0e9d65b957d9ee438a6",
         ]
 
     def test_smith_above_the_oracle_minimum_fails(self, small_spec, monkeypatch):
@@ -559,6 +560,27 @@ class TestRunValidation:
         assert entry == {"check": "fixed_point_consistency", "status": "FAIL",
                          "detail": "residuals (2.00e-09, 0.00e+00) exceed 1e-9"}
         assert not report.all_passed
+
+    def test_shifted_eligibility_threshold_fails_the_payoff_guarantee(self, capsys,
+                                                                      monkeypatch):
+        # A t* 50 slots too high calls users eligible whose broadcast payoff
+        # is below their unicast payoff; check 5 finds them at the classes'
+        # marginal thresholds.
+        path = str(CONFIG_DIR / "single_cell.cfg")
+
+        def validate():
+            code = main(["validate", path, "--format", "json"])
+            entries = json.loads(capsys.readouterr().out)["entries"]
+            return code, next(e for e in entries if e["check"] == "payoff_guarantee")
+
+        assert validate()[1]["status"] == "PASS"
+        real = payoff.eligibility_threshold
+        monkeypatch.setattr(payoff, "eligibility_threshold", lambda *args: real(*args) + 50.0)
+        code, entry = validate()
+        assert (code, entry["status"]) == (2, "FAIL")
+        broken, total = map(int, re.match(r"(\d+) of (\d+) eligible", entry["detail"]).groups())
+        assert 0 < broken <= total
+        assert "; smallest gap -" in entry["detail"]
 
     def test_text_rendering(self, small_spec):
         report = run_validation(small_spec)
@@ -889,14 +911,32 @@ class TestCli:
 
     def test_validate_payoff_domain_error_exits_with_one_error_line(self, slow_users_config,
                                                                     capsys):
-        # Check 4 simulates at the largest user count, whose payoff domain
-        # fails: validate reports no FAIL entry but the error.
+        # Check 4 estimates the revenue at the largest user count, whose
+        # payoff domain fails: validate reports no FAIL entry but the error.
         assert main(["validate", slow_users_config]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: file ")
         assert "at the largest threshold: s/(Wb*rb) - threshold = -" in line
+
+    def test_validate_payoff_domain_error_without_check_4(self, slow_users_config, capsys,
+                                                         monkeypatch):
+        # With the bound undefined, check 4 is skipped and check 5 meets the
+        # domain error at the floored price: the same one line.
+        assert main(["validate", slow_users_config]) == 1
+        line = capsys.readouterr().err
+        real = scenario.lower_bound_revenue
+
+        def undefined_at_a_point(catalog, cell, price, bandwidth, schedule):
+            if np.ndim(price) == np.ndim(bandwidth) == 0:  # check 4's one call
+                raise PreconditionError("injected")
+            return real(catalog, cell, price, bandwidth, schedule)
+
+        monkeypatch.setattr(scenario, "lower_bound_revenue", undefined_at_a_point)
+        monkeypatch.setattr(scenario, "expected_revenue", None)  # not called
+        assert main(["validate", slow_users_config]) == 1
+        assert capsys.readouterr() == ("", line)
 
     def test_sweep_records_domain_errors_in_the_same_rows_at_two_seeds(self, slow_users_config,
                                                                        capsys):
