@@ -2,8 +2,9 @@
 
 Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
-success, 1 on a configuration error, one of ``errors.POINT_ERRORS`` or
-an output file or stdout that cannot be written, 2 on validation failures.
+success, 1 on a configuration error, a payoff-domain error (the one
+member of ``errors.POINT_ERRORS``) or an output file or stdout that
+cannot be written, 2 on validation failures.
 """
 from __future__ import annotations
 

@@ -15,21 +15,12 @@ class PreconditionError(ValueError):
     delay-sensitivity condition or the revenue-bound hypothesis)."""
 
 
-class ConvergenceError(RuntimeError):
-    """The joint ascent did not settle within its iteration limit.
-
-    Carries the iterate trace so callers can inspect the trajectory.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
-
-
 class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
 
 
-# The failures a run of a valid config may meet: a sweep records them in the
-# point's error column, every other command exits 1. Anything else is a bug.
-POINT_ERRORS = (ConvergenceError, PayoffDomainError)
+# The failures a run of a valid config may meet, that is, a draw that could
+# leave a payoff's domain: a sweep records it in the point's error column,
+# every other command exits 1. Anything else is a bug; the joint ascent
+# always ends, so it adds none.
+POINT_ERRORS = (PayoffDomainError,)

@@ -11,8 +11,9 @@ Smith cost. The closed-form bandwidth/price optima are one-shot
 approximations. Along each of its coordinates the bound has a
 closed-form maximizer: the Smith order for the schedule,
 ``bound_argmax_bandwidth`` for the bandwidth and ``bound_argmax_price``
-for the price. ``joint_optimize`` alternates these three, so no step
-lowers the bound. ``optimal_schedule`` is the Smith order at the
+for the price. ``joint_optimize`` alternates these three while the
+bound rises, so no step lowers it, and stops at the first step that does
+not raise it. ``optimal_schedule`` is the Smith order at the
 operating-point price of its own demand moment, reached by re-sorting
 while that price rises, which it does at most finitely often.
 Grid-search oracles in the validation suite measure how far each
@@ -29,7 +30,7 @@ import numpy as np
 
 from .channel import unicast_rate
 from .demand import FileCatalog
-from .errors import ConvergenceError, InvalidParameterError, PreconditionError
+from .errors import InvalidParameterError, PreconditionError
 from .scheduler import (
     Schedule,
     bound_moments,
@@ -38,8 +39,6 @@ from .scheduler import (
     suboptimal_schedule,
 )
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 500
 _VALIDITY_MARGIN = 1e-6
 # A bound drop larger than this share of the revenue scale is not rounding.
 _ASCENT_RTOL = 1e-12
@@ -308,55 +307,42 @@ def fixed_point_residuals(
 def joint_optimize(catalog: FileCatalog, cell: CellConfig) -> OptimizationResult:
     """Block-coordinate ascent of the bound over {schedule, bandwidth, price}.
 
-    Each iteration takes the bound's exact maximizer along one coordinate
-    at a time: the Smith order at the current price, then
+    Each step takes the bound's exact maximizer along one coordinate at a
+    time: the Smith order at the current price, then
     :func:`bound_argmax_bandwidth`, then :func:`bound_argmax_price`. The
     price box is [:func:`price_validity_floor`, Pu] so the bound stays
     defined and the price never leaves its admissible range. The ascent
     starts from the :func:`operating_point` of the suboptimal schedule,
     so the result's bound is never below that point's.
 
-    The bound is evaluated after every iteration; a drop beyond rounding
+    It steps while the bound rises and returns the iterate of the first
+    step that does not raise it; ``iterations`` counts the steps, that
+    last one included. Every earlier step raised the bound to a strictly
+    larger double, and the bound stays below Pu N F + Pu W T, so the
+    loop ends. Its limit is coordinatewise (Tseng, JOTA 2001), not
+    necessarily the bound's global maximum. A drop beyond rounding
     (relative ``_ASCENT_RTOL`` of the larger of the bound and the
-    unicast-only revenue) breaks that invariant and raises AssertionError
-    naming the iteration and both bounds. Stops when consecutive
-    (bandwidth, price) moves fall below ``DEFAULT_TOL``; raises
-    ConvergenceError, carrying the iterate trace of (bandwidth, price,
-    bound) triples, after ``DEFAULT_MAX_ITERS`` iterations otherwise.
-    With no users the starting point is returned after 0 iterations: its
-    bound is the unicast-only revenue and its gain 1.
+    unicast-only revenue) breaks the ascent's invariant and raises
+    AssertionError naming the iteration and both bounds. With no users
+    the starting point is returned after 0 iterations: its bound is the
+    unicast-only revenue and its gain 1.
     """
     sched = suboptimal_schedule(catalog, cell.price_unicast)
     bandwidth, price, _ = operating_point(catalog, cell, sched)
     bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
     it = 0
-    if cell.n_users:
-        bandwidth = None
-        trace = []
-        for it in range(1, DEFAULT_MAX_ITERS + 1):
-            sched = smith_schedule(catalog, cell.price_unicast, price)
-            new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
-            new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched)
-            new_bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
-            trace.append((new_bandwidth, new_price, new_bound))
-            if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):
-                # every step is an exact coordinate maximizer, so a drop is a bug
-                raise AssertionError(
-                    f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}")
-            bound = new_bound
-            if (
-                bandwidth is not None
-                and abs(new_bandwidth - bandwidth) < DEFAULT_TOL
-                and abs(new_price - price) < DEFAULT_TOL
-            ):
-                bandwidth, price = new_bandwidth, new_price
-                break
-            bandwidth, price = new_bandwidth, new_price
-        else:
-            raise ConvergenceError(
-                f"joint optimization did not converge in {DEFAULT_MAX_ITERS} iterations",
-                trace=trace,
-            )
+    rising = cell.n_users > 0
+    while rising:
+        it += 1
+        sched = smith_schedule(catalog, cell.price_unicast, price)
+        bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
+        price = bound_argmax_price(catalog, cell, bandwidth, sched)
+        new_bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
+        if new_bound < bound - _ASCENT_RTOL * max(abs(bound), cell.uc_only_revenue):
+            # every step is an exact coordinate maximizer, so a drop is a bug
+            raise AssertionError(
+                f"revenue bound fell at iteration {it}: {bound!r} -> {new_bound!r}")
+        rising, bound = new_bound > bound, new_bound
 
     return OptimizationResult(
         bc_bandwidth=bandwidth,

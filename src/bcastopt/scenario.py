@@ -432,9 +432,8 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
 
     A check whose result misses its oracle is a FAIL entry with the
     measured deltas. A computation the model cannot carry out raises
-    instead: a ConfigError from ``normalize``, a PayoffDomainError from the
-    domain check of check 4 or 5, a ConvergenceError if ``joint_optimize``
-    reaches its iteration limit.
+    instead: a ConfigError from ``normalize`` or a PayoffDomainError from
+    the domain check of check 4 or 5. ``joint_optimize`` always ends.
     """
     report = ValidationReport(spec_name=spec.name)
 

@@ -139,6 +139,17 @@ def random_instance(rng, m_lo=3, m_hi=8, f_lo=0.05, f_hi=0.5):
     return catalog, cell
 
 
+def high_pressure_instances(seed, count):
+    """Random catalogs of 3-40 files at 10-10^5 users and 1-29 slots,
+    where the implied broadcast price often exceeds Pu."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        catalog, cell = random_instance(rng, m_lo=3, m_hi=40)
+        n_users = int(10 ** rng.uniform(1, 5))
+        slots = int(rng.integers(1, 30))
+        yield catalog, replace(cell, n_users=n_users, slots=slots)
+
+
 @pytest.fixture(scope="session")
 def single_cell_spec():
     from bcastopt.scenario import load_spec

@@ -2,7 +2,8 @@
 deletion leaves no stale import behind; so is every private
 (underscore-prefixed) name it defines, and no module imports another's
 private name, and every public UPPER_CASE constant is read somewhere in
-``src``, ``tests`` or ``bench``. The benchmark's import surface
+``src``, ``tests`` or ``bench``; every exception class in ``errors`` is
+raised somewhere in the package. The benchmark's import surface
 (``bench/*.py``, read as text) resolves against the package and is
 listed in the README, and so do the functions it traces."""
 import ast
@@ -82,6 +83,30 @@ def test_every_public_constant_is_read(constant):
     # A public knob nothing reads is dead code; so is one that only a test
     # patches, by its name as a string.
     assert constant.split(".")[1] in _read_names()
+
+
+def _error_classes():
+    tree = ast.parse((REPO / "src" / "bcastopt" / "errors.py").read_text())
+    return sorted(node.name for node in tree.body if isinstance(node, ast.ClassDef))
+
+
+def _raised_names():
+    # Every name a raise statement in the package raises, called or not.
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return raised
+
+
+@pytest.mark.parametrize("error", _error_classes())
+def test_every_exception_class_is_raised(error):
+    # An exception class the package never raises is a failure no run can
+    # meet; catching or listing it only serves removed machinery.
+    assert error in _raised_names()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

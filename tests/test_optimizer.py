@@ -6,7 +6,7 @@ import pytest
 
 from bcastopt.channel import RateModel, unicast_rate
 import bcastopt.optimizer as optimizer
-from bcastopt.errors import ConvergenceError, InvalidParameterError, PreconditionError
+from bcastopt.errors import InvalidParameterError, PreconditionError
 from bcastopt.optimizer import (
     CellConfig,
     bound_argmax_bandwidth,
@@ -17,9 +17,11 @@ from bcastopt.optimizer import (
     gain_offset,
     joint_optimize,
     lower_bound_revenue,
+    operating_point,
     price_validity_floor,
     revenue_gain,
 )
+from bcastopt.scenario import normalize
 from bcastopt.scheduler import (
     bound_moments,
     cumulative_sizes,
@@ -30,7 +32,13 @@ from bcastopt.scheduler import (
     suboptimal_schedule,
 )
 
-from conftest import catalog_from, point_rate, random_instance
+from conftest import (
+    catalog_from,
+    high_pressure_instances,
+    point_rate,
+    random_instance,
+    record_results,
+)
 
 
 def _single_file_setup(size=0.5, theta=2.0, price_unicast=1.0, n_users=10,
@@ -358,28 +366,81 @@ class TestBoundCoordinateArgmax:
             bound_argmax_bandwidth(bad_catalog, bad_cell, 0.5, bad_sched)
 
 
+def capped_ascent(catalog, cell):
+    """The ascent's reference: the same coordinate steps, stopped once
+    consecutive (bandwidth, price) moves both fall below 1e-9, at most 500
+    steps. Returns (bandwidth, price, schedule, bound, steps)."""
+    sched = suboptimal_schedule(catalog, cell.price_unicast)
+    bandwidth, price, _ = operating_point(catalog, cell, sched)
+    bound = lower_bound_revenue(catalog, cell, price, bandwidth, sched)
+    if not cell.n_users:
+        return bandwidth, price, sched, bound, 0
+    bandwidth = None
+    for it in range(1, 501):
+        sched = smith_schedule(catalog, cell.price_unicast, price)
+        new_bandwidth = bound_argmax_bandwidth(catalog, cell, price, sched)
+        new_price = bound_argmax_price(catalog, cell, new_bandwidth, sched)
+        bound = lower_bound_revenue(catalog, cell, new_price, new_bandwidth, sched)
+        settled = (bandwidth is not None and abs(new_bandwidth - bandwidth) < 1e-9
+                   and abs(new_price - price) < 1e-9)
+        bandwidth, price = new_bandwidth, new_price
+        if settled:
+            return bandwidth, price, sched, bound, it
+    raise AssertionError("no fixed point in 500 steps")
+
+
 class TestJointOptimizeAscent:
-    def test_bound_never_decreases_along_iterates(self, monkeypatch):
+    def test_bound_rises_at_every_step_but_the_last(self, monkeypatch):
         rng = np.random.default_rng(43)
+        bounds = record_results(monkeypatch, optimizer, "lower_bound_revenue")
         for _ in range(20):
             catalog, cell = random_instance(rng)
-            # a zero tolerance never converges, so the error hands back every iterate
-            with monkeypatch.context() as patched:
-                patched.setattr(optimizer, "DEFAULT_TOL", 0.0)
-                patched.setattr(optimizer, "DEFAULT_MAX_ITERS", 12)
-                with pytest.raises(ConvergenceError, match="did not converge") as err:
-                    joint_optimize(catalog, cell)
-            bounds = [b for _, _, b in err.value.trace]
-            assert len(bounds) == 12
-
-            def rounding(x):
-                return 1e-12 * max(abs(x), cell.uc_only_revenue)
-
-            closed = _closed_form_bound(catalog, cell)
-            assert bounds[0] >= closed - rounding(closed)
-            assert all(b1 >= b0 - rounding(b0) for b0, b1 in zip(bounds, bounds[1:]))
+            bounds.clear()
             result = joint_optimize(catalog, cell)
-            assert result.lower_bound >= bounds[0]
+            # the start, then one bound per step
+            assert len(bounds) == result.iterations + 1
+            assert bounds[0] == _closed_form_bound(catalog, cell)
+            assert all(b0 < b1 for b0, b1 in zip(bounds[:-2], bounds[1:-1]))
+            assert bounds[-1] <= bounds[-2]
+            assert result.lower_bound == bounds[-1]
+
+    @pytest.mark.parametrize("last", [102.0, 102.0 - 1e-11], ids=["repeat", "rounding_dip"])
+    def test_stops_at_the_first_step_that_does_not_rise(self, monkeypatch, last):
+        catalog, cell, _ = _single_file_setup()
+        bounds = iter([100.0, 101.0, 102.0, last])
+        calls = []
+
+        def rising_twice_then_flat(*args):
+            calls.append(args)
+            return next(bounds)
+
+        monkeypatch.setattr(optimizer, "lower_bound_revenue", rising_twice_then_flat)
+        result = joint_optimize(catalog, cell)
+        assert len(calls) == 4
+        assert result.iterations == 3
+        assert result.lower_bound == last
+
+    def test_matches_the_capped_loop(self, request):
+        # A few hundred high-pressure draws, and the shipped configs' full
+        # and 8-file (validate's) catalogs at every sweep N and N = 10,
+        # 10^4 and 10^5.
+        instances = [inst for seed in range(1000, 1004)
+                     for inst in high_pressure_instances(seed, 75)]
+        for setup in ("single_cell", "seven_cell"):
+            spec = request.getfixturevalue(f"{setup}_spec")
+            full = request.getfixturevalue(f"{setup}_setup")
+            for catalog, cell0, _ in (full, normalize(replace(spec, file_count=8))):
+                instances += [(catalog, replace(cell0, n_users=n))
+                              for n in (*spec.sweep_users, 10, 10**4, 10**5)]
+        for catalog, cell in instances:
+            result = joint_optimize(catalog, cell)
+            bandwidth, price, sched, bound, steps = capped_ascent(catalog, cell)
+            assert (result.bc_bandwidth, result.bc_price, result.lower_bound) == (
+                bandwidth, price, bound)
+            assert np.array_equal(result.schedule.order, sched.order)
+            # the reference stops on a small move, the ascent on a flat bound
+            assert abs(result.iterations - steps) <= 1
+            assert max(fixed_point_residuals(catalog, cell, result)) <= 1e-9
 
     def test_downhill_step_raises_naming_iteration(self, monkeypatch):
         rng = np.random.default_rng(44)
@@ -393,7 +454,6 @@ class TestJointOptimizeAscent:
             return w * 1e-3 if len(calls) == 3 else w
 
         monkeypatch.setattr(optimizer, "bound_argmax_bandwidth", bad_on_third)
-        monkeypatch.setattr(optimizer, "DEFAULT_TOL", 0.0)
         # a falling bound breaks an invariant: a bug, not a reported error
         with pytest.raises(AssertionError, match="iteration 3: ") as err:
             joint_optimize(catalog, cell)

@@ -26,7 +26,6 @@ from bcastopt.cli import build_parser, main
 from bcastopt.errors import (
     POINT_ERRORS,
     ConfigError,
-    ConvergenceError,
     PayoffDomainError,
     PreconditionError,
 )
@@ -582,6 +581,24 @@ class TestRunValidation:
         assert 0 < broken <= total
         assert "; smallest gap -" in entry["detail"]
 
+    def test_readme_check_4_numbers_match_small_seven_cell_points(self, seven_cell_spec):
+        # README "Validation" quotes check 4 at seven-cell N = 100, where the
+        # bound exceeds E[R], and its slack at N = 200 and 300.
+        text = (REPO / "README.md").read_text()
+        text = " ".join(text.split("**Check 4 at small seven-cell N.**")[1]
+                        .split("- **5.")[0].split())
+        entries = {}
+        for n in (100, 200, 300):
+            report = run_validation(dataclasses.replace(seven_cell_spec, sweep_users=(n,)))
+            entries[n] = next(e for e in report.entries if e["check"] == "lower_bound_mc")
+        assert entries[100]["status"] == "FAIL"
+        assert f"FAILs with `{entries[100]['detail']}`" in text
+        slacks = re.search(r"At N = 200 and 300 it passes, with slack ([\d.]+) and ([\d.]+)\.",
+                           text).groups()
+        for n, slack in zip((200, 300), slacks):
+            assert entries[n]["status"] == "PASS"
+            assert entries[n]["detail"].endswith(f"(slack {slack} at +3se)")
+
     def test_text_rendering(self, small_spec):
         report = run_validation(small_spec)
         text = report.to_text()
@@ -700,7 +717,7 @@ class TestCli:
 
     def test_catalog_export_builds_no_schedule(self, small_config, capsys, monkeypatch):
         def no_schedule(*args):
-            raise ConvergenceError("no schedule expected")
+            raise PayoffDomainError("no schedule expected")
 
         monkeypatch.setattr(cli, "variant_schedule", no_schedule)
         assert main(["schedule", small_config, "--scheduler", "optimal", "--catalog"]) == 0

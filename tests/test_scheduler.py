@@ -31,7 +31,13 @@ from bcastopt.scheduler import (
     suboptimal_schedule,
 )
 
-from conftest import catalog_from, point_rate, random_instance, traced_peak
+from conftest import (
+    catalog_from,
+    high_pressure_instances,
+    point_rate,
+    random_instance,
+    traced_peak,
+)
 
 
 class TestCumulativeSizes:
@@ -266,17 +272,6 @@ def test_adjacent_exchange_never_improves_smith_order(data):
         swapped = sched.order.copy()
         swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
         assert smith_cost(swapped, catalog, pu, pb) >= base - 1e-12
-
-
-def high_pressure_instances(seed, count):
-    """Random catalogs of 3-40 files at 10-10^5 users and 1-29 slots,
-    where the implied broadcast price often exceeds Pu."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        catalog, cell = random_instance(rng, m_lo=3, m_hi=40)
-        n_users = int(10 ** rng.uniform(1, 5))
-        slots = int(rng.integers(1, 30))
-        yield catalog, replace(cell, n_users=n_users, slots=slots)
 
 
 def smith_order_at_own_price(catalog, cell, moment):
