@@ -4,7 +4,8 @@ Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
 success, 1 on a configuration error, a payoff-domain error (the one
 member of ``errors.POINT_ERRORS``) or an output file or stdout that
-cannot be written, 2 on validation failures.
+cannot be written, 2 on validation failures. A warning a command raises
+is one ``warning: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import contextlib
 import ctypes
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .errors import POINT_ERRORS, ConfigError
@@ -160,7 +162,8 @@ def main(argv=None) -> int:
     try:
         spec = _apply_overrides(load_spec(args.config), args)
         output = _open_output(path)
-        with output as out:
+        with output as out, warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
             text, code = args.func(spec, args)
             with _unwritable(path), output:  # closes a file, so a failed flush is caught
                 out.write(text)

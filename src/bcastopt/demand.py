@@ -94,7 +94,8 @@ def _check_files(sizes: np.ndarray, delay_lo: np.ndarray, delay_hi: np.ndarray):
 @dataclass(frozen=True)
 class FileCatalog:
     """Immutable catalog, one array entry per file, in any order (``build_catalog``
-    ranks by popularity; readers sort by descending popularity, ties by index).
+    ranks by popularity). ``processing_order``, the order the station serves
+    requesters in, is by descending popularity, ties by ascending file index.
 
     ``delay_lo``/``delay_hi`` bound the per-user delay threshold
     distribution (uniform; a point mass when the bounds coincide), and
@@ -111,6 +112,7 @@ class FileCatalog:
     delay_hi: np.ndarray
     rate_model: RateModel
     mean_size: float = field(init=False)
+    processing_order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         names = ("sizes", "popularity", "theta", "delay_lo", "delay_hi")
@@ -128,6 +130,7 @@ class FileCatalog:
         for name, value in zip(names, arrays):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "mean_size", float(sizes @ pop))
+        object.__setattr__(self, "processing_order", np.argsort(-pop, kind="stable"))
 
     @property
     def size(self) -> int:

@@ -194,14 +194,14 @@ def _eligible_share(catalog, t_star) -> np.ndarray:
     return np.where(span > 0, share, t_star >= lo)
 
 
-def _draw_block(gen, popularity, proc_order, ufile, u):
+def _draw_block(gen, catalog, ufile, u):
     """Fill one block's draws in :func:`simulate_revenue`'s stream order:
-    trial j's users' files (in ``proc_order``) into ``ufile[j]``, then
-    its N rate and N threshold uniforms into ``u[j]``."""
-    n_users = ufile.shape[1]
+    trial j's users' files (in the catalog's ``processing_order``) into
+    ``ufile[j]``, then its N rate and N threshold uniforms into ``u[j]``."""
+    n_users, order = ufile.shape[1], catalog.processing_order
     for j in range(len(ufile)):
-        counts = gen.multinomial(n_users, popularity)
-        ufile[j] = np.repeat(proc_order, counts[proc_order])
+        counts = gen.multinomial(n_users, catalog.popularity)
+        ufile[j] = np.repeat(order, counts[order])
         gen.random(out=u[j])
 
 
@@ -263,8 +263,8 @@ def simulate_revenue(
     """Estimate realized revenue under the unicast-first policy.
 
     Each trial redraws request counts, user positions, and delay
-    thresholds. Users are processed in popularity order; each unicast
-    grant consumes one frequency unit for ceil(f/r) slots out of the
+    thresholds. Users are processed in ``catalog.processing_order``; each
+    unicast grant consumes one frequency unit for ceil(f/r) slots out of the
     (W - Wb) * T pool (see :func:`unicast_grants`). A user without a
     grant is put on broadcast when eligible, that is when their broadcast
     payoff is at least their unicast payoff, and is left unserved
@@ -316,7 +316,6 @@ def simulate_revenue(
             unrequested_scheduled_mean=unrequested, bc_rate_realized_mean=nan,
         )
 
-    proc_order = np.argsort(-catalog.popularity, kind="stable")
     bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
     stats = np.empty((6, trials))
     shortfall_trials = 0
@@ -327,7 +326,7 @@ def simulate_revenue(
     for start in range(0, trials, k):
         stop = min(start + k, trials)
         ufile, u = ufile_buf[:stop - start], u_buf[:stop - start]
-        _draw_block(gen, catalog.popularity, proc_order, ufile, u)
+        _draw_block(gen, catalog, ufile, u)
         shortfall, stats[:, start:stop] = _evaluate_block(
             catalog, prices, bc_delay, uc_pool, uc_revenue, ufile, u, start)
         shortfall_trials += shortfall
@@ -458,7 +457,7 @@ def expected_revenue(
     in every trial: the point is certified and nothing is drawn.
 
     Otherwise the residual is sampled, vectorized over trials, from
-    ``default_rng(seed)``. Files are visited in processing order up to K,
+    ``default_rng(seed)``. Files are visited in ``catalog.processing_order`` up to K,
     the last one with an eligible and fitting class. Each file's user count
     comes from :func:`_file_counts`; each of its users draws a rate uniform,
     then an eligibility uniform (eligible below q). A user is granted when
@@ -483,7 +482,7 @@ def expected_revenue(
     expected_y = uc_revenue + prices.broadcast * n_users * float(
         (popularity * sizes) @ (rate_prob @ share))
 
-    proc_order = np.argsort(-popularity, kind="stable")
+    proc_order = catalog.processing_order
     demand = np.ceil(sizes / rates)
     possible = (rate_prob[:, None] > 0) & (popularity > 0)
     smallest = np.where(possible, demand, np.inf).min(axis=0)[proc_order]

@@ -60,11 +60,6 @@ class Schedule:
         return cls(order=order, s=cumulative_sizes(order, catalog.sizes), weights=weights)
 
 
-def _sort_descending(weights) -> np.ndarray:
-    # Stable sort: ties broken by ascending file index.
-    return np.argsort(-np.asarray(weights, dtype=np.float64), kind="stable")
-
-
 def smith_weight_ratios(catalog: FileCatalog, price_unicast, price_broadcast) -> np.ndarray:
     """Per-file Smith ratios theta * p * (1 - (Pu - Pb) * f)."""
     gap = price_unicast - price_broadcast
@@ -74,7 +69,7 @@ def smith_weight_ratios(catalog: FileCatalog, price_unicast, price_broadcast) ->
 def smith_schedule(catalog: FileCatalog, price_unicast, price_broadcast) -> Schedule:
     """Exact best-response order for a fixed broadcast price (Smith's rule)."""
     w = smith_weight_ratios(catalog, price_unicast, price_broadcast)
-    return Schedule.from_order(_sort_descending(w), catalog, weights=w)
+    return Schedule.from_order(np.argsort(-w, kind="stable"), catalog, weights=w)
 
 
 def suboptimal_schedule(catalog: FileCatalog, price_unicast) -> Schedule:
@@ -87,9 +82,8 @@ def suboptimal_schedule(catalog: FileCatalog, price_unicast) -> Schedule:
 
 
 def popularity_schedule(catalog: FileCatalog) -> Schedule:
-    """Scheduler-off baseline: descending popularity."""
-    w = catalog.popularity.astype(np.float64)
-    return Schedule.from_order(_sort_descending(w), catalog, weights=w)
+    """Scheduler-off baseline: the catalog's ``processing_order``."""
+    return Schedule.from_order(catalog.processing_order, catalog, weights=catalog.popularity)
 
 
 def check_bound_hypothesis(catalog: FileCatalog, price_unicast, price) -> None:

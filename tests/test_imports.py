@@ -181,3 +181,39 @@ def test_bench_traced_functions_resolve():
                   if not callable(getattr(importlib.import_module(f"bcastopt.{module}"),
                                           name, None))}
     assert unresolved <= _STALE_TRACED
+
+
+def _reads_popularity(node, tainted) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in tainted | {"popularity"}
+               or isinstance(n, ast.Attribute) and n.attr == "popularity"
+               for n in ast.walk(node))
+
+
+def _popularity_sorts(tree):
+    # Lines of argsort calls over an expression that reads popularity: by
+    # that name, or through a local name assigned from such an expression,
+    # or through a module function that argsorts its argument.
+    sorters = {"argsort"} | {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "argsort" for n in ast.walk(node))}
+    lines = []
+    for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        tainted = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and _reads_popularity(node.value, tainted):
+                tainted |= {n.id for t in node.targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) in sorters
+                    and _reads_popularity(node, tainted)):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "demand.py"],
+                         ids=lambda p: p.name)
+def test_only_the_catalog_ranks_by_popularity(path):
+    # FileCatalog.processing_order is the one popularity rank; a module
+    # that sorts by popularity again is a second copy of the rule.
+    assert _popularity_sorts(ast.parse(path.read_text())) == []

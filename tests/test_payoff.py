@@ -637,8 +637,7 @@ def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
     prices = PricePair(cell.price_unicast, price)
     trials = 100
     ufile, u = np.empty((trials, n_users), dtype=np.intp), np.empty((trials, 2, n_users))
-    proc_order = np.argsort(-catalog.popularity, kind="stable")
-    payoff._draw_block(np.random.default_rng(21), catalog.popularity, proc_order, ufile, u)
+    payoff._draw_block(np.random.default_rng(21), catalog, ufile, u)
 
     bc_delay = schedule.s / (bandwidth * catalog.rate_model.r_low)
     rate = rates_from_uniforms(catalog.rate_model, u[:, 0])
@@ -665,6 +664,37 @@ def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
     clean = ~near.any(axis=1)
     assert clean.any()
     assert np.array_equal(stats[1][clean], below.mean(axis=1)[clean])
+
+
+@pytest.mark.parametrize("popularity", [
+    [0.25, 0.25, 0.25, 0.25],
+    [0.1, 0.3, 0.1, 0.3, 0.2],
+    [0.0, 0.5, 0.0, 0.5],
+    [0.2, 0.3, 0.5],
+    [1.0],
+])
+def test_processing_order_is_the_one_popularity_rank(popularity):
+    # The catalog's processing_order is by descending popularity, ties by
+    # ascending index; the simulator serves users in it and the popularity
+    # schedule broadcasts in it.
+    m = len(popularity)
+    catalog = catalog_from(sizes=np.linspace(0.2, 0.5, m), popularity=popularity,
+                           theta=np.full(m, 3.0))
+    order = catalog.processing_order
+    assert order.tolist() == sorted(range(m), key=lambda i: (-popularity[i], i))
+    assert np.array_equal(order, np.argsort(-catalog.popularity, kind="stable"))
+    assert np.array_equal(popularity_schedule(catalog).order, order)
+
+    reranked = dataclasses.replace(catalog, popularity=popularity[::-1])
+    assert reranked.processing_order.tolist() == sorted(
+        range(m), key=lambda i: (-popularity[::-1][i], i))
+
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    ufile, u = np.empty((30, 40), dtype=np.intp), np.empty((30, 2, 40))
+    payoff._draw_block(np.random.default_rng(5), catalog, ufile, u)
+    assert np.all(np.diff(rank[ufile], axis=1) >= 0)
+    assert set(np.unique(ufile)) <= set(np.flatnonzero(catalog.popularity > 0))
 
 
 # Generator.random's largest value, and the largest threshold it gives on

@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -866,6 +867,30 @@ class TestCli:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 0
             assert proc.stderr.read() == b""
+
+    def test_warning_is_one_line(self, capsys):
+        # At N = 5 the seven-cell unicast pool outlasts the demand in some
+        # trials, so simulate warns: one line on stderr, as main prints an
+        # error, and stdout is the report the library computes. Main's
+        # handler ends with the command, so a caller's stays in place.
+        config = str(CONFIG_DIR / "seven_cell.cfg")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcastopt.cli", "simulate", config, "--n", "5"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert proc.returncode == 0
+        with pytest.warns(UserWarning, match="unicast demand fell below capacity") as caught:
+            report = payoff.simulate_revenue(
+                *_simulate_args(config, 5), trials=load_spec(config).trials,
+                seed=np.random.SeedSequence(json.loads(proc.stdout)["seed"]))
+        assert proc.stdout == report.to_json() + "\n"
+        assert proc.stderr == f"warning: {caught[0].message}\n"
+        assert f" {report.uc_demand_shortfall_trials}/2000 trials;" in proc.stderr
+
+        shown = warnings.showwarning
+        assert main(["simulate", config, "--n", "5"]) == 0
+        assert capsys.readouterr() == (proc.stdout, proc.stderr)
+        assert warnings.showwarning is shown
 
     def test_simulate_report_names_its_stream(self, small_config, capsys):
         # The report's seed is the entropy of the sweep's stream for the
