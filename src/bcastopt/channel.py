@@ -42,6 +42,14 @@ class RateModel:
         if not (0.0 <= self.prob_high <= 1.0):
             raise InvalidParameterError(f"prob_high must be in [0, 1], got {self.prob_high}")
 
+    @property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two rate classes: the rates as a column ``(r_high, r_low)`` and
+        their probabilities ``(prob_high, 1 - prob_high)``. Row 0 is the class of
+        a placement uniform below ``prob_high`` (:func:`rates_from_uniforms`)."""
+        return (np.array([[self.r_high], [self.r_low]]),
+                np.array([self.prob_high, 1.0 - self.prob_high]))
+
     def scaled(self, factor: float) -> "RateModel":
         """Return a copy with both rates multiplied by ``factor`` (unit change)."""
         if factor <= 0:

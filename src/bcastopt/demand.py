@@ -37,11 +37,11 @@ def aggregate_delay_tolerance(size, delay_lo, delay_hi,
     """Exact mean of 1 / (size - rate * threshold) over the user population,
     elementwise over scalars or 1-D arrays of files (a float for scalars).
 
-    A user's rate is ``r_high`` with probability ``prob_high`` and ``r_low``
-    otherwise; the threshold is uniform on [delay_lo, delay_hi]. For a
-    region of rate r, with d = size - r * delay_hi and
-    x = r * (delay_hi - delay_lo) / d, the mean over the threshold is
-    log1p(x) / (x * d), and 1 / d for a point mass (x = 0). The regions
+    A user's rate class is a row of ``rate_model.classes`` (``r_high`` with
+    probability ``prob_high``, else ``r_low``); the threshold is uniform on
+    [delay_lo, delay_hi]. For a class of rate r, with d = size - r * delay_hi
+    and x = r * (delay_hi - delay_lo) / d, the mean over the threshold is
+    log1p(x) / (x * d), and 1 / d for a point mass (x = 0). The classes
     are mixed by their probabilities. ``math.log1p`` is applied per
     element because ``np.log1p`` can differ from it in the last bit.
 
@@ -66,8 +66,7 @@ def aggregate_delay_tolerance(size, delay_lo, delay_hi,
             f"delay-sensitivity condition fails for {bad.size} file(s): {listing}"
         )
     total = 0.0
-    for rate, weight in ((rate_model.r_high, rate_model.prob_high),
-                         (rate_model.r_low, 1.0 - rate_model.prob_high)):
+    for (rate,), weight in zip(*rate_model.classes):
         if weight <= 0.0:
             continue
         d = size - rate * hi

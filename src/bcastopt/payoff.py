@@ -157,16 +157,9 @@ def _broadcast_delay(catalog, bc_bandwidth, schedule) -> np.ndarray:
     return bc_delay
 
 
-def _rate_classes(model):
-    """The rates a user can draw, as a column (r_high, r_low), and their
-    probabilities: row 0 is the class of a rate uniform below ``prob_high``."""
-    return (np.array([[model.r_high], [model.r_low]]),
-            np.array([model.prob_high, 1.0 - model.prob_high]))
-
-
 def eligibility_threshold(catalog, prices: PricePair, bc_delay) -> np.ndarray:
     """The largest threshold t* at which a user is eligible for broadcast,
-    per rate class (rows r_high, r_low) and file (columns).
+    per rate class (the rows of ``RateModel.classes``) and file (columns).
 
     A user of file i at rate r with threshold t is eligible when their
     broadcast payoff is at least their unicast payoff. With g = (Pu - Pb) f_i
@@ -175,7 +168,7 @@ def eligibility_threshold(catalog, prices: PricePair, bc_delay) -> np.ndarray:
     t* is inf when f_i/r >= a and -inf otherwise. With Wb = 0 (a = inf)
     nobody is eligible, t* = -inf.
     """
-    rates, _ = _rate_classes(catalog.rate_model)
+    rates, _ = catalog.rate_model.classes
     download = catalog.sizes / rates
     g = (prices.unicast - prices.broadcast) * catalog.sizes
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -385,7 +378,7 @@ def payoff_guarantee_gaps(catalog: FileCatalog, prices: PricePair, bc_bandwidth:
     payoff.
     """
     bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
-    rates, rate_prob = _rate_classes(catalog.rate_model)
+    rates, rate_prob = catalog.rate_model.classes
     t_star = eligibility_threshold(catalog, prices, bc_delay)
     classes = ((rate_prob[:, None] > 0) & (catalog.popularity > 0)
                & (_eligible_share(catalog, t_star) > 0))
@@ -476,7 +469,7 @@ def expected_revenue(
         return RevenueEstimate(uc_revenue, 0.0, 0.0, 0)
 
     bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
-    rates, rate_prob = _rate_classes(catalog.rate_model)
+    rates, rate_prob = catalog.rate_model.classes
     share = _eligible_share(catalog, eligibility_threshold(catalog, prices, bc_delay))
     sizes, popularity = catalog.sizes, catalog.popularity
     expected_y = uc_revenue + prices.broadcast * n_users * float(

@@ -12,6 +12,7 @@ from bcastopt.channel import (
     unicast_rate,
 )
 from bcastopt.errors import InvalidParameterError
+from bcastopt.payoff import _U_MAX
 
 REFERENCE = RateModel(r_high=2.4, r_low=1.32, prob_high=0.1)
 
@@ -107,6 +108,21 @@ class TestFastestRate:
         model = RateModel(2.4, 1.32, prob_high)
         rates = rates_for_seed(model, 1000, 3)
         assert rates.max() == fastest_rate(model)
+
+
+class TestRateClasses:
+    @pytest.mark.parametrize("prob_high", [0.0, 0.1, 1.0])
+    def test_a_uniform_places_a_user_in_row_u_at_least_prob_high(self, prob_high):
+        # The rule rates_from_uniforms draws by and expected_revenue's
+        # row index, int(u >= prob_high), pick the same class.
+        model = RateModel(2.4, 1.32, prob_high)
+        rates, probs = model.classes
+        assert rates.shape == (2, 1)
+        assert (rates[0, 0], probs[0]) == (model.r_high, prob_high)
+        assert probs.sum() == 1.0
+        for u in (0.0, np.nextafter(prob_high, -np.inf), prob_high, _U_MAX):
+            row = int(u >= prob_high)
+            assert rates_from_uniforms(model, u) == rates[row, 0], u
 
 
 class TestModelValidation:

@@ -472,6 +472,43 @@ class TestRunSweep:
             printed = quoted(pattern)
             assert f"{value:.{len(printed.split('.')[1])}f}" == printed, pattern
 
+    def test_readme_deviations_3_and_6_quote_exact_expected_gains(self, single_cell_spec):
+        # Deviations 3 and 6 quote expected gains at certified single-cell
+        # points, where expected_revenue draws nothing: exact and seed-free.
+        text = " ".join((REPO / "README.md").read_text()
+                        .split("3. **Scheduler margin.**")[1].split("`bcastopt validate")[0].split())
+        deviation_3, deviation_6 = text.split("4. **")[0], text.split("6. **")[1]
+
+        def exact_gain(gamma, n_users, variant):
+            spec = dataclasses.replace(single_cell_spec, zipf_exponent=float(gamma))
+            catalog, cell, _ = normalize(spec)
+            cell = dataclasses.replace(cell, n_users=int(n_users))
+            schedule = scenario.variant_schedule(variant, catalog, cell)
+            bandwidth, price, _ = operating_point(catalog, cell, schedule)
+            estimate = payoff.expected_revenue(
+                catalog, cell, payoff.PricePair(cell.price_unicast, price), bandwidth,
+                schedule, trials=spec.trials, seed=spec.seed)
+            assert (estimate.files_visited, estimate.residual_mean,
+                    estimate.residual_stderr) == (0, 0.0, 0.0)
+            return estimate.revenue_mean / cell.uc_only_revenue
+
+        n_3, bound_order, popularity_order = re.search(
+            r"point, N = (\d+): its expected gain is ([\d.]+) against ([\d.]+)\.",
+            deviation_3).groups()
+        low, high, n_6, at_low, at_high = re.search(
+            r"exponent from ([\d.]+) to ([\d.]+) \*increases\* the expected gain of the "
+            r"bound-optimal order at single-cell N = (\d+), from ([\d.]+) to ([\d.]+) ",
+            deviation_6).groups()
+        assert n_3 == n_6 == str(single_cell_spec.sweep_users[-1])
+        assert single_cell_spec.zipf_exponent == float(high)
+        for printed, value in [
+            (bound_order, exact_gain(high, n_3, "suboptimal")),
+            (popularity_order, exact_gain(high, n_3, "none")),
+            (at_low, exact_gain(low, n_6, "suboptimal")),
+            (at_high, exact_gain(high, n_6, "suboptimal")),
+        ]:
+            assert f"{value:.{len(printed.split('.')[1])}f}" == printed
+
 
 @pytest.mark.parametrize("error", POINT_ERRORS, ids=lambda error: error.__name__)
 class TestPointErrors:
