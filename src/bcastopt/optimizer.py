@@ -1,9 +1,11 @@
-"""Revenue lower bound, closed-form optima, the price-aware scheduler,
-coordinate maps, and the joint block-coordinate ascent.
+"""The paper's revenue bound, closed-form optima, the price-aware
+scheduler, coordinate maps, and the joint block-coordinate ascent.
 
-The analytic objective is a lower bound on realized revenue, valid while
-the price discount times any file size stays below one; prices never go
-below ``price_validity_floor`` (at least Pu/2). A schedule enters the
+The analytic objective is the paper's bound on realized revenue, defined
+while the price discount times any file size stays below one; prices
+never go below ``price_validity_floor`` (at least Pu/2). It is not
+always a lower bound: on small catalogs it was measured above the exact
+E[Y] >= E[R] of ``payoff.expected_revenue``. A schedule enters the
 bound only through the moments D = sum s theta f p and E = sum s theta
 f^2 p (``bound_moments``): with k = r_u / (Wb r_b) the bound is
 Pb N (F - k C(Pb)) + Pu (W - Wb) T, where C(Pb) = D - (Pu - Pb) E is the
@@ -116,7 +118,7 @@ class OptimizationResult:
 def price_validity_floor(catalog: FileCatalog, cell: CellConfig) -> float:
     """Smallest admissible broadcast price, max(Pu/2, Pu - (1 - margin)/max f).
 
-    The lower bound requires (Pu - Pb) * f_i < 1 for every file, and the
+    The bound requires (Pu - Pb) * f_i < 1 for every file, and the
     closed-form price is never below Pu/2.
     """
     f_max = float(catalog.sizes.max())
@@ -126,14 +128,15 @@ def price_validity_floor(catalog: FileCatalog, cell: CellConfig) -> float:
 def lower_bound_revenue(
     catalog: FileCatalog, cell: CellConfig, price, bandwidth, schedule: Schedule,
 ) -> float | np.ndarray:
-    """Analytic lower bound on average cell revenue.
+    """The paper's analytic bound on average cell revenue.
 
     Pb * N * sum_i f_i p_i [1 - s_i theta_i r_u / (Wb r_b) * (1 - (Pu - Pb) f_i)]
     plus the fixed unicast term Pu (W - Wb) T, evaluated on the
     schedule's :func:`bound_moments` as Pb N (F - r_u/(Wb r_b) (D - (Pu - Pb) E)).
     Requires (Pu - Pb) f_i < 1 for all files and positive broadcast
     bandwidth (unless there are no users, in which case only the unicast
-    term remains).
+    term remains). It was measured above the exact E[Y] >= E[R] of
+    ``payoff.expected_revenue`` on small catalogs (seven-cell M = 8, N = 100).
 
     Elementwise over arrays of ``price`` and ``bandwidth``, which
     broadcast against each other (a float for scalar inputs); a grid of

@@ -220,7 +220,7 @@ def test_criterion_04_lower_bound_validity(single_cell_sweep):
 def test_criterion_05_payoff_guarantee(single_cell_sweep):
     total = sum(r.get("payoff_guarantee_violations", 0) for r in single_cell_sweep.rows)
     _report(5, total == 0,
-            f"{total} users below their unicast payoff across all trials (hard zero)")
+            f"{total} (rate, file) classes below their unicast payoff (hard zero)")
 
 
 def test_criterion_06_gain_band_and_monotonicity(single_cell_sweep):

@@ -6,7 +6,8 @@ bytecode is written next to it) and feeds it the in-process
 ``validate --format json`` output of both shipped configs and the sweep
 rows of a small single-cell spec and of two seven-cell points, so a
 change to the package that breaks the benchmark's contract fails here
-too.
+too. With a broken eligibility threshold the rows' payoff-guarantee
+count must make the benchmark's row check fail.
 """
 import importlib.util
 import json
@@ -105,8 +106,12 @@ def test_seven_cell_rows_pass_bench_checks(checks, monkeypatch):
     rows = _sweep_rows(spec)
     monkeypatch.undo()
 
+    # Each row's payoff_guarantee_gaps call adds two per-class calls, of
+    # shape (2, M); the simulator's block calls come in (unicast, broadcast)
+    # pairs of shape (k, N).
     overlap = dict.fromkeys(SEVEN_CELL_USERS, 0)
-    for granted, uc, bc in zip(grants, payoffs[0::2], payoffs[1::2]):
+    blocks = [p for p in payoffs if p.shape[1] in overlap]
+    for granted, uc, bc in zip(grants, blocks[0::2], blocks[1::2], strict=True):
         overlap[granted.shape[1]] += int(np.count_nonzero(granted & (bc >= uc)))
     assert min(overlap.values()) > 0, overlap
 
@@ -118,3 +123,28 @@ def test_seven_cell_rows_pass_bench_checks(checks, monkeypatch):
     cat = checks.catalog_arrays(checks.catalog_record(catalog))
     for row in rows:
         assert checks.check_policy_point(row, cat, facts, 3, 200) == []
+
+
+def test_shifted_eligibility_threshold_is_flagged_in_sweep_rows(checks, small_spec,
+                                                                monkeypatch):
+    # A t* 50 slots too high calls users eligible whose broadcast payoff is
+    # below their unicast payoff. The rows count such (rate, file) classes
+    # with the exact check, and the benchmark's row check flags every row
+    # that has an eligible class.
+    real = payoff.eligibility_threshold
+    monkeypatch.setattr(payoff, "eligibility_threshold", lambda *args: real(*args) + 50.0)
+    gaps = record_results(monkeypatch, scenario, "payoff_guarantee_gaps")
+    rows = _sweep_rows(replace(small_spec, trials=20))
+    monkeypatch.undo()
+
+    assert [row["N"] for row in rows] == list(USERS)
+    problems, _ = checks.check_sweep(rows, dict(checks.config_facts(SINGLE_CELL), users=USERS))
+    counts = []
+    for row in rows:
+        broken = row["payoff_guarantee_violations"]
+        assert type(broken) is int and broken > 0, row
+        assert f"payoff-guarantee violations: {broken}" in problems[row["N"]]
+        counts.append(broken)
+    # One exact check per row, each with eligible classes.
+    assert all(g.size for g in gaps)
+    assert [int(np.count_nonzero(g < 0)) for g in gaps] == counts

@@ -331,3 +331,21 @@ def test_guarantee_gaps_hold_to_rounding_on_random_instances():
         partial += np.count_nonzero((share > 0) & (share < 1))
         assert np.all(payoff_guarantee_gaps(catalog, prices, 1.0, schedule) >= 0)
     assert partial > 1000
+
+
+def test_paper_bound_exceeds_exact_expected_y_at_a_small_seven_cell_point(seven_cell_spec):
+    # The paper's bound is not always a lower bound: on the 8-file seven-cell
+    # catalog at N = 100 it exceeds E[Y], which is exact and at least E[R]
+    # (the residual R - Y is never positive). No sampled number decides it.
+    catalog, cell, _ = normalize(dataclasses.replace(seven_cell_spec, file_count=8))
+    cell = dataclasses.replace(cell, n_users=100)
+    schedule = suboptimal_schedule(catalog, cell.price_unicast)
+    bandwidth, price, _ = operating_point(catalog, cell, schedule)
+    assert (f"{price:.6f}", f"{bandwidth:.6f}") == ("1.514053", "2.226861")
+    bound = lower_bound_revenue(catalog, cell, price, bandwidth, schedule)
+    args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+    estimates = [expected_revenue(*args, trials=2, seed=seed) for seed in (0, 1)]
+    assert estimates[0].expected_y == estimates[1].expected_y
+    assert all(est.residual_mean <= 0 for est in estimates)
+    assert (f"{bound:.3f}", f"{estimates[0].expected_y:.3f}") == ("263.892", "237.085")
+    assert bound > estimates[0].expected_y
