@@ -1,12 +1,12 @@
 """Experiment runner: config ingestion, unit normalization, sweeps, and
 the validation battery.
 
-Config files are flat INI-style text with sections [cell], [catalog],
-[pricing], [sweep], [simulation]. All physical quantities (MHz, seconds,
-MBytes) are mapped to the normalized units the model works in by
-:func:`normalize`. ``sweep --format json`` embeds the resulting scheme
-and ``optimize`` writes it to stderr, so their numbers stay
-reproducible; the other outputs do not carry it.
+Config files are flat INI-style text with sections [experiment], [cell],
+[catalog], [pricing], [sweep], [simulation]. All physical quantities
+(MHz, seconds, MBytes) are mapped to the normalized units the model
+works in by :func:`normalize`. ``sweep --format json`` embeds the
+resulting scheme and ``optimize`` writes it to stderr, so their numbers
+stay reproducible; the other outputs do not carry it.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
 _PERMUTATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
-_MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is a full simulation
+_MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is simulated per variant
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -68,10 +68,6 @@ def _parse_users(text: str) -> tuple[int, ...] | range:
     start, stop, step = (int(p) for p in text.split(":"))
     users = range(start, stop + 1, step)
     return users if step > 0 else ()  # step 0 raised; a negative one counts nothing
-
-
-def _csv(conv):
-    return lambda raw: tuple(conv(x) for x in raw.split(","))
 
 
 _POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)  # NaN fails it too
@@ -128,12 +124,6 @@ class ExperimentSpec:
         default=("suboptimal",),
         rule=(f"a non-empty list of {SCHEDULER_VARIANTS}",
               lambda v: v and set(v) <= set(SCHEDULER_VARIANTS)))
-    zipf_variants: tuple[float, ...] = _key(
-        "sweep", _csv(float), default=(), key="zipf_exponents",
-        rule=("a list of positive, finite exponents", lambda v: all(map(_POSITIVE[1], v))))
-    file_count_variants: tuple[int, ...] = _key(
-        "sweep", _csv(int), default=(), key="file_counts",
-        rule=("a list of counts >= 1", lambda v: all(m >= 1 for m in v)))
     trials: int = _key("simulation", int, rule=_POSITIVE)
     seed: int = _key("simulation", int, rule=(">= 0", lambda v: v >= 0))
 
@@ -148,6 +138,7 @@ class ExperimentSpec:
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
         object.__setattr__(self, "sweep_users", tuple(sorted(set(self.sweep_users))))
+        object.__setattr__(self, "schedulers", tuple(dict.fromkeys(self.schedulers)))
 
     @property
     def r_low_bps_hz(self) -> float:
@@ -238,8 +229,7 @@ def _scheme_for(spec: ExperimentSpec) -> NormalizationScheme:
 
 
 def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, NormalizationScheme]:
-    """Build the normalized catalog and cell for a spec. A sweep variant is
-    the spec with its ``zipf_exponent`` and ``file_count`` replaced.
+    """Build the normalized catalog and cell for a spec.
 
     Deterministic for a fixed spec seed: the file sizes are drawn from a
     seed stream derived from it, and the delay tolerances are exact
@@ -354,27 +344,21 @@ class SweepResult:
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Sweep user counts (and any γ / catalog-size variants): one
-    :func:`evaluate_point` row per (variant, N) on the catalog normalized
-    once per (γ, M). A point that fails with one of the package's domain
-    errors is recorded in the error column and the sweep continues; any
-    other exception propagates."""
-    gammas = tuple(dict.fromkeys((spec.zipf_exponent,) + spec.zipf_variants))
-    counts = tuple(dict.fromkeys((spec.file_count,) + spec.file_count_variants))
-    variants = tuple(dict.fromkeys(spec.schedulers))
-    result = SweepResult(spec_name=spec.name, scheme=_scheme_for(spec))
-
-    for gamma, m in itertools.product(gammas, counts):
-        point_spec = replace(spec, zipf_exponent=gamma, file_count=m)
-        catalog, base_cell, _ = normalize(point_spec)
-        for variant, n in itertools.product(variants, spec.sweep_users):
-            row = dict(N=n, scheduler_variant=variant, gamma=gamma, file_count=m, error="")
-            try:
-                cell = replace(base_cell, n_users=n)
-                row.update(evaluate_point(point_spec, catalog, cell, variant)[0])
-            except POINT_ERRORS as exc:  # recorded, sweep continues
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            result.rows.append(row)
+    """Sweep user counts: one :func:`evaluate_point` row per (variant, N)
+    on the catalog normalized once. A point that fails with one of the
+    package's domain errors is recorded in the error column and the sweep
+    continues; any other exception propagates."""
+    catalog, base_cell, scheme = normalize(spec)
+    result = SweepResult(spec_name=spec.name, scheme=scheme)
+    for variant, n in itertools.product(spec.schedulers, spec.sweep_users):
+        row = dict(N=n, scheduler_variant=variant, gamma=spec.zipf_exponent,
+                   file_count=spec.file_count, error="")
+        try:
+            cell = replace(base_cell, n_users=n)
+            row.update(evaluate_point(spec, catalog, cell, variant)[0])
+        except POINT_ERRORS as exc:  # recorded, sweep continues
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        result.rows.append(row)
     return result
 
 

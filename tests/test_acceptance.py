@@ -313,15 +313,20 @@ def test_criterion_07_terminal_gain(seven_cell_sweep, seven_cell_terminal_point)
 
 
 @pytest.fixture(scope="module")
-def sensitivity_sweep(single_cell_spec):
-    spec = replace(single_cell_spec, sweep_users=(200,), zipf_variants=(0.5,),
-                   file_count_variants=(4000,), trials=1000)
-    return run_sweep(spec)
+def sensitivity_gains(single_cell_spec):
+    """gain_mc at N = 200 per (gamma, M): the shipped catalog, then each
+    parameter changed alone."""
+    spec = replace(single_cell_spec, sweep_users=(200,), trials=1000)
+
+    def gain(gamma, m):
+        return run_sweep(replace(spec, zipf_exponent=gamma, file_count=m)).rows[0]["gain_mc"]
+
+    return {point: gain(*point) for point in ((1.0, 2000), (0.5, 2000), (1.0, 4000))}
 
 
-def test_criterion_08_zipf_exponent_direction(sensitivity_sweep):
-    base = sensitivity_sweep.column("gain_mc", gamma=1.0, file_count=2000)[0]
-    low_gamma = sensitivity_sweep.column("gain_mc", gamma=0.5, file_count=2000)[0]
+def test_criterion_08_zipf_exponent_direction(sensitivity_gains):
+    base = sensitivity_gains[1.0, 2000]
+    low_gamma = sensitivity_gains[0.5, 2000]
     decreases = base < low_gamma
     _report(
         "8 (zipf exponent)", decreases,
@@ -332,9 +337,9 @@ def test_criterion_08_zipf_exponent_direction(sensitivity_sweep):
     )
 
 
-def test_criterion_08_catalog_size_direction(sensitivity_sweep):
-    base = sensitivity_sweep.column("gain_mc", gamma=1.0, file_count=2000)[0]
-    large_m = sensitivity_sweep.column("gain_mc", gamma=1.0, file_count=4000)[0]
+def test_criterion_08_catalog_size_direction(sensitivity_gains):
+    base = sensitivity_gains[1.0, 2000]
+    large_m = sensitivity_gains[1.0, 4000]
     _report("8 (catalog size)", large_m < base,
             f"gain at N=200: {base:.3f} (M=2000) -> {large_m:.3f} (M=4000), "
             "larger catalogs dilute common requests")

@@ -9,12 +9,13 @@ comparison with it is within z of the two standard errors combined.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bcastopt import payoff
-from bcastopt.channel import RateModel
+from bcastopt.channel import RateModel, unicast_rate
 from bcastopt.demand import FileCatalog
 from bcastopt.errors import PayoffDomainError, PreconditionError
 from bcastopt.optimizer import (
@@ -34,7 +35,7 @@ from bcastopt.payoff import (
 from bcastopt.scenario import normalize, variant_schedule
 from bcastopt.scheduler import popularity_schedule, suboptimal_schedule
 
-from conftest import catalog_from, record_results
+from conftest import REPO, catalog_from, record_results
 
 Z = 3.0  # agreement bound for one comparison
 
@@ -333,19 +334,74 @@ def test_guarantee_gaps_hold_to_rounding_on_random_instances():
     assert partial > 1000
 
 
-def test_paper_bound_exceeds_exact_expected_y_at_a_small_seven_cell_point(seven_cell_spec):
+def test_paper_bound_exceeds_exact_expected_y_at_a_small_seven_cell_point(
+        seven_cell_spec, single_cell_spec, single_cell_setup):
     # The paper's bound is not always a lower bound: on the 8-file seven-cell
     # catalog at N = 100 it exceeds E[Y], which is exact and at least E[R]
     # (the residual R - Y is never positive). No sampled number decides it.
+    # Each number README deviation 7 quotes is recomputed to its printed digits.
+    text = " ".join((REPO / "README.md").read_text()
+                    .split("7. **The paper's bound on small catalogs.**")[1]
+                    .split("`bcastopt validate")[0].split())
+
+    def quoted(pattern):
+        return re.search(pattern, text).groups()
+
+    n_users, seed = quoted(r"at N = (\d+) and seed (\d+),")
+    assert (int(n_users), int(seed)) == (100, seven_cell_spec.seed)
     catalog, cell, _ = normalize(dataclasses.replace(seven_cell_spec, file_count=8))
     cell = dataclasses.replace(cell, n_users=100)
     schedule = suboptimal_schedule(catalog, cell.price_unicast)
     bandwidth, price, _ = operating_point(catalog, cell, schedule)
-    assert (f"{price:.6f}", f"{bandwidth:.6f}") == ("1.514053", "2.226861")
+    assert quoted(r"`Pb` ([\d.]+), `Wb` ([\d.]+)\)") == (f"{price:.6f}", f"{bandwidth:.6f}")
     bound = lower_bound_revenue(catalog, cell, price, bandwidth, schedule)
-    args = (catalog, cell, PricePair(cell.price_unicast, price), bandwidth, schedule)
+    prices = PricePair(cell.price_unicast, price)
+    args = (catalog, cell, prices, bandwidth, schedule)
     estimates = [expected_revenue(*args, trials=2, seed=seed) for seed in (0, 1)]
     assert estimates[0].expected_y == estimates[1].expected_y
     assert all(est.residual_mean <= 0 for est in estimates)
-    assert (f"{bound:.3f}", f"{estimates[0].expected_y:.3f}") == ("263.892", "237.085")
+    assert quoted(r"L = ([\d.]+) exceeds the exact E\[Y\] = ([\d.]+),") == (
+        f"{bound:.3f}", f"{estimates[0].expected_y:.3f}")
     assert bound > estimates[0].expected_y
+
+    # The per-file factor and the exact eligible share it stands in for.
+    k = unicast_rate(catalog.rate_model) / (bandwidth * catalog.rate_model.r_low)
+    factor = 1 - k * schedule.s * catalog.theta * (1 - (cell.price_unicast - price)
+                                                   * catalog.sizes)
+    bc_delay = payoff._broadcast_delay(catalog, bandwidth, schedule)
+    share = catalog.rate_model.classes[1] @ payoff._eligible_share(
+        catalog, payoff.eligibility_threshold(catalog, prices, bc_delay))
+    weight = catalog.popularity * catalog.sizes
+    uc_term = cell.price_unicast * (cell.bandwidth - bandwidth) * cell.slots
+    assert weight @ factor == pytest.approx((bound - uc_term) / (price * cell.n_users))
+    assert weight @ share == pytest.approx(
+        (estimates[0].expected_y - uc_term) / (price * cell.n_users))
+
+    first, second, p_first, p_second = quoted(
+        r"Files (\d+) and (\d+) \(p = ([\d.]+) and ([\d.]+)\) are sent last")
+    last = [int(first) - 1, int(second) - 1]
+    assert sorted(schedule.order[-2:]) == last
+    assert (p_first, p_second) == tuple(f"{catalog.popularity[i]:.3f}" for i in last)
+    assert quoted(r"delays `s_i/\(Wb\*r_b\)` of ([\d.]+) and ([\d.]+) slots") == tuple(
+        f"{bc_delay[i]:.2f}" for i in last)
+    assert np.all(share[last] == 0)
+    assert quoted(r"their factors are ([\d.]+) and ([\d.]+);") == tuple(
+        f"{factor[i]:.3f}" for i in last)
+    others = np.setdiff1d(np.arange(catalog.size), last)
+    assert quoted(r"at the other (\w+) files the factor is below the share") == ("six",)
+    assert others.size == 6 and np.all(factor[others] < share[others])
+    assert quoted(r"`sum_i p_i\*f_i\*factor_i` is ([\d.]+) against an exact "
+                  r"`sum_i p_i\*f_i\*share_i` of ([\d.]+)\.") == (
+        f"{weight @ factor:.3f}", f"{weight @ share:.3f}")
+
+    # The 2000-file single-cell rows criterion 4 reads: L far below zero.
+    *ns, l_50, l_100, l_200 = quoted(r"rows at N = (\d+), (\d+) and (\d+), where L is "
+                                     r"−([\d.]+), −([\d.]+) and −([\d.]+) ")
+    catalog, cell, _ = single_cell_setup
+    for n, printed in zip(ns, (l_50, l_100, l_200)):
+        assert int(n) in single_cell_spec.sweep_users
+        point = dataclasses.replace(cell, n_users=int(n))
+        schedule = suboptimal_schedule(catalog, point.price_unicast)
+        bandwidth, price, _ = operating_point(catalog, point, schedule)
+        assert f"{-lower_bound_revenue(catalog, point, price, bandwidth, schedule):.1f}" == (
+            printed)

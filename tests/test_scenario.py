@@ -212,9 +212,14 @@ class TestLoadSpec:
         ("bc_cap_fraction = 0.6", "bc_cap_fration = 0.6",
          "unknown key [cell] bc_cap_fration in {path}"),
         ("[simulation]", "[simulaton]", "unknown key [simulaton] trials in {path}"),
+        ("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = 0.5",
+         "unknown key [sweep] zipf_exponents in {path}"),
+        ("schedulers = suboptimal", "schedulers = suboptimal\nfile_counts = 4000",
+         "unknown key [sweep] file_counts in {path}"),
     ], ids=["range-of-two", "zero-step", "negative-step", "descending-range", "empty-range",
             "sizes-reversed",
-            "thresholds-reversed", "misspelt-key", "unknown-section"])
+            "thresholds-reversed", "misspelt-key", "unknown-section", "retired-zipf-axis",
+            "retired-file-count-axis"])
     def test_load_error_messages(self, tmp_path, old, new, message):
         assert old in SMALL_CONFIG
         path = tmp_path / "bad.cfg"
@@ -237,9 +242,8 @@ class TestLoadSpec:
             text = text.replace(line + "\n", "")
         path.write_text(text)
         spec = load_spec(str(path))
-        assert (spec.name, spec.bc_cap_fraction, spec.theta_samples, spec.schedulers,
-                spec.zipf_variants, spec.file_count_variants) == (
-                    "bare", 1.0, 100_000, ("suboptimal",), (), ())
+        assert (spec.name, spec.bc_cap_fraction, spec.theta_samples, spec.schedulers) == (
+            "bare", 1.0, 100_000, ("suboptimal",))
 
     def test_readme_lists_exactly_the_keys_load_spec_reads(self):
         # Each key takes the parenthesized remark that closes its group; a
@@ -428,20 +432,14 @@ class TestRunSweep:
         text = text.replace("schedulers = suboptimal", "schedulers = suboptimal,none,suboptimal")
         path = tmp_path / "repeated.cfg"
         path.write_text(text)
-        rows = run_sweep(load_spec(str(path))).rows
+        spec = load_spec(str(path))
+        assert dataclasses.replace(spec, schedulers=("none", "optimal", "none")).schedulers == (
+            "none", "optimal")
+        rows = run_sweep(spec).rows
         assert [(r["scheduler_variant"], r["N"]) for r in rows] == [
             ("suboptimal", 0), ("suboptimal", 5), ("suboptimal", 10),
             ("none", 0), ("none", 5), ("none", 10),
         ]
-
-    def test_variant_axes_expand_rows(self, small_config):
-        text = pathlib.Path(small_config).read_text()
-        text = text.replace("[simulation]", "zipf_exponents = 0.5\n\n[simulation]")
-        path = pathlib.Path(small_config).parent / "variants.cfg"
-        path.write_text(text)
-        result = run_sweep(load_spec(str(path)))
-        gammas = {row["gamma"] for row in result.rows}
-        assert gammas == {1.0, 0.5}
 
     def test_readme_deviation_5_numbers_match_the_seven_cell_point(
             self, seven_cell_setup, seven_cell_terminal_point):
@@ -823,11 +821,6 @@ class TestCli:
         (("schedulers = suboptimal", "schedulers ="), ["simulate"]),
         (("schedulers = suboptimal", "schedulers = ,"), ["schedule"]),
         (("schedulers = suboptimal", "schedulers ="), ["sweep"]),
-        (("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = -0.5"),
-         ["sweep"]),
-        (("schedulers = suboptimal", "schedulers = suboptimal\nfile_counts = 0"), ["sweep"]),
-        (("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = nan"),
-         ["sweep"]),
         (("bandwidth_mhz = 10", "bandwidth_mhz = nan"), ["optimize"]),
         (("bandwidth_mhz = 10", "bandwidth_mhz = inf"), ["optimize"]),
         (("unicast_price = 2.6", "unicast_price = inf"), ["optimize"]),
@@ -837,8 +830,7 @@ class TestCli:
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
             "negative-seed-simulate", "no-section-header", "duplicate-section",
             "bare-percent", "no-schedulers-simulate", "no-schedulers-schedule",
-            "no-schedulers-sweep", "negative-zipf-variant", "zero-file-count-variant",
-            "nan-zipf-variant", "nan-bandwidth", "inf-bandwidth", "inf-price",
+            "no-schedulers-sweep", "nan-bandwidth", "inf-bandwidth", "inf-price",
             "nan-area-ratio"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
@@ -866,9 +858,7 @@ class TestCli:
         ("zipf_exponent = 1.0", "zipf_exponent = 200", ["schedule", "--catalog"]),
         ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["sweep", "--trials", "2"]),
         ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["schedule", "--catalog"]),
-        ("schedulers = suboptimal", "schedulers = suboptimal\nzipf_exponents = 300",
-         ["sweep", "--trials", "2"]),
-    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog", "variant-300-sweep"])
+    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog"])
     def test_flat_zipf_popularity_exits_with_one_error_line(self, tmp_path, capsys, old, new,
                                                             argv):
         # i^-gamma underflows to 0 (large gamma), or rounds to equal values
@@ -1204,15 +1194,13 @@ _SWEEP_WORDS = st.one_of(
     st.sampled_from(scenario.SCHEDULER_VARIANTS + ("magic", "xx", "", "1e", "0x10", " ")))
 
 
-@given(key=st.sampled_from(("users", "schedulers", "zipf_exponents", "file_counts")),
+@given(key=st.sampled_from(("users", "schedulers")),
        words=st.lists(st.tuples(_SWEEP_WORDS, st.sampled_from(",:")), max_size=5))
 @example(key="users", words=[("-1", ",")])
 @example(key="users", words=[("5", ":"), ("1", ":"), ("1", ",")])
 @example(key="users", words=[("0", ":"), ("100000000000", ":"), ("1", ",")])
 @example(key="users", words=[("0", ":"), ("10000000000000000000", ":"), ("1", ",")])
 @example(key="schedulers", words=[("magic", ",")])
-@example(key="zipf_exponents", words=[("inf", ",")])
-@example(key="file_counts", words=[("0", ",")])
 @settings(max_examples=200, deadline=None)
 def test_sweep_key_errors_name_the_key(drawn_config, key, words):
     value = "".join(word + sep for word, sep in words)[:-1]
