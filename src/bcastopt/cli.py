@@ -56,9 +56,8 @@ def _unwritable(path: str | None):
 
 
 def _apply_overrides(spec, args):
-    scheduler = getattr(args, "scheduler", None)
     updates = dict(seed=args.seed, bc_cap_fraction=getattr(args, "beta", None),
-                   schedulers=(scheduler,) if scheduler else None,
+                   scheduler=getattr(args, "scheduler", None),
                    trials=getattr(args, "trials", None))
     return replace(spec, **{k: v for k, v in updates.items() if v is not None})
 
@@ -85,7 +84,7 @@ def cmd_sweep(spec, args) -> tuple[str, int]:
 
 def cmd_simulate(spec, args) -> tuple[str, int]:
     catalog, cell, _ = _resolved_cell(spec, args)
-    _, report = evaluate_point(spec, catalog, cell, spec.schedulers[0])
+    _, report = evaluate_point(spec, catalog, cell)
     return report.to_json() + "\n", 0
 
 
@@ -94,7 +93,7 @@ def cmd_schedule(spec, args) -> tuple[str, int]:
     if args.catalog:  # needs no schedule, so a failing scheduler cannot block it
         rows = zip(range(1, catalog.size + 1), catalog.sizes, catalog.popularity, catalog.theta)
         return csv_text(("i", "f_i", "p_i", "theta_i"), rows), 0
-    schedule = variant_schedule(spec.schedulers[0], catalog, cell)
+    schedule = variant_schedule(spec.scheduler, catalog, cell)
     rows = ((position, i + 1, catalog.sizes[i], schedule.s[i], schedule.weights[i])
             for position, i in enumerate(schedule.order, start=1))
     return csv_text(("position", "file", "f_i", "s_i", "weight"), rows), 0

@@ -11,7 +11,6 @@ stay reproducible; the other outputs do not carry it.
 from __future__ import annotations
 
 import configparser
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -52,7 +51,7 @@ _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
 _PERMUTATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
-_MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is simulated per variant
+_MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is one full simulation
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -119,11 +118,9 @@ class ExperimentSpec:
         rule=(f"a non-empty list of at most {_MAX_SWEEP_USERS} counts >= 0",
               # sliced, not len(): a range past sys.maxsize has no len
               lambda v: v and not v[_MAX_SWEEP_USERS:] and min(v) >= 0))
-    schedulers: tuple[str, ...] = _key(
-        "sweep", lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
-        default=("suboptimal",),
-        rule=(f"a non-empty list of {SCHEDULER_VARIANTS}",
-              lambda v: v and set(v) <= set(SCHEDULER_VARIANTS)))
+    scheduler: str = _key("sweep", str, default="suboptimal", key="schedulers",
+                          rule=(f"one of {SCHEDULER_VARIANTS}",
+                                lambda v: v in SCHEDULER_VARIANTS))
     trials: int = _key("simulation", int, rule=_POSITIVE)
     seed: int = _key("simulation", int, rule=(">= 0", lambda v: v >= 0))
 
@@ -138,7 +135,6 @@ class ExperimentSpec:
         if self.theta_min_s > self.theta_max_s:
             raise ConfigError("theta_min_s must not exceed theta_max_s")
         object.__setattr__(self, "sweep_users", tuple(sorted(set(self.sweep_users))))
-        object.__setattr__(self, "schedulers", tuple(dict.fromkeys(self.schedulers)))
 
     @property
     def r_low_bps_hz(self) -> float:
@@ -276,21 +272,23 @@ def variant_schedule(variant: str, catalog: FileCatalog, cell: CellConfig):
         return popularity_schedule(catalog)
     if variant == "optimal":
         return optimal_schedule(catalog, cell)
-    raise ConfigError(f"unknown scheduler variant {variant!r}")
+    raise InvalidParameterError(f"unknown scheduler variant {variant!r}")
 
 
-def evaluate_point(spec: ExperimentSpec, catalog: FileCatalog, cell: CellConfig,
-                   variant: str) -> tuple[dict, SimulationReport]:
-    """One (variant, N = ``cell.n_users``) point of ``spec``, whose
-    ``normalize`` gave ``catalog`` and ``cell``: the variant's schedule,
-    its operating point (Wb*, Pb*), the analytic bound and gain there, and
+def evaluate_point(spec: ExperimentSpec, catalog: FileCatalog,
+                   cell: CellConfig) -> tuple[dict, SimulationReport]:
+    """The N = ``cell.n_users`` point of ``spec``, whose ``normalize``
+    gave ``catalog`` and ``cell``: the schedule of ``spec.scheduler``, its
+    operating point (Wb*, Pb*), the analytic bound and gain there, and
     ``spec.trials`` simulated trials from ``SeedSequence([seed,
-    round(γ·1e6), M, N])``. The seed does not depend on the variant, so
-    variants see identical draws and compare pairwise. Returns the sweep
-    row's numeric fields and the simulation report. The row's
+    round(γ·1e6), M, N])``. γ and M are one value per sweep; they stay in
+    the seed so that every stream, and every recorded output, holds. The
+    scheduler never enters the seed, so runs of different schedulers see
+    identical draws and compare pairwise. Returns the sweep row's numeric
+    fields and the simulation report. The row's
     ``payoff_guarantee_violations`` (JSON only) counts the classes whose
     ``payoff_guarantee_gaps`` are < 0, the exact check ``validate`` runs."""
-    schedule = variant_schedule(variant, catalog, cell)
+    schedule = variant_schedule(spec.scheduler, catalog, cell)
     bandwidth, price, _ = operating_point(catalog, cell, schedule)
     prices = PricePair(cell.price_unicast, price)
     row = dict(W_b_star=bandwidth, P_b_star=price,
@@ -318,7 +316,7 @@ def csv_text(columns, rows) -> str:
 
 @dataclass
 class SweepResult:
-    """Long-format sweep output, one row per (variant, N)."""
+    """Long-format sweep output, one row per N in ascending order."""
 
     spec_name: str
     scheme: NormalizationScheme
@@ -336,26 +334,24 @@ class SweepResult:
             indent=2,
         )
 
-    def column(self, name: str, **filters):
-        """Values of one column over rows matching the filters, ordered by N."""
-        rows = [r for r in self.rows
-                if all(r.get(k) == v for k, v in filters.items()) and not r.get("error")]
-        return [r[name] for r in sorted(rows, key=lambda r: r["N"])]
+    def column(self, name: str):
+        """Values of one column over the rows without an error, ordered by N."""
+        return [r[name] for r in self.rows if not r["error"]]
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Sweep user counts: one :func:`evaluate_point` row per (variant, N)
-    on the catalog normalized once. A point that fails with one of the
-    package's domain errors is recorded in the error column and the sweep
-    continues; any other exception propagates."""
+    """Sweep user counts: one :func:`evaluate_point` row per N, with the
+    spec's one scheduler, on the catalog normalized once. A point that
+    fails with one of the package's domain errors is recorded in the
+    error column and the sweep continues; any other exception propagates."""
     catalog, base_cell, scheme = normalize(spec)
     result = SweepResult(spec_name=spec.name, scheme=scheme)
-    for variant, n in itertools.product(spec.schedulers, spec.sweep_users):
-        row = dict(N=n, scheduler_variant=variant, gamma=spec.zipf_exponent,
+    for n in spec.sweep_users:
+        row = dict(N=n, scheduler_variant=spec.scheduler, gamma=spec.zipf_exponent,
                    file_count=spec.file_count, error="")
         try:
             cell = replace(base_cell, n_users=n)
-            row.update(evaluate_point(spec, catalog, cell, variant)[0])
+            row.update(evaluate_point(spec, catalog, cell)[0])
         except POINT_ERRORS as exc:  # recorded, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         result.rows.append(row)

@@ -186,5 +186,5 @@ def seven_cell_terminal_point(seven_cell_spec, seven_cell_setup):
 
     catalog, cell, _ = seven_cell_setup
     cell = replace(cell, n_users=seven_cell_spec.sweep_users[-1])
-    row, report = evaluate_point(seven_cell_spec, catalog, cell, seven_cell_spec.schedulers[0])
+    row, report = evaluate_point(seven_cell_spec, catalog, cell)
     return cell, row, report

@@ -224,10 +224,8 @@ def test_criterion_05_payoff_guarantee(single_cell_sweep):
 
 
 def test_criterion_06_gain_band_and_monotonicity(single_cell_sweep):
-    gains = single_cell_sweep.column("gain_mc", scheduler_variant="suboptimal",
-                                     gamma=1.0, file_count=2000)
-    ns = single_cell_sweep.column("N", scheduler_variant="suboptimal",
-                                  gamma=1.0, file_count=2000)
+    gains = single_cell_sweep.column("gain_mc")
+    ns = single_cell_sweep.column("N")
     at_200 = gains[ns.index(200)]
     in_band = 1.20 <= at_200 <= 1.45
     increasing = all(a < b for a, b in zip(gains, gains[1:]))
@@ -263,8 +261,8 @@ def test_criterion_06_scheduler_margin(single_cell_spec, single_cell_setup):
 
 def test_criterion_07_bandwidth_trajectory(seven_cell_sweep, seven_cell_setup):
     rows = seven_cell_sweep
-    wbs = rows.column("W_b_star", scheduler_variant="suboptimal")
-    ns = rows.column("N", scheduler_variant="suboptimal")
+    wbs = rows.column("W_b_star")
+    ns = rows.column("N")
     catalog, cell, _ = seven_cell_setup
     cap = cell.bc_cap
     non_decreasing = all(a <= b + 1e-12 for a, b in zip(wbs, wbs[1:]))
@@ -284,7 +282,7 @@ def test_criterion_07_bandwidth_trajectory(seven_cell_sweep, seven_cell_setup):
 
 def test_criterion_07_price_trajectory(seven_cell_sweep, seven_cell_setup):
     rows = seven_cell_sweep
-    pbs = rows.column("P_b_star", scheduler_variant="suboptimal")
+    pbs = rows.column("P_b_star")
     _, cell, _ = seven_cell_setup
     non_decreasing = all(a <= b + 1e-12 for a, b in zip(pbs, pbs[1:]))
     reaches_cap = abs(pbs[-1] - cell.price_unicast) < 1e-9
@@ -298,8 +296,8 @@ def test_criterion_07_price_trajectory(seven_cell_sweep, seven_cell_setup):
 
 
 def test_criterion_07_terminal_gain(seven_cell_sweep, seven_cell_terminal_point):
-    gains = seven_cell_sweep.column("gain_mc", scheduler_variant="suboptimal")
-    ns = seven_cell_sweep.column("N", scheduler_variant="suboptimal")
+    gains = seven_cell_sweep.column("gain_mc")
+    ns = seven_cell_sweep.column("N")
     terminal = gains[ns.index(1400)]
     _, _, report = seven_cell_terminal_point
     _report(

@@ -86,7 +86,7 @@ def test_sweep_rows_pass_bench_checks(checks, small_spec):
 
 def test_repeated_sweep_axes_give_no_duplicate_rows(checks, small_spec):
     users = (50, 25, 50, 25)
-    spec = replace(small_spec, sweep_users=users, schedulers=("suboptimal", "suboptimal"))
+    spec = replace(small_spec, sweep_users=users)
     rows = _sweep_rows(spec)
     problems, report = checks.check_sweep(rows, dict(checks.config_facts(SINGLE_CELL),
                                                      users=users))

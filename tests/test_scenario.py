@@ -27,6 +27,7 @@ from bcastopt.cli import build_parser, main
 from bcastopt.errors import (
     POINT_ERRORS,
     ConfigError,
+    InvalidParameterError,
     PayoffDomainError,
     PreconditionError,
 )
@@ -78,8 +79,7 @@ def _positive_int(section, key):
 
 
 def _not_a_scheduler(value):
-    return ("schedulers must be a non-empty list of ('optimal', 'suboptimal', 'none'), "
-            f"got ({value!r},)")
+    return f"schedulers must be one of ('optimal', 'suboptimal', 'none'), got {value}"
 
 
 # The ConfigError message of each fault in FAULTS order; "" means the
@@ -127,7 +127,7 @@ class TestLoadSpec:
         assert spec.name == "single-cell"
         assert spec.bandwidth_mhz == 10.0
         assert spec.sweep_users == (50, 100, 150, 200)
-        assert spec.schedulers == ("suboptimal",)
+        assert spec.scheduler == "suboptimal"
         assert spec.r_low_bps_hz == pytest.approx(1.32)
 
     def test_range_and_list_user_syntax(self, tmp_path):
@@ -216,10 +216,12 @@ class TestLoadSpec:
          "unknown key [sweep] zipf_exponents in {path}"),
         ("schedulers = suboptimal", "schedulers = suboptimal\nfile_counts = 4000",
          "unknown key [sweep] file_counts in {path}"),
+        ("schedulers = suboptimal", "schedulers = suboptimal,none",
+         "schedulers must be one of ('optimal', 'suboptimal', 'none'), got suboptimal,none"),
     ], ids=["range-of-two", "zero-step", "negative-step", "descending-range", "empty-range",
             "sizes-reversed",
             "thresholds-reversed", "misspelt-key", "unknown-section", "retired-zipf-axis",
-            "retired-file-count-axis"])
+            "retired-file-count-axis", "two-schedulers"])
     def test_load_error_messages(self, tmp_path, old, new, message):
         assert old in SMALL_CONFIG
         path = tmp_path / "bad.cfg"
@@ -242,8 +244,8 @@ class TestLoadSpec:
             text = text.replace(line + "\n", "")
         path.write_text(text)
         spec = load_spec(str(path))
-        assert (spec.name, spec.bc_cap_fraction, spec.theta_samples, spec.schedulers) == (
-            "bare", 1.0, 100_000, ("suboptimal",))
+        assert (spec.name, spec.bc_cap_fraction, spec.theta_samples, spec.scheduler) == (
+            "bare", 1.0, 100_000, "suboptimal")
 
     def test_readme_lists_exactly_the_keys_load_spec_reads(self):
         # Each key takes the parenthesized remark that closes its group; a
@@ -367,7 +369,7 @@ def test_normalized_sizes_lie_in_the_unit_interval(small_spec, a, b):
 class TestRunSweep:
     def test_unknown_variant_has_no_schedule(self, small_spec):
         catalog, cell, _ = normalize(small_spec)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InvalidParameterError) as exc:
             scenario.variant_schedule("magic", catalog, cell)
         assert str(exc.value) == "unknown scheduler variant 'magic'"
 
@@ -426,20 +428,13 @@ class TestRunSweep:
         with pytest.raises(AssertionError, match="injected broken invariant"):
             run_sweep(small_spec)
 
-    def test_repeated_users_and_schedulers_give_one_row_each(self, small_config, tmp_path):
+    def test_repeated_users_give_one_row_each(self, small_config, tmp_path):
         text = pathlib.Path(small_config).read_text()
-        text = text.replace("users = 0,5,10", "users = 10,5,5,0,10")
-        text = text.replace("schedulers = suboptimal", "schedulers = suboptimal,none,suboptimal")
         path = tmp_path / "repeated.cfg"
-        path.write_text(text)
-        spec = load_spec(str(path))
-        assert dataclasses.replace(spec, schedulers=("none", "optimal", "none")).schedulers == (
-            "none", "optimal")
-        rows = run_sweep(spec).rows
+        path.write_text(text.replace("users = 0,5,10", "users = 10,5,5,0,10"))
+        rows = run_sweep(load_spec(str(path))).rows
         assert [(r["scheduler_variant"], r["N"]) for r in rows] == [
-            ("suboptimal", 0), ("suboptimal", 5), ("suboptimal", 10),
-            ("none", 0), ("none", 5), ("none", 10),
-        ]
+            ("suboptimal", 0), ("suboptimal", 5), ("suboptimal", 10)]
 
     def test_readme_deviation_5_numbers_match_the_seven_cell_point(
             self, seven_cell_setup, seven_cell_terminal_point):
@@ -719,7 +714,7 @@ def _simulate_args(config, n_users):
     spec = load_spec(config)
     catalog, cell, _ = normalize(spec)
     cell = dataclasses.replace(cell, n_users=n_users)
-    schedule = scenario.variant_schedule(spec.schedulers[0], catalog, cell)
+    schedule = scenario.variant_schedule(spec.scheduler, catalog, cell)
     bandwidth, price, _ = operating_point(catalog, cell, schedule)
     return catalog, cell, payoff.PricePair(cell.price_unicast, price), bandwidth, schedule
 
@@ -821,6 +816,11 @@ class TestCli:
         (("schedulers = suboptimal", "schedulers ="), ["simulate"]),
         (("schedulers = suboptimal", "schedulers = ,"), ["schedule"]),
         (("schedulers = suboptimal", "schedulers ="), ["sweep"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal,none"), ["sweep"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal,none"), ["simulate"]),
+        (("schedulers = suboptimal", "schedulers = suboptimal,none"), ["schedule"]),
+        (("schedulers = suboptimal", "schedulers = none,optimal"), ["optimize"]),
+        (("schedulers = suboptimal", "schedulers = none,optimal"), ["validate"]),
         (("bandwidth_mhz = 10", "bandwidth_mhz = nan"), ["optimize"]),
         (("bandwidth_mhz = 10", "bandwidth_mhz = inf"), ["optimize"]),
         (("unicast_price = 2.6", "unicast_price = inf"), ["optimize"]),
@@ -830,7 +830,9 @@ class TestCli:
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
             "negative-seed-simulate", "no-section-header", "duplicate-section",
             "bare-percent", "no-schedulers-simulate", "no-schedulers-schedule",
-            "no-schedulers-sweep", "nan-bandwidth", "inf-bandwidth", "inf-price",
+            "no-schedulers-sweep", "two-schedulers-sweep", "two-schedulers-simulate",
+            "two-schedulers-schedule", "two-schedulers-optimize", "two-schedulers-validate",
+            "nan-bandwidth", "inf-bandwidth", "inf-price",
             "nan-area-ratio"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
@@ -948,20 +950,26 @@ class TestCli:
             seed=np.random.SeedSequence(json.loads(out)["seed"]))
         assert report.to_json() + "\n" == out
 
+    @pytest.mark.parametrize("variant", scenario.SCHEDULER_VARIANTS)
     @pytest.mark.parametrize("shipped", [False, True], ids=["small", "single_cell"])
-    def test_simulate_equals_the_sweep_row(self, small_config, capsys, shipped):
-        # One evaluator and one seed derivation: simulate --n N reports the
-        # sweep row's Monte Carlo numbers at N.
+    def test_simulate_equals_the_sweep_row(self, small_config, capsys, shipped, variant):
+        # One evaluator and one seed derivation: simulate --scheduler X --n N
+        # reports the Monte Carlo numbers of sweep --scheduler X's row at N.
+        # The seed is built from the config alone, so every variant draws
+        # the same stream at N and a sweep of one variant loses nothing.
         path = str(CONFIG_DIR / "single_cell.cfg") if shipped else small_config
-        seed = load_spec(path).seed
-        assert main(["sweep", path, "--trials", "40", "--format", "json"]) == 0
+        spec = load_spec(path)
+        entropy = [spec.seed, round(spec.zipf_exponent * 1e6), spec.file_count]
+        assert main(["sweep", path, "--scheduler", variant, "--trials", "40",
+                     "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) > 1 and not any(row["error"] for row in rows)
         for row in rows:
-            assert main(["simulate", path, "--n", str(row["N"]), "--trials", "40"]) == 0
+            assert row["scheduler_variant"] == variant
+            assert main(["simulate", path, "--scheduler", variant, "--n", str(row["N"]),
+                         "--trials", "40"]) == 0
             report = json.loads(capsys.readouterr().out)
-            assert report["seed"] == [seed, round(row["gamma"] * 1e6), row["file_count"],
-                                      row["N"]]
+            assert report["seed"] == [*entropy, row["N"]]
             assert (report["revenue_mean"], report["revenue_stderr"]) == (
                 row["L0_mc_mean"], row["L0_mc_stderr"])
 
@@ -1201,12 +1209,16 @@ _SWEEP_WORDS = st.one_of(
 @example(key="users", words=[("0", ":"), ("100000000000", ":"), ("1", ",")])
 @example(key="users", words=[("0", ":"), ("10000000000000000000", ":"), ("1", ",")])
 @example(key="schedulers", words=[("magic", ",")])
+@example(key="schedulers", words=[("suboptimal", ","), ("none", ",")])
 @settings(max_examples=200, deadline=None)
 def test_sweep_key_errors_name_the_key(drawn_config, key, words):
     value = "".join(word + sep for word, sep in words)[:-1]
     text = re.sub(rf"^{key} = .*\n", "", SMALL_CONFIG, flags=re.M)
     drawn_config.write_text(text.replace("[sweep]\n", f"[sweep]\n{key} = {value}\n"))
     try:
-        load_spec(str(drawn_config))
+        spec = load_spec(str(drawn_config))
     except ConfigError as exc:
         assert str(exc).startswith((f"{key} ", f"bad value for [sweep] {key}:")), str(exc)
+    else:
+        # a schedulers value that loads names exactly one variant
+        assert key == "users" or spec.scheduler == value.strip() in scenario.SCHEDULER_VARIANTS
