@@ -2,10 +2,9 @@
 
 Subcommands: optimize, sweep, simulate, schedule, validate. Each takes a
 config file; see the repository README for the format. Exit code 0 on
-success, 1 on a configuration error, a payoff-domain error (the one
-member of ``errors.POINT_ERRORS``) or an output file or stdout that
-cannot be written, 2 on validation failures. A warning a command raises
-is one ``warning: ...`` line on stderr.
+success, 1 on a configuration error, a payoff-domain error or an
+output file or stdout that cannot be written, 2 on validation failures.
+A warning a command raises is one ``warning: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -17,9 +16,10 @@ import sys
 import warnings
 from dataclasses import replace
 
-from .errors import POINT_ERRORS, ConfigError
+from .errors import ConfigError, PayoffDomainError
 from .optimizer import joint_optimize
 from .scenario import (
+    MAX_USERS,
     SCHEDULER_VARIANTS,
     csv_text,
     evaluate_point,
@@ -64,8 +64,8 @@ def _apply_overrides(spec, args):
 
 def _resolved_cell(spec, args):
     n = args.n if args.n is not None else spec.sweep_users[-1]
-    if n < 0:
-        raise ConfigError(f"user count must be >= 0, got --n {n}")
+    if not 0 <= n <= MAX_USERS:
+        raise ConfigError(f"user count must be in [0, {MAX_USERS}], got --n {n}")
     catalog, cell, scheme = normalize(spec)
     return catalog, replace(cell, n_users=n), scheme
 
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
                 out.write(text)
                 out.flush()  # stdout too, so a full device fails here and not at exit
         return code
-    except (ConfigError, *POINT_ERRORS) as exc:
+    except (ConfigError, PayoffDomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except BrokenPipeError:

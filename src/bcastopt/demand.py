@@ -100,8 +100,8 @@ class FileCatalog:
     distribution (uniform; a point mass when the bounds coincide), and
     ``theta`` holds the aggregate delay tolerances. Invariants (checked
     on construction): arrays non-empty and of one length, sizes positive,
-    0 < delay_lo <= delay_hi, popularity sums to one, all tolerances
-    positive; mean_size = sum(size * popularity).
+    0 < delay_lo <= delay_hi, popularity positive and sums to one, all
+    tolerances positive; mean_size = sum(size * popularity).
     """
 
     sizes: np.ndarray
@@ -120,10 +120,11 @@ class FileCatalog:
         if len(sizes) == 0 or any(a.shape != (len(sizes),) for a in arrays):
             raise InvalidParameterError("catalog arrays must be non-empty and same length")
         _check_files(sizes, lo, hi)
-        if np.any(pop < 0) or abs(pop.sum() - 1.0) > _PMF_TOL:
-            raise InvalidParameterError(
-                f"popularity must be a pmf (sum={pop.sum()!r})"
-            )
+        bad = np.flatnonzero(~(pop > 0))
+        if bad.size:
+            raise InvalidParameterError(f"file {bad[0] + 1}: popularity must be > 0")
+        if abs(pop.sum() - 1.0) > _PMF_TOL:
+            raise InvalidParameterError(f"popularity must be a pmf (sum={pop.sum()!r})")
         if np.any(theta <= 0):
             raise InvalidParameterError("aggregate delay tolerances must be positive")
         for name, value in zip(names, arrays):

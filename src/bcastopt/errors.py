@@ -17,10 +17,3 @@ class PreconditionError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
-
-
-# The failures a run of a valid config may meet, that is, a draw that could
-# leave a payoff's domain: a sweep records it in the point's error column,
-# every other command exits 1. Anything else is a bug; the joint ascent
-# always ends, so it adds none.
-POINT_ERRORS = (PayoffDomainError,)

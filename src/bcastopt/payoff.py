@@ -130,22 +130,21 @@ def _broadcast_delay(catalog, bc_bandwidth, schedule) -> np.ndarray:
     domain check that both revenue estimators and the guarantee check make
     before anything else.
 
-    Both delay terms f_i/r - t and s_i/(Wb*rb) - t of every file with
-    p_i > 0 are checked at the fastest rate of positive probability and the
-    largest threshold a draw can give, at u = 1 - 2**-53. Rounding is
-    monotone, so every drawn term is at least the checked one: a
-    PayoffDomainError naming the file is raised exactly when some draw
-    could leave the payoff's domain. With Wb = 0 the queue never
-    completes, and the delay is inf.
+    Both delay terms f_i/r - t and s_i/(Wb*rb) - t of every file are
+    checked at the fastest rate of positive probability and the largest
+    threshold a draw can give, at u = 1 - 2**-53. Rounding is monotone,
+    so every drawn term is at least the checked one: a PayoffDomainError
+    naming the file is raised exactly when some draw could leave the
+    payoff's domain. With Wb = 0 the queue never completes, and the delay
+    is inf.
     """
     with np.errstate(divide="ignore"):
         bc_delay = schedule.s / (bc_bandwidth * catalog.rate_model.r_low)
     t_max = _thresholds(catalog, ..., _U_MAX)
     top_rate = fastest_rate(catalog.rate_model)
-    requested = catalog.popularity > 0
     for name, delay in (("size/rate", catalog.sizes / top_rate), ("s/(Wb*rb)", bc_delay)):
         term = delay - t_max
-        bad = np.flatnonzero(requested & (term <= 0))
+        bad = np.flatnonzero(term <= 0)
         if bad.size:
             i = bad[0]
             raise PayoffDomainError(
@@ -354,8 +353,8 @@ def payoff_guarantee_gaps(catalog: FileCatalog, prices: PricePair, bc_bandwidth:
                           schedule) -> np.ndarray:
     """Broadcast minus unicast payoff of each class's worst eligible user.
 
-    A class is a (rate, file) pair with P(r) > 0, p_i > 0 and an eligible
-    share q > 0 (see :func:`eligibility_threshold`). Where eligibility is
+    A class is a (rate, file) pair with P(r) > 0 and an eligible share
+    q > 0 (see :func:`eligibility_threshold`). Where eligibility is
     partial (lo < t* < hi), the broadcast delay exceeds the download time,
     so the payoff gap falls as the threshold grows, and the class's worst
     eligible user has the marginal threshold. Each gap is evaluated with
@@ -372,8 +371,7 @@ def payoff_guarantee_gaps(catalog: FileCatalog, prices: PricePair, bc_bandwidth:
     bc_delay = _broadcast_delay(catalog, bc_bandwidth, schedule)
     rates, rate_prob = catalog.rate_model.classes
     t_star = eligibility_threshold(catalog, prices, bc_delay)
-    classes = ((rate_prob[:, None] > 0) & (catalog.popularity > 0)
-               & (_eligible_share(catalog, t_star) > 0))
+    classes = (rate_prob[:, None] > 0) & (_eligible_share(catalog, t_star) > 0)
     f = catalog.sizes
     download = f / rates
     with np.errstate(divide="ignore", invalid="ignore"):  # outside the classes only
@@ -409,12 +407,13 @@ def _file_counts(gen, n_users: int, trials: int, popularity):
     """Each file's user counts in ``trials`` multinomial(``n_users``,
     ``popularity``) draws, yielded file by file in the given order as
     conditional binomials Bin(n_left, p_j / sum_{i >= j} p_i) (Devroye,
-    *Non-Uniform Random Variate Generation*, 1986, ch. XI). The last file of
-    positive popularity takes every user left."""
-    tail = np.cumsum(popularity[::-1])[::-1]
-    share = np.divide(popularity, tail, out=np.zeros_like(tail), where=tail > 0)
+    *Non-Uniform Random Variate Generation*, 1986, ch. XI). Rounding is
+    monotone, so each tail sum is at least its first term and no share
+    exceeds 1; the last share is exactly 1, so that file takes every user
+    left."""
+    share = popularity / np.cumsum(popularity[::-1])[::-1]
     left = np.full(trials, n_users)
-    for p in np.minimum(share, 1.0):
+    for p in share:
         count = gen.binomial(left, p)
         left -= count
         yield count
@@ -469,7 +468,7 @@ def expected_revenue(
 
     proc_order = catalog.processing_order
     demand = np.ceil(sizes / rates)
-    possible = (rate_prob[:, None] > 0) & (popularity > 0)
+    possible = rate_prob[:, None] > 0
     smallest = np.where(possible, demand, np.inf).min(axis=0)[proc_order]
     hits = np.flatnonzero((possible & (share > 0) & (demand <= pool)).any(axis=0)[proc_order])
     if not hits.size:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import RateModel, prob_high_from_area_ratio
 from .demand import FileCatalog, build_catalog
-from .errors import POINT_ERRORS, ConfigError, InvalidParameterError, PreconditionError
+from .errors import ConfigError, InvalidParameterError, PayoffDomainError, PreconditionError
 from .optimizer import (
     CellConfig,
     closed_form_price,
@@ -49,9 +49,15 @@ from .scheduler import (
 SCHEDULER_VARIANTS = ("optimal", "suboptimal", "none")
 _SIZE_HEADROOM = 0.99  # largest normalized file size
 MB_TO_BITS = 8e6
-_PERMUTATION_FILES = 8  # catalog size of the validation battery
+_VALIDATION_FILES = 8  # catalog size of the validation battery
 _GRID_POINTS = 10_000  # points of the validation grid searches
 _MAX_SWEEP_USERS = 10_000  # user counts a sweep may hold; each is one full simulation
+# How large one point may be. Each comment gives one `simulate` point at that bound,
+# the other two at single_cell.cfg's M = 2000, N = 200 and 2000 trials: wall time
+# and peak RSS on a 2-core Xeon, where the config's own point takes 0.4 s and 37 MB.
+_MAX_FILES = 100_000  # file_count: 9.5 s, 59 MB
+_MAX_TRIALS = 1_000_000  # trials: 98 s, 93 MB
+MAX_USERS = 100_000  # each user count, in [sweep] users or --n: 21 s, 46 MB
 
 SWEEP_COLUMNS = (
     "N", "W_b_star", "P_b_star", "L", "R_analytic",
@@ -70,6 +76,10 @@ def _parse_users(text: str) -> tuple[int, ...] | range:
 
 
 _POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)  # NaN fails it too
+
+
+def _up_to(bound):
+    return (f"in [1, {bound}]", lambda v: 1 <= v <= bound)
 
 
 def _key(section, parse=float, default=None, key=None, rule=None):
@@ -105,7 +115,7 @@ class ExperimentSpec:
     area_ratio_low_to_high: float = _key("cell", rule=(">= 0", lambda v: v >= 0))
     bc_cap_fraction: float = _key("cell", default=1.0,
                                   rule=("in (0, 1]", lambda v: 0 < v <= 1))
-    file_count: int = _key("catalog", int, rule=_POSITIVE)
+    file_count: int = _key("catalog", int, rule=_up_to(_MAX_FILES))
     zipf_exponent: float = _key("catalog", rule=_POSITIVE)
     size_min_mb: float = _key("catalog", rule=_POSITIVE)
     size_max_mb: float = _key("catalog", rule=_POSITIVE)
@@ -115,13 +125,13 @@ class ExperimentSpec:
     unicast_price: float = _key("pricing", rule=_POSITIVE)
     sweep_users: tuple[int, ...] = _key(
         "sweep", _parse_users, key="users",
-        rule=(f"a non-empty list of at most {_MAX_SWEEP_USERS} counts >= 0",
+        rule=(f"a non-empty list of at most {_MAX_SWEEP_USERS} counts in [0, {MAX_USERS}]",
               # sliced, not len(): a range past sys.maxsize has no len
-              lambda v: v and not v[_MAX_SWEEP_USERS:] and min(v) >= 0))
+              lambda v: v and not v[_MAX_SWEEP_USERS:] and 0 <= min(v) <= max(v) <= MAX_USERS))
     scheduler: str = _key("sweep", str, default="suboptimal", key="schedulers",
                           rule=(f"one of {SCHEDULER_VARIANTS}",
                                 lambda v: v in SCHEDULER_VARIANTS))
-    trials: int = _key("simulation", int, rule=_POSITIVE)
+    trials: int = _key("simulation", int, rule=_up_to(_MAX_TRIALS))
     seed: int = _key("simulation", int, rule=(">= 0", lambda v: v >= 0))
 
     def __post_init__(self):
@@ -342,8 +352,8 @@ class SweepResult:
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Sweep user counts: one :func:`evaluate_point` row per N, with the
     spec's one scheduler, on the catalog normalized once. A point that
-    fails with one of the package's domain errors is recorded in the
-    error column and the sweep continues; any other exception propagates."""
+    fails with a PayoffDomainError is recorded in the error column and the
+    sweep continues; any other exception propagates."""
     catalog, base_cell, scheme = normalize(spec)
     result = SweepResult(spec_name=spec.name, scheme=scheme)
     for n in spec.sweep_users:
@@ -352,7 +362,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         try:
             cell = replace(base_cell, n_users=n)
             row.update(evaluate_point(spec, catalog, cell)[0])
-        except POINT_ERRORS as exc:  # recorded, sweep continues
+        except PayoffDomainError as exc:  # recorded, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         result.rows.append(row)
     return result
@@ -419,7 +429,7 @@ def run_validation(spec: ExperimentSpec) -> ValidationReport:
     """
     report = ValidationReport(spec_name=spec.name)
 
-    small = replace(spec, file_count=min(spec.file_count, _PERMUTATION_FILES))
+    small = replace(spec, file_count=min(spec.file_count, _VALIDATION_FILES))
     catalog, cell0, _ = normalize(small)
     # The config's own catalog, so validate rejects what the other commands
     # reject; built second, because bench/child.py checks the first one built.

@@ -244,8 +244,10 @@ class TestBuildCatalog:
         assert np.array_equal(a.theta, b.theta)
 
     def test_bad_popularity_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="must be a pmf"):
             catalog_from([1.0, 1.0], [0.7, 0.7], [1.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="^file 2: popularity must be > 0$"):
+            catalog_from([1.0, 1.0, 1.0], [0.5, 0.0, 0.5], [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("field, values, message", [
         ("sizes", [0.5, 0.0, 0.2], "file 2: size must be > 0"),

@@ -3,7 +3,8 @@ deletion leaves no stale import behind; so is every private
 (underscore-prefixed) name it defines, and no module imports another's
 private name, and every public UPPER_CASE constant is read somewhere in
 ``src``, ``tests`` or ``bench``; every exception class in ``errors`` is
-raised somewhere in the package. The benchmark's import surface
+raised somewhere in the package, and no ``except`` clause catches every
+exception. The benchmark's import surface
 (``bench/*.py``, read as text) resolves against the package and is
 listed in the README, and so do the functions it traces."""
 import ast
@@ -107,6 +108,20 @@ def test_every_exception_class_is_raised(error):
     # An exception class the package never raises is a failure no run can
     # meet; catching or listing it only serves removed machinery.
     assert error in _raised_names()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_except_clause_catches_everything(path):
+    # A bare except, or one that names Exception or BaseException, would
+    # file a programming error as a sweep row's error or an error: line;
+    # each clause names the failures it answers.
+    broad = {"Exception", "BaseException"}
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ExceptHandler)
+             and (node.type is None
+                  or broad & {getattr(n, "id", getattr(n, "attr", None))
+                              for n in ast.walk(node.type)})]
+    assert lines == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

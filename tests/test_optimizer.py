@@ -21,7 +21,7 @@ from bcastopt.optimizer import (
     price_validity_floor,
     revenue_gain,
 )
-from bcastopt.scenario import normalize
+from bcastopt.scenario import normalize, variant_schedule
 from bcastopt.scheduler import (
     bound_moments,
     cumulative_sizes,
@@ -191,6 +191,24 @@ class TestMomentsForm:
                 assert grid == pytest.approx(
                     _per_file_bound(catalog, cell, prices[:, None], bandwidths, sched),
                     rel=1e-12)
+
+    @pytest.mark.parametrize("setup", ["single_cell", "seven_cell"])
+    def test_bound_at_the_shipped_operating_points(self, request, setup):
+        # The config's catalog at each sweep row's N, Wb*, Pb* and schedule,
+        # and validate's 8-file catalog at its N and operating point.
+        spec = request.getfixturevalue(f"{setup}_spec")
+        catalog, cell0, _ = request.getfixturevalue(f"{setup}_setup")
+        points = []
+        for n in spec.sweep_users:
+            cell = replace(cell0, n_users=n)
+            points.append((catalog, cell, variant_schedule(spec.scheduler, catalog, cell)))
+        small, small_cell, _ = normalize(replace(spec, file_count=8))
+        small_cell = replace(small_cell, n_users=spec.sweep_users[-1] or 10)
+        points.append((small, small_cell, suboptimal_schedule(small, small_cell.price_unicast)))
+        for catalog, cell, sched in points:
+            bandwidth, price, _ = operating_point(catalog, cell, sched)
+            assert lower_bound_revenue(catalog, cell, price, bandwidth, sched) == pytest.approx(
+                float(_per_file_bound(catalog, cell, price, bandwidth, sched)), rel=1e-12)
 
     def test_smith_cost(self):
         for catalog, cell, prices, _ in self._draws():

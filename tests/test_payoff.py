@@ -670,7 +670,7 @@ def test_eligibility_is_the_closed_form_threshold(request, setup, n_users):
 @pytest.mark.parametrize("popularity", [
     [0.25, 0.25, 0.25, 0.25],
     [0.1, 0.3, 0.1, 0.3, 0.2],
-    [0.0, 0.5, 0.0, 0.5],
+    [0.1, 0.4, 0.1, 0.4],
     [0.2, 0.3, 0.5],
     [1.0],
 ])
@@ -695,7 +695,6 @@ def test_processing_order_is_the_one_popularity_rank(popularity):
     ufile, u = np.empty((30, 40), dtype=np.intp), np.empty((30, 2, 40))
     payoff._draw_block(np.random.default_rng(5), catalog, ufile, u)
     assert np.all(np.diff(rank[ufile], axis=1) >= 0)
-    assert set(np.unique(ufile)) <= set(np.flatnonzero(catalog.popularity > 0))
 
 
 # Generator.random's largest value, and the largest threshold it gives on
@@ -737,21 +736,17 @@ class TestDomainCheck:
             f"file 1: delay term non-positive at the largest threshold: "
             f"{term} - threshold = 0.0")
 
-    @pytest.mark.parametrize("rare", [0.0, 1e-13])
-    def test_file_nobody_can_request_is_exempt(self, rare):
-        # File 2 downloads in 10 slots, before its 20-slot threshold.
+    def test_rarely_requested_file_is_checked(self):
+        # File 2 downloads in 10 slots, before its 20-slot threshold; it is
+        # checked like any other, however rarely it is requested.
         catalog = catalog_from(
-            sizes=[5.0, 5.0], popularity=[1.0 - rare, rare], theta=[0.3, 0.3],
+            sizes=[5.0, 5.0], popularity=[1.0 - 1e-13, 1e-13], theta=[0.3, 0.3],
             rate_model=point_rate(0.5), delay_lo=[1.0, 20.0], delay_hi=[1.0, 20.0],
         )
         args = (catalog, _oracle_cell(20), PricePair(0.4, 0.1), 1.0,
                 popularity_schedule(catalog))
-        if rare:
-            with pytest.raises(PayoffDomainError, match=r"^file 2: .* size/rate - "):
-                simulate_revenue(*args, trials=5, seed=0)
-        else:
-            got = simulate_revenue(*args, trials=5, seed=0)
-            _assert_same_report(got, _reference_simulation(*args, trials=5, seed=0))
+        with pytest.raises(PayoffDomainError, match=r"^file 2: .* size/rate - "):
+            simulate_revenue(*args, trials=5, seed=0)
 
     @pytest.mark.parametrize("prob_high", [0.0, 1e-9])
     def test_rate_nobody_can_draw_is_exempt(self, prob_high):
@@ -770,10 +765,10 @@ class TestDomainCheck:
 
     @given(
         files=st.lists(
-            st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0),
+            st.tuples(st.floats(0.1, 3.0), st.floats(1e-3, 1.0), st.floats(0.05, 3.0),
                       st.floats(0.0, 2.0)),
             min_size=1, max_size=4,
-        ).filter(lambda fs: sum(f[1] for f in fs) > 0),
+        ),
         r_low=st.floats(0.05, 2.0),
         r_ratio=st.floats(1.0, 3.0),
         prob_high=st.sampled_from([0.0, 0.5, 1.0]),

@@ -25,7 +25,6 @@ import bcastopt.payoff as payoff
 import bcastopt.scenario as scenario
 from bcastopt.cli import build_parser, main
 from bcastopt.errors import (
-    POINT_ERRORS,
     ConfigError,
     InvalidParameterError,
     PayoffDomainError,
@@ -78,6 +77,12 @@ def _positive_int(section, key):
                      f"bad value for [{section}] {key}: 'nan'")
 
 
+def _bounded_int(section, key, bound):
+    return _messages(section, key, f"{key} must be in [1, {bound}], got 0",
+                     f"{key} must be in [1, {bound}], got -1",
+                     f"bad value for [{section}] {key}: 'nan'")
+
+
 def _not_a_scheduler(value):
     return f"schedulers must be one of ('optimal', 'suboptimal', 'none'), got {value}"
 
@@ -102,7 +107,7 @@ FAULT_MESSAGES = {
                         "bc_cap_fraction must be in (0, 1], got 0.0",
                         "bc_cap_fraction must be in (0, 1], got -1.0",
                         "bc_cap_fraction must be in (0, 1], got nan"),
-    "file_count": _positive_int("catalog", "file_count"),
+    "file_count": _bounded_int("catalog", "file_count", 100_000),
     "zipf_exponent": _positive_float("catalog", "zipf_exponent"),
     "size_min_mb": _positive_float("catalog", "size_min_mb"),
     "size_max_mb": _positive_float("catalog", "size_max_mb"),
@@ -111,11 +116,11 @@ FAULT_MESSAGES = {
     "theta_samples": ("",) + _positive_int("catalog", "theta_samples")[1:],
     "unicast_price": _positive_float("pricing", "unicast_price"),
     "users": _messages("sweep", "users", "",
-                       "users must be a non-empty list of at most 10000 counts >= 0, "
+                       "users must be a non-empty list of at most 10000 counts in [0, 100000], "
                        "got (-1,)",
                        "bad value for [sweep] users: 'nan'"),
     "schedulers": ("",) + tuple(_not_a_scheduler(v) for v in FAULTS[1:]),
-    "trials": _positive_int("simulation", "trials"),
+    "trials": _bounded_int("simulation", "trials", 1_000_000),
     "seed": _messages("simulation", "seed", "", "seed must be >= 0, got -1",
                       "bad value for [simulation] seed: 'nan'"),
 }
@@ -151,7 +156,7 @@ class TestLoadSpec:
         # 10**11 counts would take terabytes if built; 10**19 has no len().
         path = tmp_path / "u.cfg"
         path.write_text(SMALL_CONFIG.replace("users = 0,5,10", f"users = 0:{stop}:1"))
-        message = ("users must be a non-empty list of at most 10000 counts >= 0, "
+        message = ("users must be a non-empty list of at most 10000 counts in [0, 100000], "
                    f"got range(0, {int(stop) + 1})")
 
         def load():
@@ -159,6 +164,42 @@ class TestLoadSpec:
                 load_spec(str(path))
 
         assert traced_peak(load) < 1 << 20
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("file_count = 6", "file_count = 1000000000000",
+         "file_count must be in [1, 100000], got 1000000000000"),
+        ("file_count = 6", "file_count = 100001", "file_count must be in [1, 100000], got 100001"),
+        ("trials = 30", "trials = 1000000000000",
+         "trials must be in [1, 1000000], got 1000000000000"),
+        ("trials = 30", "trials = 1000001", "trials must be in [1, 1000000], got 1000001"),
+        ("users = 0,5,10", "users = 0,5,1000000000000",
+         "users must be a non-empty list of at most 10000 counts in [0, 100000], "
+         "got (0, 5, 1000000000000)"),
+        ("users = 0,5,10", "users = 99990:100010:10",
+         "users must be a non-empty list of at most 10000 counts in [0, 100000], "
+         "got range(99990, 100011, 10)"),
+    ], ids=["files", "files-one-over", "trials", "trials-one-over", "users",
+            "users-range-one-over"])
+    def test_oversized_count_is_a_config_error_that_builds_nothing(self, tmp_path, old, new,
+                                                                   message):
+        # 10**12 files or users, or 10**12 trials' statistics, would take terabytes.
+        path = tmp_path / "big.cfg"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+
+        def load():
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_spec(str(path))
+
+        assert traced_peak(load) < 1 << 20
+
+    def test_counts_at_their_bounds_load(self, tmp_path):
+        path = tmp_path / "bounds.cfg"
+        path.write_text(SMALL_CONFIG.replace("file_count = 6", "file_count = 100000")
+                        .replace("trials = 30", "trials = 1000000")
+                        .replace("users = 0,5,10", "users = 0,100000"))
+        spec = load_spec(str(path))
+        assert (spec.file_count, spec.trials, spec.sweep_users) == (100_000, 1_000_000,
+                                                                    (0, 100_000))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -202,11 +243,11 @@ class TestLoadSpec:
         ("users = 0,5,10", "users = 1:5", "bad value for [sweep] users: '1:5'"),
         ("users = 0,5,10", "users = 1:5:0", "bad value for [sweep] users: '1:5:0'"),
         ("users = 0,5,10", "users = 1:5:-1",
-         "users must be a non-empty list of at most 10000 counts >= 0, got ()"),
+         "users must be a non-empty list of at most 10000 counts in [0, 100000], got ()"),
         ("users = 0,5,10", "users = 5:1:-1",
-         "users must be a non-empty list of at most 10000 counts >= 0, got ()"),
+         "users must be a non-empty list of at most 10000 counts in [0, 100000], got ()"),
         ("users = 0,5,10", "users = 5:1:1",
-         "users must be a non-empty list of at most 10000 counts >= 0, got range(5, 2)"),
+         "users must be a non-empty list of at most 10000 counts in [0, 100000], got range(5, 2)"),
         ("size_min_mb = 160", "size_min_mb = 700", "size_min_mb must not exceed size_max_mb"),
         ("theta_min_s = 0.6", "theta_min_s = 7", "theta_min_s must not exceed theta_max_s"),
         ("bc_cap_fraction = 0.6", "bc_cap_fration = 0.6",
@@ -521,31 +562,30 @@ class TestRunSweep:
                     assert gaps.size and gaps.min() >= 0, (spec.name, variant, n)
 
 
-@pytest.mark.parametrize("error", POINT_ERRORS, ids=lambda error: error.__name__)
 class TestPointErrors:
-    """Each reportable failure, raised at N = 5 only: a sweep records it in
-    that row and goes on, and a one-point command exits 1 with one line."""
+    """A PayoffDomainError, the one failure a run of a valid config may
+    meet, raised at N = 5 only: a sweep records it in that row and goes on,
+    and a one-point command exits 1 with one line."""
 
     @pytest.fixture(autouse=True)
-    def fail_at_five(self, monkeypatch, error):
+    def fail_at_five(self, monkeypatch):
         real = optimizer.operating_point
 
         def failing(catalog, cell, schedule):
             if cell.n_users == 5:
-                raise error("injected at N=5")
+                raise PayoffDomainError("injected at N=5")
             return real(catalog, cell, schedule)
 
         # the sweep's evaluate_point and joint_optimize both take this step
         monkeypatch.setattr(scenario, "operating_point", failing)
         monkeypatch.setattr(optimizer, "operating_point", failing)
 
-    def test_sweep_records_it_in_the_row(self, small_spec, error):
+    def test_sweep_records_it_in_the_row(self, small_spec):
         errors = {row["N"]: row["error"] for row in run_sweep(small_spec).rows}
-        assert errors == {0: "", 5: f"{error.__name__}: injected at N=5", 10: ""}
+        assert errors == {0: "", 5: "PayoffDomainError: injected at N=5", 10: ""}
 
     @pytest.mark.parametrize("command", ["simulate", "optimize"])
-    def test_one_point_command_exits_with_one_error_line(self, small_config, capsys, command,
-                                                         error):
+    def test_one_point_command_exits_with_one_error_line(self, small_config, capsys, command):
         assert main([command, small_config, "--n", "10"]) == 0
         capsys.readouterr()
         assert main([command, small_config, "--n", "5"]) == 1
@@ -825,6 +865,8 @@ class TestCli:
         (("bandwidth_mhz = 10", "bandwidth_mhz = inf"), ["optimize"]),
         (("unicast_price = 2.6", "unicast_price = inf"), ["optimize"]),
         (("area_ratio_low_to_high = 9", "area_ratio_low_to_high = nan"), ["simulate"]),
+        (("file_count = 6\nzipf_exponent = 1.0", "file_count = 3\nzipf_exponent = 700"),
+         ["sweep"]),
     ], ids=["beta-above-one", "beta-zero", "cap-fraction-in-config",
             "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
@@ -833,7 +875,7 @@ class TestCli:
             "no-schedulers-sweep", "two-schedulers-sweep", "two-schedulers-simulate",
             "two-schedulers-schedule", "two-schedulers-optimize", "two-schedulers-validate",
             "nan-bandwidth", "inf-bandwidth", "inf-price",
-            "nan-area-ratio"])
+            "nan-area-ratio", "zipf-underflow-last-file"])
     def test_bad_inputs_exit_with_one_error_line(self, small_config, tmp_path, capsys,
                                                  edit, argv):
         path = small_config
@@ -855,19 +897,31 @@ class TestCli:
         path.write_text(text.replace(old, new))
         return str(path)
 
-    @pytest.mark.parametrize("old, new, argv", [
-        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["sweep", "--trials", "2"]),
-        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["schedule", "--catalog"]),
-        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["sweep", "--trials", "2"]),
-        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["schedule", "--catalog"]),
-    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog"])
+    _FLAT = "Zipf popularity must be strictly decreasing"
+    _TAIL = ("file_count = 2000\nzipf_exponent = 1.0", "file_count = 3\nzipf_exponent = 700")
+    _ZERO = "file 3: popularity must be > 0"
+
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["sweep", "--trials", "2"], _FLAT),
+        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["schedule", "--catalog"], _FLAT),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["sweep", "--trials", "2"], _FLAT),
+        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["schedule", "--catalog"], _FLAT),
+        (*_TAIL, ["sweep"], _ZERO),
+        (*_TAIL, ["simulate"], _ZERO),
+        (*_TAIL, ["optimize"], _ZERO),
+        (*_TAIL, ["schedule", "--catalog"], _ZERO),
+        (*_TAIL, ["validate"], _ZERO),
+    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog", "700-sweep",
+            "700-simulate", "700-optimize", "700-catalog", "700-validate"])
     def test_flat_zipf_popularity_exits_with_one_error_line(self, tmp_path, capsys, old, new,
-                                                            argv):
+                                                            argv, message):
         # i^-gamma underflows to 0 (large gamma), or rounds to equal values
-        # (tiny gamma), within the 2000 files of the single-cell catalog.
-        assert main([*argv, self._single_cell_with(tmp_path, old, new)]) == 1
-        assert capsys.readouterr() == (
-            "", "error: Zipf popularity must be strictly decreasing\n")
+        # (tiny gamma), within the 2000 files of the single-cell catalog. Over
+        # 3 files at gamma = 700, p = (1, 1.9e-211, 0) is strictly decreasing,
+        # but file 3 could never be requested.
+        command, *options = argv
+        assert main([command, self._single_cell_with(tmp_path, old, new), *options]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("old, new", [
         ("size_min_mb = 160", "size_min_mb = 30"),
@@ -1088,7 +1142,8 @@ class TestCli:
         out = tmp_path / "out.json"
         out.write_text("old\n")
         assert main(["optimize", small_config, "--n", "-1", "-o", str(out)]) == 1
-        assert capsys.readouterr().err == "error: user count must be >= 0, got --n -1\n"
+        assert capsys.readouterr().err == (
+            "error: user count must be in [0, 100000], got --n -1\n")
         assert out.read_text() == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -1136,6 +1191,24 @@ class TestCli:
             main(["sweep", small_config, "-o", str(out)])
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "1000000000000"],
+         "user count must be in [0, 100000], got --n 1000000000000"),
+        (["optimize", "--n", "100001"], "user count must be in [0, 100000], got --n 100001"),
+        (["schedule", "--n", "100001"], "user count must be in [0, 100000], got --n 100001"),
+        (["simulate", "--trials", "1000000000000"],
+         "trials must be in [1, 1000000], got 1000000000000"),
+        (["sweep", "--trials", "1000001"], "trials must be in [1, 1000000], got 1000001"),
+    ], ids=["n-simulate", "n-optimize", "n-schedule", "trials-simulate", "trials-sweep"])
+    def test_oversized_option_exits_with_one_error_line_and_builds_nothing(
+            self, small_config, capsys, argv, message):
+        command, *options = argv
+        codes = []
+        assert traced_peak(lambda: codes.append(main([command, small_config, *options]))) < (
+            1 << 20)
+        assert codes == [1]
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
         path.write_text("[cell]\nbandwidth_mhz = 10\n")
@@ -1153,7 +1226,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: users must be a non-empty list of at most 10000 "
-                                f"counts >= 0, got range(0, {int(stop) + 1})\n")
+                                f"counts in [0, 100000], got range(0, {int(stop) + 1})\n")
 
     def test_undecodable_config_exits_with_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
