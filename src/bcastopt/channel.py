@@ -8,7 +8,7 @@ in the outer region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,23 +49,6 @@ class RateModel:
         a placement uniform below ``prob_high`` (:func:`rates_from_uniforms`)."""
         return (np.array([[self.r_high], [self.r_low]]),
                 np.array([self.prob_high, 1.0 - self.prob_high]))
-
-    def scaled(self, factor: float) -> "RateModel":
-        """Return a copy with both rates multiplied by ``factor`` (unit change)."""
-        if factor <= 0:
-            raise InvalidParameterError(f"scale factor must be positive, got {factor}")
-        return replace(self, r_high=self.r_high * factor, r_low=self.r_low * factor)
-
-
-def prob_high_from_area_ratio(ratio_low_to_high: float) -> float:
-    """Good-region probability for a given outer/inner area ratio.
-
-    With |outer| = ratio * |inner| and uniform user placement the good
-    region holds 1 / (1 + ratio) of the users.
-    """
-    if ratio_low_to_high < 0:
-        raise InvalidParameterError(f"area ratio must be >= 0, got {ratio_low_to_high}")
-    return 1.0 / (1.0 + ratio_low_to_high)
 
 
 def unicast_rate(model: RateModel) -> float:

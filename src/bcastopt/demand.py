@@ -150,6 +150,11 @@ def build_catalog(
     :func:`aggregate_delay_tolerance` call, which also rejects files that
     break the delay-sensitivity condition rather than clipping them, so
     the catalog is a deterministic function of the arguments.
+
+    Any exponent > 0 is accepted; :class:`FileCatalog` holds the
+    popularity rules. Where i^-gamma rounds to equal values (a tiny
+    exponent), the tied files are served by index; where it underflows
+    to 0 (a large one), the catalog names the first such file.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     M = len(sizes)
@@ -158,7 +163,5 @@ def build_catalog(
     hi = np.broadcast_to(np.asarray(delay_hi, dtype=np.float64), (M,))
     _check_files(sizes, lo, hi)  # before the tolerances, which need lo <= hi
     theta = aggregate_delay_tolerance(sizes, lo, hi, rate_model)
-    if M > 1 and not np.all(np.diff(pop) < 0):
-        raise InvalidParameterError("Zipf popularity must be strictly decreasing")
     return FileCatalog(sizes=sizes, popularity=pop, theta=theta,
                        delay_lo=lo, delay_hi=hi, rate_model=rate_model)

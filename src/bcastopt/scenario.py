@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import RateModel, prob_high_from_area_ratio
+from .channel import RateModel
 from .demand import FileCatalog, build_catalog
 from .errors import ConfigError, InvalidParameterError, PayoffDomainError, PreconditionError
 from .optimizer import (
@@ -163,7 +163,7 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def _read_spec(path: str) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read as written
     try:
         read = parser.read(path, encoding="utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
@@ -237,6 +237,11 @@ def _scheme_for(spec: ExperimentSpec) -> NormalizationScheme:
 def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, NormalizationScheme]:
     """Build the normalized catalog and cell for a spec.
 
+    Every config-to-model conversion happens here: sizes in size units,
+    delay thresholds in slots, both rates times ``scheme.rate_scale``, and
+    the outer/inner area ratio as the good region's share of uniformly
+    placed users, ``prob_high = 1 / (1 + area_ratio_low_to_high)``.
+
     Deterministic for a fixed spec seed: the file sizes are drawn from a
     seed stream derived from it, and the delay tolerances are exact
     functions of the sizes and the rate model. The catalog alone holds
@@ -251,17 +256,18 @@ def normalize(spec: ExperimentSpec) -> tuple[FileCatalog, CellConfig, Normalizat
     sizes_mb = size_rng.uniform(spec.size_min_mb, spec.size_max_mb, size=m)
     sizes = sizes_mb / scheme.size_unit_mb
 
-    rate_model = RateModel(r_high=spec.r_high_bps_hz, r_low=spec.r_low_bps_hz,
-                           prob_high=prob_high_from_area_ratio(spec.area_ratio_low_to_high))
     try:
         catalog = build_catalog(spec.zipf_exponent, sizes=sizes,
                                 delay_lo=spec.theta_min_s / scheme.slot_seconds,
                                 delay_hi=spec.theta_max_s / scheme.slot_seconds,
-                                rate_model=rate_model.scaled(scheme.rate_scale))
+                                rate_model=RateModel(
+                                    r_high=spec.r_high_bps_hz * scheme.rate_scale,
+                                    r_low=spec.r_low_bps_hz * scheme.rate_scale,
+                                    prob_high=1.0 / (1.0 + spec.area_ratio_low_to_high)))
     except PreconditionError as exc:
         raise ConfigError("normalized parameters violate the delay-sensitivity "
                           f"condition: {exc}") from exc
-    except InvalidParameterError as exc:  # e.g. an exponent whose i^-γ underflows to 0
+    except InvalidParameterError as exc:  # e.g. a rate or an i^-γ that rounds to 0
         raise ConfigError(str(exc)) from exc
 
     cell = CellConfig(

@@ -91,7 +91,8 @@ def _small_size_instance(rng, scale=1.0):
     if scale != 1.0:
         catalog = catalog_from(
             catalog.sizes * scale, catalog.popularity, catalog.theta / scale,
-            model.scaled(scale), delay_lo=catalog.delay_lo, delay_hi=catalog.delay_hi,
+            RateModel(model.r_high * scale, model.r_low * scale, model.prob_high),
+            delay_lo=catalog.delay_lo, delay_hi=catalog.delay_hi,
         )
     return catalog, cell
 

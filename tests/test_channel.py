@@ -7,7 +7,6 @@ from bcastopt.channel import (
     RateModel,
     broadcast_rate,
     fastest_rate,
-    prob_high_from_area_ratio,
     rates_from_uniforms,
     unicast_rate,
 )
@@ -126,10 +125,6 @@ class TestRateClasses:
 
 
 class TestModelValidation:
-    def test_area_ratio_helper(self):
-        assert prob_high_from_area_ratio(9.0) == pytest.approx(0.1)
-        assert prob_high_from_area_ratio(0.0) == 1.0
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -142,16 +137,3 @@ class TestModelValidation:
     def test_invalid_models_rejected(self, kw):
         with pytest.raises(InvalidParameterError):
             RateModel(**kw)
-
-    def test_non_positive_scale_factor_rejected(self):
-        with pytest.raises(InvalidParameterError, match="scale factor must be positive, got 0"):
-            REFERENCE.scaled(0)
-
-    def test_negative_area_ratio_rejected(self):
-        with pytest.raises(InvalidParameterError, match="area ratio must be >= 0, got -1"):
-            prob_high_from_area_ratio(-1)
-
-    def test_scaled_preserves_ratio(self):
-        scaled = REFERENCE.scaled(0.01)
-        assert scaled.r_high / scaled.r_low == pytest.approx(REFERENCE.r_high / REFERENCE.r_low)
-        assert scaled.prob_high == REFERENCE.prob_high

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcastopt.channel import RateModel
@@ -292,3 +292,27 @@ def test_zipf_pmf_is_distribution(gamma, m):
     p = zipf_pmf(gamma, m)
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.all(p > 0)
+
+
+@given(gamma=st.floats(min_value=-300.0, max_value=3.0).map(lambda e: 10.0 ** e),
+       m=st.integers(min_value=1, max_value=2000))
+@example(gamma=1e-13, m=2000)
+@example(gamma=1e-300, m=2000)
+@example(gamma=200.0, m=2000)
+@settings(max_examples=100, deadline=None)
+def test_every_admitted_exponent_builds_or_names_the_first_zero(gamma, m):
+    # gamma is log-uniform over the zipf_exponent rule's domain. Where
+    # i^-gamma rounds to equal values, the catalog serves the tied files by
+    # index; where it underflows to 0, the catalog names the first such file.
+    zero = np.flatnonzero(zipf_pmf(gamma, m) == 0.0)
+    try:
+        catalog = build_catalog(gamma, sizes=np.full(m, 5.0), delay_lo=0.5, delay_hi=1.5,
+                                rate_model=point_rate(1.0))
+    except InvalidParameterError as exc:
+        assert zero.size and str(exc) == f"file {zero[0] + 1}: popularity must be > 0"
+    else:
+        order = catalog.processing_order
+        ranked = catalog.popularity[order]
+        assert np.all(ranked[:-1] >= ranked[1:])
+        tied = ranked[:-1] == ranked[1:]
+        assert np.all(order[:-1][tied] < order[1:][tied])

@@ -2,7 +2,9 @@
 deletion leaves no stale import behind; so is every private
 (underscore-prefixed) name it defines, and no module imports another's
 private name, and every public UPPER_CASE constant is read somewhere in
-``src``, ``tests`` or ``bench``; every exception class in ``errors`` is
+``src``, ``tests`` or ``bench``; every public function and method is
+referenced in the package outside its own definition, but for two that
+only the acceptance gate reads; every exception class in ``errors`` is
 raised somewhere in the package, and no ``except`` clause catches every
 exception. The benchmark's import surface
 (``bench/*.py``, read as text) resolves against the package and is
@@ -84,6 +86,35 @@ def test_every_public_constant_is_read(constant):
     # A public knob nothing reads is dead code; so is one that only a test
     # patches, by its name as a string.
     assert constant.split(".")[1] in _read_names()
+
+
+# Public functions and methods no package code calls, each with its reason.
+_GATE_ONLY = {
+    "channel.broadcast_rate": "criterion 9's gate checks the closed-form broadcast rate",
+    "scenario.SweepResult.column": "the acceptance gate reads sweep columns through it",
+}
+
+
+def test_every_public_function_is_referenced_in_the_package():
+    # A public module-level function, or public method of a module-level
+    # class, that no package code references by name outside its own body
+    # serves only tests, so it is dead code unless a gate reads it.
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    unreferenced = set()
+    for own, tree in trees.items():
+        for node in tree.body:
+            for member in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                inside = {id(n) for n in ast.walk(member)}
+                if not any(member.name in (getattr(n, "id", None), getattr(n, "attr", None),
+                                           getattr(n, "name", None))
+                           and not isinstance(n, ast.FunctionDef)
+                           for path, other in trees.items() for n in ast.walk(other)
+                           if path != own or id(n) not in inside):
+                    owner = f"{node.name}." if member is not node else ""
+                    unreferenced.add(f"{own.stem}.{owner}{member.name}")
+    assert unreferenced == set(_GATE_ONLY)
 
 
 def _error_classes():

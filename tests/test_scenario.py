@@ -356,6 +356,19 @@ class TestNormalize:
         assert np.array_equal(a.sizes, b.sizes)
         assert np.array_equal(a.theta, b.theta)
 
+    @pytest.mark.parametrize("spec_fixture", ["single_cell_spec", "seven_cell_spec"])
+    def test_rate_model_is_the_physical_one_in_model_units(self, request, spec_fixture):
+        spec = request.getfixturevalue(spec_fixture)
+        catalog, _, scheme = normalize(spec)
+        model = catalog.rate_model
+        assert model.r_high == spec.r_high_bps_hz * scheme.rate_scale
+        assert model.r_low == spec.r_low_bps_hz * scheme.rate_scale
+        assert model.prob_high == 1.0 / (1.0 + spec.area_ratio_low_to_high)
+        assert model.r_low / model.r_high == pytest.approx(1.0 - spec.r_low_degradation)
+        assert model.prob_high == pytest.approx(0.1)  # both configs split 9:1
+        no_outer = dataclasses.replace(spec, area_ratio_low_to_high=0.0)
+        assert normalize(no_outer)[0].rate_model.prob_high == 1.0
+
     def test_scheme_serializes(self, small_spec):
         _, _, scheme = normalize(small_spec)
         payload = json.loads(scheme.to_json())
@@ -852,7 +865,6 @@ class TestCli:
         (None, ["simulate", "--seed", "-1"]),
         (("[experiment]\n", ""), ["optimize"]),
         (("[simulation]", "[sweep]"), ["optimize"]),
-        (("name = small", "name = 100% small"), ["optimize"]),
         (("schedulers = suboptimal", "schedulers ="), ["simulate"]),
         (("schedulers = suboptimal", "schedulers = ,"), ["schedule"]),
         (("schedulers = suboptimal", "schedulers ="), ["sweep"]),
@@ -871,7 +883,7 @@ class TestCli:
             "negative-area-ratio", "negative-n-optimize", "negative-n-simulate",
             "negative-seed-in-config", "negative-seed-validate", "negative-seed-sweep",
             "negative-seed-simulate", "no-section-header", "duplicate-section",
-            "bare-percent", "no-schedulers-simulate", "no-schedulers-schedule",
+            "no-schedulers-simulate", "no-schedulers-schedule",
             "no-schedulers-sweep", "two-schedulers-sweep", "two-schedulers-simulate",
             "two-schedulers-schedule", "two-schedulers-optimize", "two-schedulers-validate",
             "nan-bandwidth", "inf-bandwidth", "inf-price",
@@ -897,42 +909,76 @@ class TestCli:
         path.write_text(text.replace(old, new))
         return str(path)
 
-    _FLAT = "Zipf popularity must be strictly decreasing"
+    _GAMMA = ("zipf_exponent = 1.0", "zipf_exponent = 200")
     _TAIL = ("file_count = 2000\nzipf_exponent = 1.0", "file_count = 3\nzipf_exponent = 700")
-    _ZERO = "file 3: popularity must be > 0"
 
     @pytest.mark.parametrize("old, new, argv, message", [
-        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["sweep", "--trials", "2"], _FLAT),
-        ("zipf_exponent = 1.0", "zipf_exponent = 200", ["schedule", "--catalog"], _FLAT),
-        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["sweep", "--trials", "2"], _FLAT),
-        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13", ["schedule", "--catalog"], _FLAT),
-        (*_TAIL, ["sweep"], _ZERO),
-        (*_TAIL, ["simulate"], _ZERO),
-        (*_TAIL, ["optimize"], _ZERO),
-        (*_TAIL, ["schedule", "--catalog"], _ZERO),
-        (*_TAIL, ["validate"], _ZERO),
-    ], ids=["200-sweep", "200-catalog", "1e-13-sweep", "1e-13-catalog", "700-sweep",
-            "700-simulate", "700-optimize", "700-catalog", "700-validate"])
-    def test_flat_zipf_popularity_exits_with_one_error_line(self, tmp_path, capsys, old, new,
-                                                            argv, message):
-        # i^-gamma underflows to 0 (large gamma), or rounds to equal values
-        # (tiny gamma), within the 2000 files of the single-cell catalog. Over
-        # 3 files at gamma = 700, p = (1, 1.9e-211, 0) is strictly decreasing,
-        # but file 3 could never be requested.
+        (*_GAMMA, ["sweep", "--trials", "2"], "file 42: popularity must be > 0"),
+        (*_GAMMA, ["schedule", "--catalog"], "file 42: popularity must be > 0"),
+        (*_TAIL, ["sweep"], "file 3: popularity must be > 0"),
+        (*_TAIL, ["simulate"], "file 3: popularity must be > 0"),
+        (*_TAIL, ["optimize"], "file 3: popularity must be > 0"),
+        (*_TAIL, ["schedule", "--catalog"], "file 3: popularity must be > 0"),
+        (*_TAIL, ["validate"], "file 3: popularity must be > 0"),
+    ], ids=["200-sweep", "200-catalog", "700-sweep", "700-simulate", "700-optimize",
+            "700-catalog", "700-validate"])
+    def test_underflowing_zipf_popularity_exits_with_one_error_line(self, tmp_path, capsys,
+                                                                    old, new, argv, message):
+        # i^-gamma underflows to 0 within the 2000 files of the single-cell
+        # catalog from file 42 on at gamma = 200, and in the last of 3 files
+        # at gamma = 700, p = (1, 1.9e-211, 0): no one could request them.
         command, *options = argv
         assert main([command, self._single_cell_with(tmp_path, old, new), *options]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_flat_zipf_popularity_builds_and_runs(self, tmp_path, capsys):
+        # At gamma = 1e-13, i^-gamma rounds to equal values for neighbouring
+        # files of the single-cell catalog; the tied files are served by index.
+        path = self._single_cell_with(tmp_path, "zipf_exponent = 1.0", "zipf_exponent = 1e-13")
+        assert main(["schedule", path, "--catalog"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        popularity = [float(row["p_i"]) for row in rows]
+        assert len(rows) == 2000 and len(set(popularity)) < 2000
+        assert main(["sweep", path, "--trials", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["validate", path]) in (0, 2)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("old, new", [
+        ("size_max_mb = 634", "size_max_mb = 1e308"),
+        ("r_high_bps_hz = 2.4", "r_high_bps_hz = 5e-324"),
+        ("r_high_bps_hz = 2.4\nr_low_degradation = 0.45",
+         "r_high_bps_hz = 5e-324\nr_low_degradation = 0.9"),
+    ], ids=["zero-rate-scale", "r-high-underflows", "r-low-underflows"])
+    def test_rate_that_rounds_to_zero_exits_with_one_error_line(self, tmp_path, capsys,
+                                                                old, new):
+        # normalize builds the rate model inside the catalog's error handling,
+        # so a zero normalized rate is the model's own config error; the last
+        # case's physical low rate is already 0.
+        path = self._single_cell_with(tmp_path, old, new)
+        assert main(["schedule", path, "--catalog"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: need 0 < r_low <= r_high, got r_low=0.0, r_high=0.0\n")
+
+    def test_config_values_are_read_as_written(self, small_config, tmp_path, capsys):
+        # No interpolation: a bare '%' is kept, and '%(...)s' is no reference.
+        text = pathlib.Path(small_config).read_text()
+        for name in ("100% small", "%(seed)s"):
+            path = tmp_path / "percent.cfg"
+            path.write_text(text.replace("name = small", f"name = {name}"))
+            assert main(["sweep", str(path), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["experiment"] == name
+
     @pytest.mark.parametrize("old, new", [
         ("size_min_mb = 160", "size_min_mb = 30"),
         ("zipf_exponent = 1.0", "zipf_exponent = 200"),
-        ("zipf_exponent = 1.0", "zipf_exponent = 1e-13"),
         ("zipf_exponent = 1.0", "zipf_exponent = 1000"),
-    ], ids=["size-min-30", "200", "1e-13", "1000"])
+    ], ids=["size-min-30", "200", "1000"])
     def test_validate_rejects_what_the_full_catalog_rejects(self, tmp_path, capsys, old, new):
-        # The battery's 8-file catalog builds in the first three cases (at
+        # The battery's 8-file catalog builds in the first two cases (at
         # gamma = 1000, i^-gamma underflows from i = 3 on); the config's own
-        # 2000-file catalog fails a delay-sensitivity or Zipf check in all four.
+        # 2000-file catalog fails a delay-sensitivity or popularity check in
+        # all three.
         path = self._single_cell_with(tmp_path, old, new)
         assert main(["schedule", path, "--catalog"]) == 1
         rejected = capsys.readouterr().err
